@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 from .vtime import VirtualTime
 
@@ -51,19 +51,17 @@ class EventKind(IntEnum):
     USER = 7
 
 
-@dataclass(frozen=True)
-class EventId:
+class EventId(NamedTuple):
     """Globally unique event identity: (sender LP id, sender sequence no.).
 
     An antimessage carries the same ``EventId`` as the positive message it
-    cancels; the pair annihilates wherever the two meet.
+    cancels; the pair annihilates wherever the two meet.  A tuple, so
+    hashing and comparison (set/dict membership on every delivery) run
+    at C level.
     """
 
     src: int
     seq: int
-
-    def __lt__(self, other: "EventId") -> bool:
-        return (self.src, self.seq) < (other.src, other.seq)
 
 
 _seq_counter = itertools.count()
@@ -117,8 +115,9 @@ class Event:
 
     def stamped(self, epoch: int) -> "Event":
         """A copy carrying a conservative-promise epoch tag."""
-        import dataclasses
-        return dataclasses.replace(self, epoch=epoch)
+        return Event(time=self.time, kind=self.kind, dst=self.dst,
+                     src=self.src, payload=self.payload, sign=self.sign,
+                     eid=self.eid, send_time=self.send_time, epoch=epoch)
 
     def matches(self, other: "Event") -> bool:
         """True if self and other are a +/- pair for the same message."""

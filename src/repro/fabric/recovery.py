@@ -136,6 +136,12 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
     ``cons_epoch`` handling is the caller's job — it must be bumped past
     the crash-time value so stale channel promises held by receivers can
     never collide with post-recovery conservative phases.
+
+    The readiness bookkeeping derived from the image is rebuilt, not
+    stored: ``live`` from what each restored runtime holds, ``armed``
+    from the restored ready heap (whose entries for a non-blockable
+    runtime are distinct by construction, so images carry no
+    duplicates of them).
     """
     from ..parallel.engine import _Entry
 
@@ -173,3 +179,10 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
         runtime.since_switch = image.since_switch
         runtime.since_snapshot = image.since_snapshot
         runtime.committed = image.committed
+        runtime.armed = []
+    proc.live = {lp_id for lp_id, runtime in proc.runtimes.items()
+                 if not runtime.idle()}
+    for key, lp_id in sorted(proc.ready, reverse=True):
+        runtime = proc.runtimes[lp_id]
+        if not runtime.blockable:
+            runtime.armed.append(key)

@@ -276,11 +276,10 @@ class ThreadedFabric:
                         and event.eid not in anti_eids):
                     runtime = proc.runtimes.get(event.src)
                     if runtime is not None:
-                        runtime.lazy_pending.append(event)
                         # See ReliableFabric: injected entries are
-                        # outstanding cancellations — lower the horizon.
-                        if proc.cancel_note is not None:
-                            proc.cancel_note(event.time)
+                        # outstanding cancellations — withhold() lowers
+                        # the horizon.
+                        proc.withhold(runtime, event)
         # Incoming replay.
         recv_marks = self._ckpt_recv_expected.get(index, {})
         replayed = 0

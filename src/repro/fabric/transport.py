@@ -524,13 +524,12 @@ class ReliableFabric:
                         and event.eid not in anti_eids):
                     runtime = proc.runtimes.get(event.src)
                     if runtime is not None:
-                        runtime.lazy_pending.append(event)
                         # Every injected entry is an outstanding
-                        # cancellation; lower the machine's horizon so
-                        # no conservative LP commits at its timestamp
-                        # before the squash-or-cancel decision lands.
-                        if proc.cancel_note is not None:
-                            proc.cancel_note(event.time)
+                        # cancellation; withhold() lowers the machine's
+                        # horizon so no conservative LP commits at its
+                        # timestamp before the squash-or-cancel
+                        # decision lands.
+                        proc.withhold(runtime, event)
 
     def _replay_incoming(self, proc, index: int) -> None:
         marks = self._ckpt_recv_expected.get(index, {})

@@ -21,8 +21,9 @@ They share protocol obligations that used to be duplicated:
 * **The per-processor work predicate** (:func:`proc_has_work`):
   whether a processor still owes protocol work — queued events within
   the horizon, undelivered local messages, or withheld lazy
-  cancellations.  Both real-concurrency backends evaluate it at their
-  global synchronization points (barrier round / token visit).
+  cancellations.  Every backend evaluates it at its global
+  synchronization points (deadlock check / barrier round / token
+  visit).
 * **The whole worker loop** (:class:`WorkerCore`): act quanta, batched
   flushes, the pipelined Mattern token ring, the cancellation horizon,
   fabric pump/checkpoint cadence and crash recovery.  The procs and
@@ -104,7 +105,8 @@ def proc_has_work(proc, until: Optional[int]) -> bool:
     """
     if proc.local_fifo or proc.inbox:
         return True
-    for runtime in proc.runtimes.values():
+    for lp_id in proc.live:
+        runtime = proc.runtimes[lp_id]
         if runtime.lazy_pending:
             return True  # withheld cancellations must resolve
         head = runtime.head()
@@ -315,14 +317,10 @@ class WorkerCore:
         """Min outstanding-cancellation time this worker knows about:
         unpruned anti buckets, withheld lazy entries (crash-recovery
         reconciliation), and negatives owed by the fabric endpoint."""
-        low = INFINITY
+        low = self._proc.withheld_low()
         for value in self._anti_mins.values():
             if value < low:
                 low = value
-        for runtime in self._proc.runtimes.values():
-            for pending in runtime.lazy_pending:
-                if pending.time < low:
-                    low = pending.time
         if self.endpoint is not None:
             for event in self.endpoint.pending_events():
                 if event.sign < 0 and event.time < low:
@@ -638,8 +636,7 @@ class WorkerCore:
         proc = self._proc
         proc.gvt_bound = gvt
         proc.stats.gvt_rounds += 1
-        for runtime in proc.runtimes.values():
-            proc.flush_lazy(runtime, gvt)
+        proc.flush_lazy_all(gvt)
         proc.drain_local()
         proc.fossil_collect(gvt)
         proc.rearm_blocked()
@@ -886,13 +883,13 @@ class WorkerCore:
                         # no flush ever breaks the tie (the conservative
                         # crash-recovery self-deadlock).
                         runtime.reuse_pending.append(event)
+                        proc.live.add(event.src)
                         continue
-                    runtime.lazy_pending.append(event)
                     # Each injected entry is an outstanding
-                    # cancellation: lower the horizon so no
-                    # conservative LP commits at its timestamp
+                    # cancellation: withhold() lowers the horizon so
+                    # no conservative LP commits at its timestamp
                     # before the squash-or-cancel decision lands.
-                    self._note_cancellation(event.time)
+                    proc.withhold(runtime, event)
         endpoint.rewind_receiver(recv_floors)
         endpoint.stats.recoveries += 1
         # Tell every peer: bump your replica epochs (stale conservative
@@ -975,8 +972,7 @@ class WorkerCore:
     # ------------------------------------------------------------------
     def _report_done(self) -> None:
         proc = self._proc
-        for runtime in proc.runtimes.values():
-            proc._commit_log(runtime)
+        proc.commit_remaining()
         self._net.watchdog_probes += self._watchdog.probes
         stats = RunStats()
         stats.merge(proc.stats)

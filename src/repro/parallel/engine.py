@@ -109,7 +109,7 @@ class LPRuntime:
         "executed", "squashed", "window_executed", "window_squashed",
         "blocked_streak", "since_switch", "last_null_promise", "committed",
         "release_floor", "since_snapshot", "lazy_pending",
-        "reuse_pending",
+        "reuse_pending", "blockable", "armed",
     )
 
     def __init__(self, lp: LogicalProcess, mode: SyncMode,
@@ -127,6 +127,19 @@ class LPRuntime:
         self.lp = lp
         self.mode = resolved
         self.dynamic = dynamic
+        #: Can this runtime ever fail the safety test?  Fixed for life:
+        #: static modes never change, and a dynamic runtime may turn
+        #: conservative at any time.  A ready-heap entry of a blockable
+        #: runtime is a *poll* (it feeds ``blocked_polls`` and
+        #: ``blocked_streak``, which drive GVT cadence and adaptation);
+        #: for any other runtime an entry only schedules, so the heap
+        #: holds exactly the keys listed in ``armed`` for it.
+        self.blockable = dynamic or resolved is SyncMode.CONSERVATIVE
+        #: Keys of this runtime's ready-heap entries, strictly
+        #: decreasing (non-blockable runtimes only).  The last one is
+        #: the next to surface; an earlier one is a head that a lower
+        #: arrival superseded, kept so it is not pushed a second time.
+        self.armed: List[tuple] = []
         #: Bumped each time the LP (re)enters conservative mode; receivers
         #: only trust channel promises tagged with the current epoch.
         self.cons_epoch = 0
@@ -178,12 +191,20 @@ class LPRuntime:
         heapq.heappush(self.queue, (event.sort_key(), event))
 
     def head(self) -> Optional[Event]:
-        """The earliest live queued event (skipping annihilated ones)."""
-        while self.queue:
-            _key, event = self.queue[0]
-            if event.eid in self.cancelled:
-                heapq.heappop(self.queue)
-                self.cancelled.discard(event.eid)
+        """The earliest live queued event (skipping annihilated ones).
+
+        Afterwards ``queue[0]`` *is* the head: callers read its stored
+        sort key as ``queue[0][0]`` instead of recomputing it.
+        """
+        queue = self.queue
+        cancelled = self.cancelled
+        if not cancelled:
+            return queue[0][1] if queue else None
+        while queue:
+            event = queue[0][1]
+            if event.eid in cancelled:
+                heapq.heappop(queue)
+                cancelled.discard(event.eid)
                 continue
             return event
         return None
@@ -196,8 +217,17 @@ class LPRuntime:
         return event
 
     def queue_min_time(self) -> VirtualTime:
-        event = self.head()
-        return event.time if event is not None else INFINITY
+        return INFINITY if self.head() is None else self.queue[0][0][0]
+
+    def idle(self) -> bool:
+        """Holds no protocol state: nothing queued, logged, parked or
+        withheld (the condition for leaving ``Processor.live``).  A
+        queue of annihilated entries only cannot occur between engine
+        calls — every mutation ends in ``_arm``, whose ``head()`` drops
+        them — and would merely keep the runtime live a little longer.
+        """
+        return not (self.queue or self.processed or self.negatives
+                    or self.lazy_pending or self.reuse_pending)
 
     # ------------------------------------------------------------------
     # Mode-dependent views
@@ -251,13 +281,23 @@ class Processor:
         self.lazy_cancellation = lazy_cancellation
         self.clock = 0.0
         self.runtimes: Dict[int, LPRuntime] = {}
+        #: Ids of runtimes that hold protocol state (queue, log, parked
+        #: negatives, withheld sends).  Entered by ``deliver`` — the one
+        #: door every event passes — and pruned by ``fossil_collect``;
+        #: the per-round services walk this set, not ``runtimes``, so a
+        #: GVT round costs O(touched LPs).
+        self.live: Set[int] = set()
         #: Inbox of (deliver_at, seq, event) from remote processors.
         self.inbox: List[Tuple[float, int, Event]] = []
         #: Same-processor messages awaiting delivery (drained in act();
         #: a FIFO queue instead of recursive delivery keeps rollback
         #: cascades iterative and preserves send order).
         self.local_fifo = deque()
-        #: Runtimes with a queued head, keyed for lowest-timestamp-first.
+        #: Runtimes with a queued head, keyed for lowest-timestamp-first:
+        #: ``(head sort key, lp id)``, lazily deleted.  Entries of
+        #: blockable runtimes are polls and are pushed on every arm;
+        #: entries of the rest mirror ``LPRuntime.armed`` (see
+        #: docs/protocol.md, "Readiness bookkeeping").
         self.ready: List[Tuple[tuple, int]] = []
         self.blocked: Set[int] = set()
         self.stats = RunStats()
@@ -308,9 +348,56 @@ class Processor:
         """(Re-)insert a runtime into the ready heap for its queue head."""
         lp_id = runtime.lp.lp_id
         self.blocked.discard(lp_id)
-        head = runtime.head()
-        if head is not None:
-            heapq.heappush(self.ready, (head.sort_key(), lp_id))
+        if runtime.head() is not None:
+            self._push_ready(runtime.queue[0][0], runtime)
+
+    def _push_ready(self, key: tuple, runtime: LPRuntime) -> None:
+        """Enter ``(key, runtime)`` into the ready heap — always for a
+        blockable runtime (the entry is a poll), at most once per key
+        and only below its other entries for one that cannot block."""
+        if not runtime.blockable:
+            armed = runtime.armed
+            if armed and armed[-1] <= key:
+                # An entry of this runtime surfaces at or before the
+                # head; it is checked against the queue when popped.
+                return
+            armed.append(key)
+        heapq.heappush(self.ready, (key, runtime.lp.lp_id))
+
+    def _pop_safe(self) -> Optional[Tuple[tuple, LPRuntime]]:
+        """Pop ready entries up to the first whose runtime may execute
+        its queue head now; ``None`` when the heap runs out.
+
+        An entry of a blockable runtime that fails the safety test is a
+        blocked poll, with all its side effects.
+        """
+        ready = self.ready
+        until = self.until
+        while ready:
+            key, lp_id = heapq.heappop(ready)
+            runtime = self.runtimes[lp_id]
+            if not runtime.blockable:
+                runtime.armed.pop()  # always ``key``: lowest surfaces first
+            head = runtime.head()
+            if head is None:
+                continue
+            if runtime.queue[0][0] != key:
+                # Stale entry: the queue changed; re-arm with the truth.
+                self._arm(runtime)
+                continue
+            if until is not None and head.time.pt > until:
+                # Beyond the simulation horizon; park it unarmed.
+                continue
+            if not self._safe(runtime, head):
+                self.blocked.add(lp_id)
+                runtime.blocked_streak += 1
+                self.stats.blocked_polls += 1
+                if self.use_lookahead:
+                    self._send_nulls(runtime)
+                self._maybe_go_optimistic(runtime)
+                continue
+            return key, runtime
+        return None
 
     def rearm_blocked(self) -> None:
         """After a GVT advance, blocked conservative LPs may be safe."""
@@ -368,6 +455,7 @@ class Processor:
     # ------------------------------------------------------------------
     def deliver(self, event: Event) -> None:
         runtime = self.runtimes[event.dst]
+        self.live.add(event.dst)
         if self.tracer is not None:
             self.tracer.record("recv", self.index, event.dst, event.time,
                                kind=int(event.kind), src=event.src,
@@ -537,9 +625,7 @@ class Processor:
                 # which the very rollbacks that withhold it keep
                 # rewriting, has no stable owner to reconcile against.
                 if self.lazy_cancellation and sent.dst != lp_id:
-                    runtime.lazy_pending.append(sent)
-                    if self.cancel_note is not None:
-                        self.cancel_note(sent.time)
+                    self.withhold(runtime, sent)
                 else:
                     self.stats.antimessages += 1
                     if self.tracer is not None:
@@ -559,30 +645,12 @@ class Processor:
     def _execute_one(self) -> bool:
         if self.scheduler is not None:
             return self._execute_one_controlled()
-        while self.ready:
-            key, lp_id = heapq.heappop(self.ready)
-            runtime = self.runtimes[lp_id]
-            head = runtime.head()
-            if head is None:
-                continue
-            if head.sort_key() != key:
-                # Stale entry: the queue changed; re-arm with the truth.
-                self._arm(runtime)
-                continue
-            if self.until is not None and head.time.pt > self.until:
-                # Beyond the simulation horizon; park it unarmed.
-                continue
-            if not self._safe(runtime, head):
-                self.blocked.add(lp_id)
-                runtime.blocked_streak += 1
-                self.stats.blocked_polls += 1
-                if self.use_lookahead:
-                    self._send_nulls(runtime)
-                self._maybe_go_optimistic(runtime)
-                continue
-            self._execute(runtime, runtime.pop())
-            return True
-        return False
+        found = self._pop_safe()
+        if found is None:
+            return False
+        runtime = found[1]
+        self._execute(runtime, runtime.pop())
+        return True
 
     def _execute_one_controlled(self) -> bool:
         """Controlled-scheduler variant of :meth:`_execute_one`.
@@ -595,43 +663,34 @@ class Processor:
         :meth:`_controlled_pop` (choice point ``event``).
         """
         sched = self.scheduler
-        candidates: List[Tuple[tuple, int]] = []
+        candidates: List[Tuple[tuple, LPRuntime]] = []
         group_key = None
-        while self.ready:
-            key, lp_id = heapq.heappop(self.ready)
-            runtime = self.runtimes[lp_id]
-            head = runtime.head()
-            if head is None:
+        while True:
+            found = self._pop_safe()
+            if found is None:
+                break
+            if not found[1].blockable and any(
+                    found[1] is runtime for _key, runtime in candidates):
+                # Its superseded entry surfaced inside the tie group and
+                # was re-armed at the head already gathered: one LP is
+                # one candidate.
                 continue
-            if head.sort_key() != key:
-                self._arm(runtime)
-                continue
-            if self.until is not None and head.time.pt > self.until:
-                continue
-            if not self._safe(runtime, head):
-                self.blocked.add(lp_id)
-                runtime.blocked_streak += 1
-                self.stats.blocked_polls += 1
-                if self.use_lookahead:
-                    self._send_nulls(runtime)
-                self._maybe_go_optimistic(runtime)
-                continue
-            tie = sched.tie_key(head.time)
+            tie = sched.tie_key(found[0][0])
             if group_key is None:
                 group_key = tie
             elif tie != group_key:
                 # Beyond the simultaneous group; defer back to the heap.
-                heapq.heappush(self.ready, (key, lp_id))
+                self._push_ready(*found)
                 break
-            candidates.append((key, lp_id))
+            candidates.append(found)
         if not candidates:
             return False
         choice = sched.choose("lp", len(candidates)) \
             if len(candidates) > 1 else 0
         for i, item in enumerate(candidates):
             if i != choice:
-                heapq.heappush(self.ready, item)
-        runtime = self.runtimes[candidates[choice][1]]
+                self._push_ready(*item)
+        runtime = candidates[choice][1]
         self._execute(runtime, self._controlled_pop(runtime))
         return True
 
@@ -764,6 +823,29 @@ class Processor:
     # ------------------------------------------------------------------
     # Lazy cancellation
     # ------------------------------------------------------------------
+    def withhold(self, runtime: LPRuntime, sent: Event) -> None:
+        """Park ``sent`` as a withheld cancellation of ``runtime``.
+
+        Used by lazy rollbacks and by crash recovery (the journalled
+        sends of a dead incarnation).  Every withheld entry is an
+        outstanding cancellation: the horizon is lowered at once.
+        """
+        runtime.lazy_pending.append(sent)
+        self.live.add(runtime.lp.lp_id)
+        if self.cancel_note is not None:
+            self.cancel_note(sent.time)
+
+    def withheld_low(self) -> VirtualTime:
+        """Min timestamp over withheld (lazy) sends: this processor's
+        share of the cancellation horizon."""
+        low = INFINITY
+        runtimes = self.runtimes
+        for lp_id in self.live:
+            for pending in runtimes[lp_id].lazy_pending:
+                if pending.time < low:
+                    low = pending.time
+        return low
+
     def _lazy_filter(self, runtime: LPRuntime, out: List[Event]):
         """Match regenerated messages against withheld cancellations.
 
@@ -847,6 +929,16 @@ class Processor:
             else:
                 keep.append(pending)
         runtime.reuse_pending = keep
+
+    def flush_lazy_all(self, bound: VirtualTime) -> None:
+        """GVT flush of every runtime holding withheld sends, in lp-id
+        order (the order fixes antimessage routing and trace records)."""
+        runtimes = self.runtimes
+        holders = [lp_id for lp_id in self.live
+                   if runtimes[lp_id].lazy_pending
+                   or runtimes[lp_id].reuse_pending]
+        for lp_id in sorted(holders):
+            self.flush_lazy(runtimes[lp_id], bound)
 
     def flush_lazy(self, runtime: LPRuntime, bound: VirtualTime) -> None:
         """Cancel withheld messages below ``bound`` (GVT flush).
@@ -996,16 +1088,30 @@ class Processor:
                                         entry.event.eid.seq))
         runtime.processed.clear()
 
+    def commit_remaining(self) -> None:
+        """End of run: no event can arrive anymore, so everything still
+        speculative is final.  Leaves ``live`` holding only runtimes
+        with events parked beyond the simulation horizon."""
+        runtimes = self.runtimes
+        for lp_id in sorted(self.live):
+            runtime = runtimes[lp_id]
+            self._commit_log(runtime)
+            if runtime.idle():
+                self.live.discard(lp_id)
+
     # ------------------------------------------------------------------
     # GVT support (driven by the machine)
     # ------------------------------------------------------------------
     def local_min_time(self) -> VirtualTime:
         """min timestamp over queued events and parked negatives."""
         low = INFINITY
-        for runtime in self.runtimes.values():
-            t = runtime.queue_min_time()
-            if t < low:
-                low = t
+        runtimes = self.runtimes
+        for lp_id in self.live:
+            runtime = runtimes[lp_id]
+            if runtime.head() is not None:
+                t = runtime.queue[0][0][0]
+                if t < low:
+                    low = t
             for negative in runtime.negatives.values():
                 if negative.time < low:
                     low = negative.time
@@ -1027,7 +1133,11 @@ class Processor:
         ``pre_snapshot``, and an LP can never be rolled back below GVT.
         """
         self.clock += self.cost.fossil
-        for runtime in self.runtimes.values():
+        runtimes = self.runtimes
+        live = self.live
+        # lp-id order: commit records must not depend on set order.
+        for lp_id in sorted(live):
+            runtime = runtimes[lp_id]
             entries = runtime.processed
             cut = 0
             while cut < len(entries) and entries[cut].event.time < gvt:
@@ -1055,3 +1165,5 @@ class Processor:
                                  entry.event.eid.seq))
                 del entries[:cut]
                 self.stats.fossils_collected += cut
+            if not entries and runtime.idle():
+                live.discard(lp_id)

@@ -27,6 +27,7 @@ Global services implemented here:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -38,7 +39,7 @@ from ..fabric.plan import FaultPlan
 from ..fabric.transport import PerfectFabric, ReliableFabric
 from ..resilience import (DEFAULT_MODEL_STEPS, StepWatchdog, build_report,
                           resolve_watchdog, surface)
-from .backend import resolve_model, stamp_epoch
+from .backend import proc_has_work, resolve_model, stamp_epoch
 from .cost import SHARED_MEMORY, CostModel
 from .engine import AdaptPolicy, LPRuntime, Processor, ProtocolError
 from .partition import PARTITIONERS, Partition
@@ -230,6 +231,19 @@ class ParallelMachine:
             proc.lookahead_of = self._lookahead_for
             proc.gvt_bound = self.gvt
             proc.cancel_note = self._note_cancellation
+        # Release-floor sweep tables, fixed for the run: who can ever
+        # read a floor (the safety test of a blockable runtime is the
+        # only reader), its predecessors, and each LP's successors with
+        # the successor's reaction lookahead.
+        lps = self.model.lps
+        self._floor_readers: List[Tuple[LPRuntime, Tuple[int, ...]]] = [
+            (runtime, tuple(self.model.predecessors(lp_id)))
+            for lp_id, runtime in self._runtimes.items()
+            if runtime.blockable]
+        self._succ_lookahead: Dict[int, Tuple[Tuple[int, int], ...]] = {
+            lp.lp_id: tuple((nxt, lps[nxt].react_lookahead_phases)
+                            for nxt in self.model.successors(lp.lp_id))
+            for lp in lps} if self._floor_readers else {}
         for lp in self.model.lps:
             runtime = self._runtimes[lp.lp_id]
             for event in lp.init_events():
@@ -302,8 +316,7 @@ class ParallelMachine:
         for proc in self.procs:
             proc.gvt_bound = self.gvt
             proc.stats.gvt_rounds += 1
-            for runtime in proc.runtimes.values():
-                proc.flush_lazy(runtime, self.gvt)
+            proc.flush_lazy_all(self.gvt)
             proc.drain_local()
             proc.fossil_collect(self.gvt)
             proc.rearm_blocked()
@@ -353,10 +366,7 @@ class ParallelMachine:
         """
         low = INFINITY
         for proc in self.procs:
-            for runtime in proc.runtimes.values():
-                for pending in runtime.lazy_pending:
-                    if pending.time < low:
-                        low = pending.time
+            low = min(low, proc.withheld_low())
             for event in proc.local_fifo:
                 if event.sign < 0 and event.time < low:
                     low = event.time
@@ -375,10 +385,7 @@ class ParallelMachine:
             # included — the uninstrumented baseline the overhead
             # benchmark measures against.
             return
-        lo, hi, width = surface(
-            runtime.lp.now
-            for proc in self.procs
-            for runtime in proc.runtimes.values())
+        lo, hi, width = surface(lp.now for lp in self.model.lps)
         if lo is None:
             return
         self._liveness.vt_spread_samples += 1
@@ -419,9 +426,9 @@ class ParallelMachine:
         raise error
 
     def _note_speculative_peak(self) -> None:
-        total = sum(len(runtime.processed)
+        total = sum(len(proc.runtimes[lp_id].processed)
                     for proc in self.procs
-                    for runtime in proc.runtimes.values())
+                    for lp_id in proc.live)
         if total > self._peak_speculative:
             self._peak_speculative = total
 
@@ -444,9 +451,13 @@ class ParallelMachine:
         (consuming events only raises them).  For LP classes with zero
         declared lookahead the sweep degenerates to reachability, which
         is still sound and still better than plain GVT.
-        """
-        import heapq as _heapq
 
+        Only blockable runtimes ever read a floor (``_safe`` returns
+        before the bound for the rest), so only they are written —
+        under the ``optimistic`` protocol there is nothing to do.
+        """
+        if not self._floor_readers:
+            return
         potentials: Dict[int, VirtualTime] = {}
         #: Undelivered messages are *future arrivals* at their target and
         #: must cap its release floor directly — the predecessor's output
@@ -464,10 +475,11 @@ class ParallelMachine:
                     inflight_floor[lp_id] = time
 
         for proc in self.procs:
-            for lp_id, runtime in proc.runtimes.items():
-                t = runtime.queue_min_time()
-                if t != INFINITY:
-                    note(lp_id, t)
+            runtimes = proc.runtimes
+            for lp_id in proc.live:
+                runtime = runtimes[lp_id]
+                if runtime.head() is not None:
+                    note(lp_id, runtime.queue[0][0][0])
                 for negative in runtime.negatives.values():
                     # A parked negative implies its positive twin is still
                     # under way: treat it as a pending arrival.
@@ -488,51 +500,40 @@ class ParallelMachine:
         # Dijkstra over B (earliest future output/occupancy per LP).
         settled: Dict[int, VirtualTime] = {}
         heap = [(time, lp_id) for lp_id, time in potentials.items()]
-        _heapq.heapify(heap)
-        succ = self.model.successors
-        lps = self.model.lps
+        heapq.heapify(heap)
+        succ = self._succ_lookahead
+        heappop, heappush = heapq.heappop, heapq.heappush
+        potential = potentials.get
         while heap:
-            time, lp_id = _heapq.heappop(heap)
+            time, lp_id = heappop(heap)
             if lp_id in settled:
                 continue
             settled[lp_id] = time
-            for nxt in succ(lp_id):
+            for nxt, la in succ[lp_id]:
                 if nxt in settled:
                     continue
-                la = lps[nxt].react_lookahead_phases
-                candidate = VirtualTime(time.pt, time.lt + la) if la \
+                candidate = VirtualTime(time[0], time[1] + la) if la \
                     else time
-                if candidate < potentials.get(nxt, INFINITY):
+                if candidate < potential(nxt, INFINITY):
                     potentials[nxt] = candidate
-                    _heapq.heappush(heap, (candidate, nxt))
+                    heappush(heap, (candidate, nxt))
 
-        preds = self.model.predecessors
-        for proc in self.procs:
-            for lp_id, runtime in proc.runtimes.items():
-                floor = inflight_floor.get(lp_id, INFINITY)
-                for j in preds(lp_id):
-                    b = settled.get(j, INFINITY)
-                    if b < floor:
-                        floor = b
-                if floor > runtime.release_floor:
-                    runtime.release_floor = floor
+        bound = settled.get
+        arriving = inflight_floor.get
+        for runtime, preds in self._floor_readers:
+            floor = arriving(runtime.lp.lp_id, INFINITY)
+            for j in preds:
+                b = bound(j, INFINITY)
+                if b < floor:
+                    floor = b
+            if floor > runtime.release_floor:
+                runtime.release_floor = floor
 
     def _pending_work(self) -> bool:
         """Any unprocessed event within the simulation horizon?"""
         if self.fabric.has_pending():
             return True  # unacked/parked copies must still be delivered
-        for proc in self.procs:
-            if proc.inbox or proc.local_fifo:
-                return True
-            for runtime in proc.runtimes.values():
-                if runtime.lazy_pending:
-                    return True  # withheld cancellations must resolve
-                head = runtime.head()
-                if head is None:
-                    continue
-                if self.until is None or head.time.pt <= self.until:
-                    return True
-        return False
+        return any(proc_has_work(proc, self.until) for proc in self.procs)
 
     def _force_minimum(self) -> bool:
         """User-consistent dispensation: execute the single globally
@@ -544,13 +545,14 @@ class ParallelMachine:
         """
         best: Optional[Tuple[tuple, Processor, LPRuntime]] = None
         for proc in self.procs:
-            for runtime in proc.runtimes.values():
+            for lp_id in sorted(proc.live):  # key ties: lowest lp first
+                runtime = proc.runtimes[lp_id]
                 head = runtime.head()
                 if head is None:
                     continue
                 if self.until is not None and head.time.pt > self.until:
                     continue
-                key = head.sort_key()
+                key = runtime.queue[0][0]
                 if best is None or key < best[0]:
                     best = (key, proc, runtime)
         if best is None:
@@ -652,7 +654,8 @@ class ParallelMachine:
         """
         flushed = False
         for proc in self.procs:
-            for runtime in proc.runtimes.values():
+            for lp_id in sorted(proc.live):
+                runtime = proc.runtimes[lp_id]
                 if not runtime.lazy_pending:
                     continue
                 keep = []
@@ -719,8 +722,7 @@ class ParallelMachine:
         self._note_speculative_peak()
         final_gvt = self.compute_gvt()  # INFINITY when fully drained
         for proc in self.procs:
-            for runtime in proc.runtimes.values():
-                proc._commit_log(runtime)
+            proc.commit_remaining()
         stats = self._partial_stats()
         from .partition import cut_channels
         return ParallelOutcome(

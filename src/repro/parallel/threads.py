@@ -161,10 +161,7 @@ class ThreadedMachine:
         low = INFINITY
         for worker in self.workers:
             proc = worker.processor
-            for runtime in proc.runtimes.values():
-                for pending in runtime.lazy_pending:
-                    if pending.time < low:
-                        low = pending.time
+            low = min(low, proc.withheld_low())
             for event in proc.local_fifo:
                 if event.sign < 0 and event.time < low:
                     low = event.time
@@ -390,8 +387,7 @@ class ThreadedMachine:
                 proc = worker.processor
                 proc.gvt_bound = self.gvt
                 proc.stats.gvt_rounds += 1
-                for runtime in proc.runtimes.values():
-                    proc.flush_lazy(runtime, self.gvt)
+                proc.flush_lazy_all(self.gvt)
                 proc.fossil_collect(self.gvt)
                 proc.rearm_blocked()
             if self.fabric is not None and self.fabric.recovery:
@@ -464,9 +460,7 @@ class ThreadedMachine:
 
     def _finish(self) -> ThreadedOutcome:
         for worker in self.workers:
-            proc = worker.processor
-            for runtime in proc.runtimes.values():
-                proc._commit_log(runtime)
+            worker.processor.commit_remaining()
         stats = self._partial_stats()
         return ThreadedOutcome(stats=stats, gvt=self.gvt,
                                processors=len(self.workers),
