@@ -26,12 +26,13 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .analysis import measure_speedups, speedup_table
-from .analysis.vcd import write_vcd
 from .core.vtime import format_time, parse_time
-from .parallel.engine import ProtocolError
-from .vhdl import simulate, simulate_parallel
-from .vhdl.frontend import elaborate
+
+# Everything heavier — the VHDL front-end and compiler, analysis, the
+# harness, the campaign — is imported by the command handler that uses
+# it: `repro serve` is also the start-up path of every auto-spawned
+# dist worker daemon, which should reach its port banner having
+# imported only what a worker needs (tests/test_cli.py pins this).
 
 #: Built-in circuit choices, shared by every subcommand that accepts
 #: one (check / fuzz, and run / parallel as a file-less alternative) —
@@ -62,6 +63,8 @@ def _parse_until(text: Optional[str]) -> Optional[int]:
 
 
 def _load_design(args):
+    from .vhdl.frontend import elaborate
+
     with open(args.file) as handle:
         source = handle.read()
     traced = True if not args.trace else tuple(args.trace)
@@ -140,6 +143,9 @@ def _add_exec_arg(parser: argparse.ArgumentParser,
 
 
 def cmd_simulate(args) -> int:
+    from .analysis.vcd import write_vcd
+    from .vhdl import simulate
+
     design = _load_design(args)
     result = simulate(design, until=_parse_until(args.until),
                       exec_mode=args.exec)
@@ -161,7 +167,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_parallel(args) -> int:
+    from .analysis.vcd import write_vcd
     from .fabric import parse_fault_plan
+    from .parallel.engine import ProtocolError
+    from .vhdl import simulate_parallel
 
     design = _resolve_design(args)
     plan = None
@@ -507,6 +516,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .analysis import measure_speedups, speedup_table
     from .circuits import build_dct, build_fsm, build_iir
 
     builders = {

@@ -111,6 +111,12 @@ class RunStats:
     net_rtt_sum: float = 0.0
     #: Slowest observed round trip, seconds (max-folded by ``merge``).
     net_rtt_max: float = 0.0
+    #: Durable-checkpoint uploads sent by workers (keyframes + deltas).
+    net_ckpt_frames: int = 0
+    #: ... of which full images (first, post-attach, post-crash, rebase).
+    net_ckpt_keyframes: int = 0
+    #: Pickled bytes of those uploads.
+    net_ckpt_bytes: int = 0
 
     # -- liveness counters (repro.resilience) --------------------------
     #: Virtual-time surface samples taken (one per observation point:
@@ -182,6 +188,9 @@ class RunStats:
         self.net_rtt_samples += other.net_rtt_samples
         self.net_rtt_sum += other.net_rtt_sum
         self.net_rtt_max = max(self.net_rtt_max, other.net_rtt_max)
+        self.net_ckpt_frames += other.net_ckpt_frames
+        self.net_ckpt_keyframes += other.net_ckpt_keyframes
+        self.net_ckpt_bytes += other.net_ckpt_bytes
         self.vt_spread_samples += other.vt_spread_samples
         self.vt_spread_width_sum += other.vt_spread_width_sum
         self.vt_spread_width_max = max(self.vt_spread_width_max,
@@ -223,7 +232,10 @@ class RunStats:
         return (f"tx={self.net_bytes_tx}B rx={self.net_bytes_rx}B "
                 f"reconnects={self.net_reconnects} "
                 f"rtt_mean={mean_ms:.2f}ms "
-                f"rtt_max={1e3 * self.net_rtt_max:.2f}ms")
+                f"rtt_max={1e3 * self.net_rtt_max:.2f}ms "
+                f"ckpt={self.net_ckpt_frames} uploads "
+                f"({self.net_ckpt_keyframes} keyframes) "
+                f"{self.net_ckpt_bytes}B")
 
     def summary(self) -> str:
         return (f"committed={self.events_committed} "

@@ -18,9 +18,9 @@ endpoint providing them:
   per batch and flushed as one ack envelope;
 * **pump** — the procs backend has neither a model clock nor a
   stop-the-world round, so retransmission is *token-driven*: at each
-  GVT token visit, messages that have stayed unacknowledged for a full
-  wave are re-posted (dice re-rolled, per-message drop budget capped,
-  so delivery is eventually guaranteed);
+  GVT token visit, messages last transmitted two visits ago and still
+  unacknowledged are re-posted (dice re-rolled, per-message drop
+  budget capped, so delivery is eventually guaranteed);
 * **crash support** — checkpoint marks (sender ``next_seq``, receiver
   ``expected`` floors) and the journal-window/replay helpers the
   backend's die/replay protocol is built from.  The journal, the
@@ -35,7 +35,7 @@ locks are needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.event import Event
@@ -151,10 +151,15 @@ class BatchedEndpoint:
         """Token-visit retransmission: items to re-post, per destination.
 
         Re-posts every holdback copy and every unacked message last
-        transmitted at least one full wave ago (``wave - 1`` or older:
-        a full circulation has passed, so its ack is overdue).  Drop
-        dice are re-rolled per attempt; the per-message budget bounds
-        how often the plan may keep losing one message.
+        transmitted **two** token visits ago or earlier (``wave - 2``
+        or older).  One visit is not enough on a ring: a batch that
+        leaves after the token was forwarded is acked *behind* that
+        token, so the ack reaches us after the token's next visit by
+        construction — one-visit ageing retransmits a third of a
+        fault-free run, every copy then deduplicated.  Under a drop
+        plan a lost message is re-sent one wave later, never lost.
+        Drop dice are re-rolled per attempt; the per-message budget
+        bounds how often the plan may keep losing one message.
         """
         posts: Dict[int, List[Item]] = {}
         for dst, link in self._out.items():
@@ -162,8 +167,8 @@ class BatchedEndpoint:
             link.holdback = []
             for seq in sorted(link.unacked):
                 event, sent_wave = link.unacked[seq]
-                if sent_wave >= wave:
-                    continue  # transmitted this wave; ack still in flight
+                if sent_wave >= wave - 1:
+                    continue  # its ack may still trail the token
                 if link.faults.should_drop(seq):
                     self.stats.dropped += 1
                     link.unacked[seq] = (event, wave)
@@ -246,6 +251,35 @@ class BatchedEndpoint:
         """(sender next_seq per dst, receiver expected per src)."""
         return ({dst: link.next_seq for dst, link in self._out.items()},
                 {src: link.expected for src, link in self._in.items()})
+
+    def journal_tail(self, marks: Dict[int, int]) -> "BatchedEndpoint":
+        """The endpoint as a *delta* checkpoint upload pickles it.
+
+        Each out-link carries only the journal entries appended since
+        ``marks`` (the sender ``next_seq`` marks of the previous
+        upload) — the journal is append-only, so :meth:`adopt_journal`
+        on the restoring side puts the rest back.  Everything else
+        (unacked, in-links, ``spent_anti``, holdback) is small and
+        mutable and rides whole.  The copy shares its containers with
+        the live endpoint: pickle it, do not use it.
+        """
+        clone = BatchedEndpoint.__new__(BatchedEndpoint)
+        clone.__dict__.update(self.__dict__)
+        clone._out = {}
+        for dst, link in self._out.items():
+            journal = link.journal
+            clone._out[dst] = replace(link, journal={
+                seq: journal[seq]
+                for seq in range(marks.get(dst, 0), link.next_seq)
+                if seq in journal})
+        return clone
+
+    def adopt_journal(self, older: "BatchedEndpoint") -> None:
+        """Fold: put back the journal entries a :meth:`journal_tail`
+        left with the upload before it."""
+        for dst, link in older._out.items():
+            link.journal.update(self._out[dst].journal)
+            self._out[dst].journal = link.journal
 
     def rewind_receiver(self, floors: Dict[int, int]) -> None:
         """Crash: rewind delivery horizons to the checkpoint floors.

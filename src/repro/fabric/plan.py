@@ -117,13 +117,31 @@ class FaultPlan:
 class LinkFaults:
     """Per-link fault state: the RNG plus per-message drop budgets."""
 
-    __slots__ = ("plan", "rng", "_drops")
+    __slots__ = ("plan", "link", "rng", "_drops")
 
     def __init__(self, plan: FaultPlan, link: Tuple[int, int]) -> None:
         self.plan = plan
+        self.link = link
         self.rng = plan.rng_for(link)
         #: seq -> number of times this message has been dropped.
         self._drops: Dict[int, int] = {}
+
+    def __getstate__(self):
+        """Pickle shape (the endpoint rides every durable checkpoint
+        upload): a plan that draws no dice never advances the RNG or
+        fills a drop budget, so ``(plan, link)`` rebuilds it exactly —
+        no 2.5 KB Mersenne state per link."""
+        plan = self.plan
+        if not (plan.drop or plan.duplicate or plan.reorder
+                or plan.jitter or plan.spike):
+            return (plan, self.link)
+        return (plan, self.link, self.rng.getstate(), self._drops)
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state[:2])
+        if len(state) > 2:
+            self.rng.setstate(state[2])
+            self._drops = state[3]
 
     def should_drop(self, seq: int) -> bool:
         plan = self.plan

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.stats import RunStats
 from ..core.vtime import VirtualTime
@@ -69,63 +69,89 @@ class ProcessorCheckpoint:
     blocked: Set[int]
     stats: RunStats
     runtimes: Dict[int, RuntimeCheckpoint] = field(default_factory=dict)
+    #: Ids whose runtime image was captured for *this* checkpoint; the
+    #: rest are the previous checkpoint's objects.  ``None``: all of
+    #: them (a full image).  Bookkeeping about how the image was built,
+    #: not part of what it says — two images of one state are equal.
+    changed: Optional[Set[int]] = field(default=None, compare=False)
 
 
-def checkpoint_processor(proc) -> ProcessorCheckpoint:
+def checkpoint_processor(proc, previous: Optional[ProcessorCheckpoint] = None,
+                         ) -> ProcessorCheckpoint:
     """Capture a processor's volatile state at a consistent global point.
 
     In-flight fabric traffic is deliberately *not* part of the image:
     the reliable layer's per-link journals reconstruct it during
     recovery (sender-side replay), which is what makes the checkpoint a
     purely local object.
-    """
-    from ..parallel.engine import ProtocolError
 
+    Given ``previous`` — the image this function last returned for
+    ``proc`` (anything else is ignored) — only the runtimes in
+    ``proc.touched``, everything that can have changed since, are
+    captured again; the others' images are *shared* with ``previous``
+    (a :class:`RuntimeCheckpoint` is never mutated:
+    :func:`restore_processor` copies every container out).  Without
+    it, or after a restore, every runtime is captured.
+    """
     ckpt = ProcessorCheckpoint(
         clock=proc.clock,
         gvt_bound=proc.gvt_bound,
         local_fifo=list(proc.local_fifo),
         ready=list(proc.ready),
         blocked=set(proc.blocked),
-        stats=copy.deepcopy(proc.stats),
+        stats=replace(proc.stats,
+                      events_per_lp=dict(proc.stats.events_per_lp)),
     )
-    for lp_id, runtime in proc.runtimes.items():
-        lp = runtime.lp
-        if not lp.checkpointable:
-            raise ProtocolError(
-                f"crash-recovery needs every LP durably checkpointable, "
-                f"but {lp.name!r} is not (heavy-state process); disable "
-                f"the crash schedule or re-partition")
-        ckpt.runtimes[lp_id] = RuntimeCheckpoint(
-            mode=runtime.mode,
-            cons_epoch=runtime.cons_epoch,
-            # The *durable* image, not the cheap rollback snapshot: a
-            # checkpoint may be restored in a fresh process (dist
-            # kill-recovery) where process-relative state — SignalLP's
-            # history length, the live eid counter — has no live object
-            # to lean on.
-            lp_state=lp.durable_state(),
-            lp_now=lp.now,
-            queue=list(runtime.queue),
-            cancelled=set(runtime.cancelled),
-            negatives=dict(runtime.negatives),
-            processed=[(e.event, e.pre_snapshot, e.pre_now, list(e.sent))
-                       for e in runtime.processed],
-            channel_clocks=dict(runtime.channel_clocks),
-            last_null_promise=dict(runtime.last_null_promise),
-            lazy_pending=list(runtime.lazy_pending),
-            reuse_pending=list(runtime.reuse_pending),
-            release_floor=runtime.release_floor,
-            executed=runtime.executed,
-            squashed=runtime.squashed,
-            window_executed=runtime.window_executed,
-            window_squashed=runtime.window_squashed,
-            blocked_streak=runtime.blocked_streak,
-            since_switch=runtime.since_switch,
-            since_snapshot=runtime.since_snapshot,
-            committed=runtime.committed,
-        )
+    if previous is None or previous is not proc.imaged:
+        ids: Iterable[int] = proc.runtimes
+    else:
+        ids = ckpt.changed = proc.touched
+        ckpt.runtimes = dict(previous.runtimes)
+    for lp_id in ids:
+        ckpt.runtimes[lp_id] = _checkpoint_runtime(proc.runtimes[lp_id])
+    proc.imaged = ckpt
+    proc.touched = set(proc.live)
     return ckpt
+
+
+def _checkpoint_runtime(runtime) -> RuntimeCheckpoint:
+    from ..parallel.engine import ProtocolError
+
+    lp = runtime.lp
+    if not lp.checkpointable:
+        raise ProtocolError(
+            f"crash-recovery needs every LP durably checkpointable, "
+            f"but {lp.name!r} is not (heavy-state process); disable "
+            f"the crash schedule or re-partition")
+    return RuntimeCheckpoint(
+        mode=runtime.mode,
+        cons_epoch=runtime.cons_epoch,
+        # The *durable* image, not the cheap rollback snapshot: a
+        # checkpoint may be restored in a fresh process (dist
+        # kill-recovery) where process-relative state — SignalLP's
+        # history length, the live eid counter — has no live object
+        # to lean on.
+        lp_state=lp.durable_state(),
+        lp_now=lp.now,
+        queue=list(runtime.queue),
+        cancelled=set(runtime.cancelled),
+        negatives=dict(runtime.negatives),
+        processed=[(e.event, e.pre_snapshot, e.pre_now, list(e.sent))
+                   for e in runtime.processed],
+        channel_clocks=dict(runtime.channel_clocks),
+        last_null_promise=dict(runtime.last_null_promise),
+        lazy_pending=list(runtime.lazy_pending),
+        reuse_pending=list(runtime.reuse_pending),
+        release_floor=runtime.release_floor,
+        executed=runtime.executed,
+        squashed=runtime.squashed,
+        window_executed=runtime.window_executed,
+        window_squashed=runtime.window_squashed,
+        blocked_streak=runtime.blocked_streak,
+        since_switch=runtime.since_switch,
+        since_snapshot=runtime.since_snapshot,
+        committed=runtime.committed,
+    )
 
 
 def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
@@ -141,7 +167,8 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
     stored: ``live`` from what each restored runtime holds, ``armed``
     from the restored ready heap (whose entries for a non-blockable
     runtime are distinct by construction, so images carry no
-    duplicates of them).
+    duplicates of them).  ``imaged`` is dropped: the caller goes on to
+    bump every epoch, so the next checkpoint is a full one.
     """
     from ..parallel.engine import _Entry
 
@@ -182,6 +209,7 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
         runtime.armed = []
     proc.live = {lp_id for lp_id, runtime in proc.runtimes.items()
                  if not runtime.idle()}
+    proc.imaged = None
     for key, lp_id in sorted(proc.ready, reverse=True):
         runtime = proc.runtimes[lp_id]
         if not runtime.blockable:

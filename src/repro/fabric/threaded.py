@@ -213,7 +213,8 @@ class ThreadedFabric:
         for worker in workers:
             proc = worker.processor
             index = proc.index
-            self._checkpoints[index] = checkpoint_processor(proc)
+            self._checkpoints[index] = checkpoint_processor(
+                proc, self._checkpoints.get(index))
             self._ckpt_sender_next[index] = {
                 link: state.next_seq
                 for link, state in self._links.items() if link[0] == index}

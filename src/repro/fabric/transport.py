@@ -419,7 +419,8 @@ class ReliableFabric:
         machine = self.machine
         for proc in machine.procs:
             index = proc.index
-            self._checkpoints[index] = checkpoint_processor(proc)
+            self._checkpoints[index] = checkpoint_processor(
+                proc, self._checkpoints.get(index))
             if self.tracer is not None:
                 self.tracer.record("checkpoint", index, ctx="durable")
             self._ckpt_sender_next[index] = {

@@ -27,7 +27,9 @@ from typing import Any, Tuple
 #: Frame header: 4-byte magic, 1-byte version, 3 pad, 4-byte length.
 _HEADER = struct.Struct(">4sB3xI")
 MAGIC = b"RPRO"
-VERSION = 1
+#: 2: checkpoint uploads are numbered keyframes/deltas and ``restore``
+#: carries a chain of them (see docs/distributed.md).
+VERSION = 2
 HEADER_SIZE = _HEADER.size
 
 #: Hard ceiling on a single frame (a pickled model for a large design

@@ -40,7 +40,7 @@ uniformly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.event import Event
@@ -129,10 +129,16 @@ class BackendOutcome:
 
 def fresh_token(wave: int, commit: Optional[VirtualTime],
                 floor: VirtualTime = INFINITY,
-                settled: bool = False) -> dict:
+                settled: bool = False, stalled: bool = False) -> dict:
     """A blank Mattern token for the next wave (see :class:`WorkerCore`)."""
     return {"wave": wave, "low": INFINITY, "sent": {}, "recv": {},
             "busy": False, "commit": commit,
+            # Stall breaker: "moved" collects whether any worker made
+            # progress since its previous cut; "stalled" is the
+            # initiator's verdict on the completed wave (see
+            # WorkerCore._initiate) and tells every worker to flush
+            # withheld cancellations inclusive of GVT.
+            "moved": False, "stalled": stalled,
             # Liveness additions (PR 6): "anti_low" accumulates each
             # worker's min outstanding-cancellation time at its cut;
             # "floor" carries the committed global cancellation horizon
@@ -143,6 +149,22 @@ def fresh_token(wave: int, commit: Optional[VirtualTime],
             # surface for the Korniss roughness signal.
             "anti_low": INFINITY, "floor": floor, "settled": settled,
             "vt_min": None, "vt_max": None}
+
+
+def fold_images(chain: List[dict]) -> dict:
+    """``[keyframe, delta, ...]`` (:meth:`WorkerCore._durable_image`)
+    -> the image the last element stands for, taken in one piece.
+
+    A delta overrides everything but the two parts it leaves out:
+    runtime images overlay the older ones, journals are united.
+    """
+    image = chain[0]
+    for delta in chain[1:]:
+        delta["ckpt"].runtimes = {**image["ckpt"].runtimes,
+                                  **delta["ckpt"].runtimes}
+        delta["endpoint"].adopt_journal(image["endpoint"])
+        image = delta
+    return image
 
 
 class WorkerCore:
@@ -213,6 +235,10 @@ class WorkerCore:
         self._stop_info: Optional[tuple] = None
         self._ckpt = None
         self._ckpt_marks: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
+        #: Sender marks of the checkpoint before ``_ckpt`` — where its
+        #: delta's journal tail starts; None when ``_ckpt`` is a full
+        #: image (the first one, or the one after a crash/restore).
+        self._delta_base: Optional[Dict[int, int]] = None
         # Cancellation-horizon bookkeeping (see docs/protocol.md):
         # antimessages this worker routed, bucketed by the token wave
         # period they were sent in; buckets are pruned once the ring's
@@ -615,7 +641,12 @@ class WorkerCore:
             token["recv"][(src, index)] = n
         if not token["busy"] and self._busy():
             token["busy"] = True
+        if self._progressed:
+            token["moved"] = True
         self._progressed = False
+        if token.get("stalled"):
+            self._proc.flush_lazy_stalled(self._gvt)
+            self._proc.drain_local()
         if self.endpoint is not None:
             self.endpoint.wave = token["wave"]
             for dst, items in self.endpoint.pump(token["wave"]).items():
@@ -664,7 +695,7 @@ class WorkerCore:
         self._last_completed_wave = wave
         commit: Optional[VirtualTime] = None
         floor: VirtualTime = INFINITY
-        settled = False
+        settled = stalled = False
         if wave >= 0:
             self._net.token_waves += 1
             sent, recv = token["sent"], token["recv"]
@@ -699,6 +730,16 @@ class WorkerCore:
             if not token["busy"] and commit is None and valid and settled:
                 self._broadcast_stop()
                 return
+            # Work remains, yet a valid, settled wave on which no
+            # worker moved commits nothing: the ring is fully stalled
+            # with nothing in flight, so no event at or below GVT can
+            # ever be generated again.  What pins GVT then is a
+            # withheld cancellation at exactly GVT (a crash-recovery
+            # injection the strict commit-time flush leaves in place),
+            # and the inclusive flush the modelled machine performs in
+            # the same situation (``_flush_lazy_at_gvt``) is sound.
+            stalled = (valid and settled and commit is None
+                       and not token.get("moved", True))
             self._prev_sent = dict(sent)
             # The completed wave's cancellation horizon rides the next
             # token regardless of commit validity (see _visit for why
@@ -713,7 +754,7 @@ class WorkerCore:
                 if width > self._net.vt_spread_width_max:
                     self._net.vt_spread_width_max = width
         fresh = fresh_token(wave + 1, commit, floor=floor,
-                            settled=settled)
+                            settled=settled, stalled=stalled)
         self._visit(fresh)
         if self._stop_info is not None:  # pragma: no cover - defensive
             return
@@ -741,7 +782,10 @@ class WorkerCore:
     def _take_checkpoint(self) -> None:
         """Durable-by-fiat checkpoint (log-before-send model): the
         processor image plus the fabric's sequence horizons."""
-        self._ckpt = checkpoint_processor(self._proc)
+        sender_marks = self._ckpt_marks[0]
+        self._ckpt = checkpoint_processor(self._proc, self._ckpt)
+        self._delta_base = (sender_marks if self._ckpt.changed is not None
+                            else None)
         self._ckpt_marks = (self.endpoint.checkpoint_marks()
                             if self.endpoint is not None else ({}, {}))
         self._checkpoint_taken()
@@ -751,15 +795,27 @@ class WorkerCore:
         uploads it to the coordinator here; in-process backends keep it
         in memory (durable by fiat)."""
 
-    def _durable_image(self) -> dict:
+    def _durable_image(self, delta: bool = False) -> dict:
         """Everything a *freshly started process* needs to resume this
         worker's role: the processor checkpoint, the fabric endpoint
         (journal/unacked/sequence state — the log-before-send log), and
-        the ring bookkeeping that must survive with them."""
+        the ring bookkeeping that must survive with them.
+
+        A ``delta`` is the same dict cut down to what the image before
+        it (see :func:`fold_images`) does not already say: the runtime
+        images captured for this checkpoint and the journal entries
+        appended since the last one.  Only valid while ``_delta_base``
+        is set.
+        """
+        ckpt, endpoint = self._ckpt, self.endpoint
+        if delta:
+            ckpt = replace(ckpt, runtimes={
+                lp_id: ckpt.runtimes[lp_id] for lp_id in ckpt.changed})
+            endpoint = endpoint.journal_tail(self._delta_base)
         image = {
-            "ckpt": self._ckpt,
+            "ckpt": ckpt,
             "marks": self._ckpt_marks,
-            "endpoint": self.endpoint,
+            "endpoint": endpoint,
             "gvt": self._gvt,
             "cut_wave": self._cut_wave,
             "sent_to": dict(self._sent_to),
@@ -842,6 +898,7 @@ class WorkerCore:
         # cancelled, and journalled antimessages suppress one re-send.
         sender_marks, recv_floors = self._ckpt_marks
         live_sender, _live_recv = endpoint.checkpoint_marks()
+        cancelled_since = set()
         for dst in live_sender:
             base = sender_marks.get(dst, 0)
             window = endpoint.sender_window(dst, base)
@@ -863,6 +920,10 @@ class WorkerCore:
             anti_eids = {e.eid for e in window if e.sign < 0}
             if anti_eids:
                 endpoint.mark_spent_anti(dst, anti_eids)
+                # Cancelled in the window but sent before it: the
+                # restored log still claims these (see below).
+                cancelled_since |= anti_eids - {
+                    e.eid for e in window if e.sign > 0}
             for event in window:
                 if (event.sign > 0 and not event.is_null
                         and event.eid not in anti_eids):
@@ -890,6 +951,9 @@ class WorkerCore:
                     # no conservative LP commits at its timestamp
                     # before the squash-or-cancel decision lands.
                     proc.withhold(runtime, event)
+        # The receivers annihilated those positives; the antimessages
+        # this repeats are the ones just marked spent.
+        proc.rollback_sends(cancelled_since)
         endpoint.rewind_receiver(recv_floors)
         endpoint.stats.recoveries += 1
         # Tell every peer: bump your replica epochs (stale conservative

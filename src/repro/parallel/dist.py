@@ -40,10 +40,12 @@ coordinator-side state close the remaining holes:
   ``WorkerCore._resend_token``).
 * **Checkpoint uploads** — workers upload their durable image
   (processor checkpoint + fabric endpoint + ring bookkeeping) at every
-  checkpoint.  A killed worker process is restored onto a *fresh*
-  daemon from the last uploaded image.
+  checkpoint: a keyframe now and then, in between deltas holding what
+  changed since the upload before (``_DistWorkerCore._checkpoint_taken``).
+  The coordinator keeps the chain as opaque blobs; a killed worker
+  process is restored onto a *fresh* daemon, which folds it.
 * **The sent-tail** — the coordinator retains every counted frame it
-  relayed *from* a worker since that worker's last checkpoint upload
+  relayed *from* a worker since the last upload its chain took
   (per-connection FIFO makes the cut exact).  On restore the tail is
   spliced back into the fabric journal
   (``WorkerCore._restore_incarnation``), so the dead incarnation's
@@ -79,7 +81,8 @@ from ..core.vtime import MINUS_INFINITY
 from ..fabric.plan import FaultPlan
 from ..fabric.wire import WireError, recv_frame, send_frame
 from ..resilience import DEFAULT_WALL_S, resolve_watchdog
-from .backend import BackendOutcome, WorkerCore, resolve_model
+from .backend import (BackendOutcome, WorkerCore, fold_images,
+                      resolve_model)
 from .cost import SHARED_MEMORY
 from .engine import ProtocolError
 from .machine import ParallelMachine
@@ -156,6 +159,11 @@ class _DistWorkerCore(WorkerCore):
             model, spec.processors, protocol=spec.protocol,
             cost=SHARED_MEMORY, partition=spec.partition,
             until=spec.until)
+        # Upload bookkeeping (see _checkpoint_taken).
+        self._uploads = 0
+        self._keyframe_bytes = 0
+        self._delta_bytes = 0
+        self._attaches_seen = 0
 
     def run(self, index: int, restore: Optional[tuple] = None) -> None:
         self._run_worker(index, self._inner.procs[index],
@@ -178,9 +186,38 @@ class _DistWorkerCore(WorkerCore):
         self._session.send(message)
 
     def _checkpoint_taken(self) -> None:
-        image = pickle.dumps(self._durable_image(),
-                             protocol=pickle.HIGHEST_PROTOCOL)
-        self._session.send(("ckpt", self._index, image))
+        """Upload the new durable checkpoint: a delta against upload
+        ``n - 1`` when the coordinator can be holding that one, else a
+        keyframe (``base = None``).
+
+        A keyframe goes first, after a crash/restore (``_delta_base``
+        is unset: every runtime was re-imaged), after every (re)attach
+        of the session (an upload may have died with the old
+        connection, and the coordinator ignores deltas it cannot chain)
+        and once the deltas since the last keyframe weigh what it
+        weighed — the rebase rule: cost stays O(changed) amortised and
+        the coordinator holds under two keyframes' worth plus the delta
+        that tipped the scale, with nothing to tune.
+        """
+        n = self._uploads
+        self._uploads = n + 1
+        attaches = self._session.attaches
+        delta = (self._delta_base is not None
+                 and attaches == self._attaches_seen
+                 and self._delta_bytes < self._keyframe_bytes)
+        blob = pickle.dumps(self._durable_image(delta),
+                            protocol=pickle.HIGHEST_PROTOCOL)
+        self._session.send(
+            ("ckpt", self._index, n, n - 1 if delta else None, blob))
+        self._net.net_ckpt_frames += 1
+        self._net.net_ckpt_bytes += len(blob)
+        if delta:
+            self._delta_bytes += len(blob)
+        else:
+            self._keyframe_bytes = len(blob)
+            self._delta_bytes = 0
+            self._attaches_seen = attaches
+            self._net.net_ckpt_keyframes += 1
 
 
 class _Session:
@@ -197,7 +234,7 @@ class _Session:
 
     def __init__(self, daemon: "_WorkerDaemon", index: int,
                  spec: _DistSpec,
-                 restore: Optional[Tuple[bytes, list, dict]]) -> None:
+                 restore: Optional[Tuple[List[bytes], list, dict]]) -> None:
         self.daemon = daemon
         self.index = index
         self.state = "running"
@@ -205,6 +242,9 @@ class _Session:
         self.outbound: deque = deque()
         self.final: Optional[tuple] = None
         self.writer: Optional[asyncio.StreamWriter] = None
+        #: Connections attached so far; the core re-bases its
+        #: checkpoint uploads on a keyframe when this moves.
+        self.attaches = 0
         self.loop = asyncio.get_running_loop()
         self.bytes_tx = 0
         self.bytes_rx = 0
@@ -216,7 +256,7 @@ class _Session:
 
     # -- core thread ----------------------------------------------------
     def _run(self, spec: _DistSpec,
-             restore: Optional[Tuple[bytes, list, dict]]) -> None:
+             restore: Optional[Tuple[List[bytes], list, dict]]) -> None:
         try:
             core = _DistWorkerCore(spec, self)
         except BaseException as exc:  # noqa: BLE001 - forwarded upstream
@@ -227,7 +267,7 @@ class _Session:
         if restore is None:
             core.run(self.index)
         else:
-            image = pickle.loads(restore[0])
+            image = fold_images([pickle.loads(blob) for blob in restore[0]])
             core.run(self.index, restore=(image, list(restore[1]),
                                           dict(restore[2])))
 
@@ -250,6 +290,7 @@ class _Session:
 
     def attach(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
+        self.attaches += 1
         if self.final is not None and self.final not in self.outbound:
             self.outbound.append(self.final)
         self._kick()
@@ -385,10 +426,14 @@ class _WorkerLink:
         self.token_custody: Optional[tuple] = None
         #: Stop envelope relayed to this worker, held until it's done.
         self.stop_custody: Optional[tuple] = None
-        #: Latest uploaded durable image (pickled).
-        self.ckpt: Optional[bytes] = None
-        #: Counted frames relayed *from* this worker since its last
-        #: checkpoint upload: (dst, envelope) in relay order.
+        #: Uploaded durable image as an ordered chain of opaque blobs,
+        #: ``[keyframe, delta, ...]``; ``ckpt_head`` is the upload
+        #: number of the last one (a delta must name it as its base).
+        self.ckpt: List[bytes] = []
+        self.ckpt_head = -1
+        #: Counted frames relayed *from* this worker since the last
+        #: checkpoint upload the chain took: (dst, envelope) in relay
+        #: order.
         self.tail: List[Tuple[int, tuple]] = []
         #: Counted envelopes owed *to* this worker while it is
         #: unreachable, flushed in order on reconnect.  Batches alone
@@ -515,14 +560,21 @@ class DistMachine:
         self._links = [_WorkerLink(i) for i in range(self.processors)]
         self._tasks: List[asyncio.Task] = []
         try:
-            for link in self._links:
-                if link.index < len(self.hosts):
-                    host, _sep, port = self.hosts[link.index].partition(":")
-                    link.host = host or "127.0.0.1"
-                    link.port = int(port) if port else DEFAULT_PORT
-                else:
-                    await self._spawn_local(link)
-                await self._connect(link, fresh=True)
+            # All links come up together: daemon start-up (interpreter
+            # + imports) is the longest step of a short run and the
+            # workers do not need each other for it — envelopes for a
+            # peer that is not connected yet wait parked, the token in
+            # custody.  One failure cancels the rest; the finally
+            # below reaps every daemon that was spawned.
+            bringing_up = [asyncio.ensure_future(self._bring_up(link))
+                           for link in self._links]
+            try:
+                await asyncio.gather(*bringing_up)
+            except BaseException:
+                for task in bringing_up:
+                    task.cancel()
+                await asyncio.gather(*bringing_up, return_exceptions=True)
+                raise
             self._tasks.append(
                 asyncio.get_running_loop().create_task(self._pinger()))
             try:
@@ -602,6 +654,17 @@ class DistMachine:
     # ------------------------------------------------------------------
     # Connection lifecycle
     # ------------------------------------------------------------------
+    async def _bring_up(self, link: _WorkerLink) -> None:
+        """First contact with one worker: locate or spawn its daemon,
+        dial it, ship the spec."""
+        if link.index < len(self.hosts):
+            host, _sep, port = self.hosts[link.index].partition(":")
+            link.host = host or "127.0.0.1"
+            link.port = int(port) if port else DEFAULT_PORT
+        else:
+            await self._spawn_local(link)
+        await self._connect(link, fresh=True)
+
     async def _spawn_local(self, link: _WorkerLink) -> None:
         """Start a localhost daemon; parse its port announcement."""
         # The daemon must import the same `repro` this process runs —
@@ -652,12 +715,12 @@ class DistMachine:
                 f"worker {link.index} handshake returned {frame!r}")
         state = frame[2]
         if state == "new":
-            if fresh or link.ckpt is None:
+            if fresh or not link.ckpt:
                 # First contact (or lost before its very first
                 # checkpoint upload, i.e. before it did anything).
                 payload = ("spec", self._spec)
             else:
-                payload = ("restore", self._spec, link.ckpt,
+                payload = ("restore", self._spec, list(link.ckpt),
                            list(link.tail), dict(link.recv_marks))
             self._net.net_bytes_tx += await send_frame(writer, payload)
         link.reader, link.writer = reader, writer
@@ -792,7 +855,7 @@ class DistMachine:
                 if self._pop_injection(self._disconnects, dst, wave):
                     await self._inject_disconnect(target)
                     return  # custody re-delivers the token on reconnect
-                if target.ckpt is not None and self._pop_injection(
+                if target.ckpt and self._pop_injection(
                         self._kills, dst, wave):
                     await self._inject_kill(target)
                     return
@@ -818,7 +881,19 @@ class DistMachine:
                 self._error = frame
             self._complete.set()
         elif kind == "ckpt":
-            link.ckpt = frame[2]
+            _tag, _index, n, base, blob = frame
+            if base is None:
+                link.ckpt = [blob]
+            elif link.ckpt and base == link.ckpt_head:
+                link.ckpt.append(blob)
+            else:
+                # An orphan: the upload it builds on died with a
+                # connection.  The chain still stands for the older
+                # upload, so the tail must keep covering everything
+                # since *that* one — exactly "upload lost", until the
+                # worker's post-attach keyframe arrives.
+                return
+            link.ckpt_head = n
             link.tail.clear()
         elif kind == "pong":
             rtt = time.monotonic() - frame[1]

@@ -287,6 +287,13 @@ class Processor:
         #: the per-round services walk this set, not ``runtimes``, so a
         #: GVT round costs O(touched LPs).
         self.live: Set[int] = set()
+        #: Durable-checkpoint bookkeeping (``fabric.recovery``): the
+        #: last image taken of this processor, and the ids of runtimes
+        #: that may differ from it — everything live when it was taken
+        #: plus whatever entered ``live`` (same two doors) or was
+        #: written from outside the engine (release floors) since.
+        self.imaged = None
+        self.touched: Set[int] = set()
         #: Inbox of (deliver_at, seq, event) from remote processors.
         self.inbox: List[Tuple[float, int, Event]] = []
         #: Same-processor messages awaiting delivery (drained in act();
@@ -456,6 +463,7 @@ class Processor:
     def deliver(self, event: Event) -> None:
         runtime = self.runtimes[event.dst]
         self.live.add(event.dst)
+        self.touched.add(event.dst)
         if self.tracer is not None:
             self.tracer.record("recv", self.index, event.dst, event.time,
                                kind=int(event.kind), src=event.src,
@@ -638,6 +646,26 @@ class Processor:
                         self.cancel_note(sent.time)
                     self.route(sent.antimessage())
         self._arm(runtime)
+
+    def rollback_sends(self, eids: Set[EventId]) -> None:
+        """Roll back the log entries that sent the positives ``eids``.
+
+        Crash recovery: these were sent before the restored image was
+        taken and cancelled by the dead incarnation after it, so the
+        receiver no longer holds them while the restored log still
+        claims them.  Nothing guarantees that the replay rolls those
+        entries back again by itself (the straggler that did it last
+        time may be gone, or annihilated before it can); undoing them
+        here makes re-execution send fresh copies.
+        """
+        for src in sorted({eid.src for eid in eids}):
+            runtime = self.runtimes.get(src)
+            if runtime is None:
+                continue
+            for index, entry in enumerate(runtime.processed):
+                if any(sent.eid in eids for sent in entry.sent):
+                    self._rollback(runtime, index)
+                    break
 
     # ------------------------------------------------------------------
     # Execution
@@ -832,6 +860,7 @@ class Processor:
         """
         runtime.lazy_pending.append(sent)
         self.live.add(runtime.lp.lp_id)
+        self.touched.add(runtime.lp.lp_id)
         if self.cancel_note is not None:
             self.cancel_note(sent.time)
 
@@ -964,6 +993,44 @@ class Processor:
             else:
                 keep.append(pending)
         runtime.lazy_pending = keep
+
+    def flush_lazy_stalled(self, gvt: VirtualTime) -> bool:
+        """Cancel withheld messages up to and *including* ``gvt``; True
+        if any went out.  For a backend that has established a full
+        stall (nothing executable, nothing in flight): no event at or
+        below GVT can then be generated again, so the strict bound of
+        :meth:`flush_lazy` only keeps GVT pinned at a withheld
+        message's own timestamp.
+        """
+        flushed = False
+        runtimes = self.runtimes
+        for lp_id in sorted(self.live):
+            runtime = runtimes[lp_id]
+            if not runtime.lazy_pending:
+                continue
+            keep = []
+            for pending in runtime.lazy_pending:
+                # Either bound suffices at a full stall.  A message
+                # whose *receive* time pins GVT must be released
+                # even though its sender might re-emit an identical
+                # copy at exactly GVT later: cancel-plus-resend is
+                # observably equivalent to reuse, so correctness is
+                # unaffected — only the reuse optimization is lost
+                # for that one message.
+                if pending.send_time <= gvt or pending.time <= gvt:
+                    self.stats.antimessages += 1
+                    if self.tracer is not None:
+                        self.tracer.record(
+                            "anti", self.index, lp_id, pending.time,
+                            dst=pending.dst,
+                            eid=(pending.eid.src, pending.eid.seq),
+                            ctx="gvt-flush")
+                    self.route(pending.antimessage())
+                    flushed = True
+                else:
+                    keep.append(pending)
+            runtime.lazy_pending = keep
+        return flushed
 
     # ------------------------------------------------------------------
     # Null messages (conservative with lookahead)

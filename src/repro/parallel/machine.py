@@ -236,8 +236,10 @@ class ParallelMachine:
         # only reader), its predecessors, and each LP's successors with
         # the successor's reaction lookahead.
         lps = self.model.lps
-        self._floor_readers: List[Tuple[LPRuntime, Tuple[int, ...]]] = [
-            (runtime, tuple(self.model.predecessors(lp_id)))
+        self._floor_readers: List[
+                Tuple[LPRuntime, Tuple[int, ...], Processor]] = [
+            (runtime, tuple(self.model.predecessors(lp_id)),
+             self.procs[self.placement[lp_id]])
             for lp_id, runtime in self._runtimes.items()
             if runtime.blockable]
         self._succ_lookahead: Dict[int, Tuple[Tuple[int, int], ...]] = {
@@ -520,14 +522,18 @@ class ParallelMachine:
 
         bound = settled.get
         arriving = inflight_floor.get
-        for runtime, preds in self._floor_readers:
-            floor = arriving(runtime.lp.lp_id, INFINITY)
+        for runtime, preds, proc in self._floor_readers:
+            lp_id = runtime.lp.lp_id
+            floor = arriving(lp_id, INFINITY)
             for j in preds:
                 b = bound(j, INFINITY)
                 if b < floor:
                     floor = b
             if floor > runtime.release_floor:
                 runtime.release_floor = floor
+                # An idle runtime's floor rises too: a write no door
+                # of the engine sees (durable-checkpoint bookkeeping).
+                proc.touched.add(lp_id)
 
     def _pending_work(self) -> bool:
         """Any unprocessed event within the simulation horizon?"""
@@ -654,33 +660,8 @@ class ParallelMachine:
         """
         flushed = False
         for proc in self.procs:
-            for lp_id in sorted(proc.live):
-                runtime = proc.runtimes[lp_id]
-                if not runtime.lazy_pending:
-                    continue
-                keep = []
-                for pending in runtime.lazy_pending:
-                    # Either bound suffices at a full stall.  A message
-                    # whose *receive* time pins GVT must be released
-                    # even though its sender might re-emit an identical
-                    # copy at exactly GVT later: cancel-plus-resend is
-                    # observably equivalent to reuse, so correctness is
-                    # unaffected — only the reuse optimization is lost
-                    # for that one message.
-                    if pending.send_time <= self.gvt \
-                            or pending.time <= self.gvt:
-                        proc.stats.antimessages += 1
-                        if self.tracer is not None:
-                            self.tracer.record(
-                                "anti", proc.index, runtime.lp.lp_id,
-                                pending.time, dst=pending.dst,
-                                eid=(pending.eid.src, pending.eid.seq),
-                                ctx="gvt-flush")
-                        proc.route(pending.antimessage())
-                        flushed = True
-                    else:
-                        keep.append(pending)
-                runtime.lazy_pending = keep
+            if proc.flush_lazy_stalled(self.gvt):
+                flushed = True
             proc.drain_local()
         return flushed
 

@@ -13,7 +13,12 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from repro.circuits import build_random
 from repro.circuits.random_logic import TOPOLOGY_SPACE
+from repro.core.event import Event, EventKind
+from repro.core.model import SyncMode
+from repro.core.vtime import INFINITY, VirtualTime
 from repro.fabric import FaultPlan
+
+from tests.test_parallel_engine import build, ev
 
 #: All synchronization protocols of the modelled machine.
 PROTOCOLS = ("optimistic", "conservative", "mixed", "dynamic")
@@ -72,3 +77,85 @@ def prop_settings(max_examples, **overrides):
 def small_random_design(seed):
     """A fresh small random synchronous netlist (same shape per seed)."""
     return build_random(seed, **SMALL_BUILD).design
+
+
+# ----------------------------------------------------------------------
+# Arbitrary interleavings on one bare processor
+# ----------------------------------------------------------------------
+#: Two runtimes that can never block, one conservative, one dynamic,
+#: forwarding in a ring 0 -> 1 -> 2 -> 3 -> 0 on one processor.
+RING = [SyncMode.OPTIMISTIC, SyncMode.OPTIMISTIC, SyncMode.CONSERVATIVE,
+        SyncMode.DYNAMIC]
+
+#: One step of :class:`RingInterleaving`, as ``(op, a, b)``.
+ring_steps = st.one_of(
+    st.tuples(st.just("deliver"), st.integers(0, 3), st.integers(0, 12)),
+    st.tuples(st.just("cancel"), st.integers(0, 40), st.just(0)),
+    # An antimessage that overtakes its positive, and the positive later.
+    st.tuples(st.just("orphan"), st.integers(0, 1), st.integers(0, 12)),
+    st.tuples(st.just("adopt"), st.just(0), st.just(0)),
+    st.tuples(st.just("null"), st.integers(0, 3), st.integers(0, 12)),
+    st.tuples(st.just("act"), st.integers(1, 6), st.just(0)),
+    st.tuples(st.just("gvt"), st.just(0), st.just(0)),
+)
+
+
+def gvt_round(proc):
+    """What a machine's GVT round does to one processor."""
+    low = proc.local_min_time()
+    for event in proc.local_fifo:
+        low = min(low, event.time)
+    if low != INFINITY and low > proc.gvt_bound:
+        proc.gvt_bound = low
+    proc.flush_lazy_all(proc.gvt_bound)
+    proc.drain_local()
+    proc.fossil_collect(proc.gvt_bound)
+    proc.rearm_blocked()
+
+
+class RingInterleaving:
+    """The :data:`RING` processor driven one ``ring_steps`` step at a
+    time: deliveries, antimessages (rollbacks), overtaking
+    antimessages, NULLs, executions and GVT rounds."""
+
+    def __init__(self, lazy):
+        self.proc, _lps, self.runtimes, _sent = build(
+            RING, targets={0: 1, 1: 2, 2: 3, 3: 0})
+        self.proc.route = self.proc.local_fifo.append
+        self.proc.lazy_cancellation = lazy
+        self.delivered = []  # positives sent to runtimes that can roll back
+        self.overtaken = []  # positives whose antimessage went first
+        self.seq = 0
+
+    def step(self, op, a, b):
+        proc = self.proc
+        # Never deliver below the commit horizon (a machine cannot).
+        base = max(proc.gvt_bound[0], 0)
+        if op == "deliver":
+            self.seq += 1
+            event = ev(a, base + b, payload=self.seq, seq=self.seq)
+            if a < 2:
+                self.delivered.append(event)
+            proc.deliver(event)
+            proc.drain_local()
+        elif op == "cancel" and self.delivered:
+            event = self.delivered.pop(a % len(self.delivered))
+            if event.time >= proc.gvt_bound:
+                proc.deliver(event.antimessage())
+                proc.drain_local()
+        elif op == "orphan":
+            self.seq += 1
+            event = ev(a, base + b, payload=self.seq, seq=self.seq)
+            self.overtaken.append(event)
+            proc.deliver(event.antimessage())
+        elif op == "adopt" and self.overtaken:
+            proc.deliver(self.overtaken.pop(0))
+        elif op == "null":
+            proc.deliver(Event(time=VirtualTime(base + b, 0),
+                               kind=EventKind.NULL, dst=a, src=(a - 1) % 4,
+                               send_time=VirtualTime(base, 0)))
+        elif op == "act":
+            for _ in range(a):
+                proc.act()
+        elif op == "gvt":
+            gvt_round(proc)

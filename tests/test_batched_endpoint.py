@@ -88,13 +88,17 @@ class TestPump:
         sender.wave = 3
         sender.encode(1, [ev(0)])       # transmitted at wave 3
         assert sender.pump(3) == {}     # same wave: ack still in flight
-        posts = sender.pump(4)          # a full circulation has passed
+        # One visit later the ack may merely trail the token (it was
+        # sent behind it on the ring): not overdue yet.
+        assert sender.pump(4) == {}
+        posts = sender.pump(5)          # two visits: the ack is overdue
         assert [seq for seq, _ in posts[1]] == [0]
         assert sender.stats.retransmitted == 1
-        # The re-post restamps the wave: pumping the same wave again
-        # does not re-send.
-        assert sender.pump(4) == {}
-        assert sender.pump(5) != {}
+        # The re-post restamps the wave: the next two visits do not
+        # re-send, the one after does.
+        assert sender.pump(5) == {}
+        assert sender.pump(6) == {}
+        assert sender.pump(7) != {}
 
     def test_pump_stops_after_ack(self):
         sender = clean_endpoint(0)
@@ -179,7 +183,7 @@ class TestCrashRecovery:
         assert [seq for seq, _ in items] == [0, 1]
         assert sender.stats.replayed == 2
         assert not sender.quiet()
-        assert sender.pump(sender.wave + 1) != {}
+        assert sender.pump(sender.wave + 2) != {}
         sender.ack(1, [0, 1])
         assert sender.quiet()
 

@@ -1,7 +1,13 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import _parse_until, main
 
 SOURCE = """
@@ -154,3 +160,27 @@ class TestCheckCommand:
     def test_bad_circuit_rejected(self):
         with pytest.raises(SystemExit):
             main(["check", "--circuit", "nonexistent"])
+
+
+def test_serve_entry_point_imports_only_what_a_worker_needs():
+    """`repro serve` is the start-up path of every auto-spawned dist
+    daemon: resolving it must not drag in the front-end, the compiler,
+    analysis, the campaign or the harness (the shipped model imports
+    whatever it references when it is unpickled)."""
+    probe = (
+        "import sys\n"
+        "import repro.cli as cli\n"
+        "args = cli.build_parser().parse_args(['serve', '--port', '0'])\n"
+        "assert args.handler is cli.cmd_serve\n"
+        "from repro.parallel.dist import serve\n"
+        "heavy = [m for m in sys.modules if m.startswith(("
+        "'repro.vhdl.frontend', 'repro.vhdl.compile', 'repro.analysis',"
+        " 'repro.campaign', 'repro.harness'))]\n"
+        "assert not heavy, heavy\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -168,6 +168,27 @@ def test_dist_fsm_matches_sequential(protocol):
     assert outcome.stats.net_bytes_rx > 0
 
 
+def test_dist_wire_budget_and_no_faultfree_retransmission():
+    """What a fault-free run may put on the wire (ISSUE 14).
+
+    Checkpoint uploads dominate dist's bytes; they are keyframes and
+    deltas now, so this run (15.57 MB when every upload was a full
+    image, near-deterministic) must stay under 10 MB with fewer
+    keyframes than deltas.  And nothing is retransmitted: the pump
+    waits two token visits, because an ack trails the token it races.
+    """
+    outcome = assert_matches_sequential(
+        lambda: build_fsm(cells=12, cycles=8), "conservative",
+        partition="block")
+    stats = outcome.stats
+    assert stats.net_bytes_tx <= 10_000_000
+    assert stats.net_ckpt_frames >= outcome.gvt_rounds
+    assert stats.net_ckpt_keyframes < stats.net_ckpt_frames / 2
+    assert stats.net_ckpt_bytes < stats.net_bytes_tx
+    assert stats.retransmitted == 0
+    assert stats.dedup_dropped == 0
+
+
 def test_dist_fault_plan_drop_dup_reorder():
     """Lossy, duplicating, reordering fabric over TCP; still exact."""
     outcome = assert_matches_sequential(

@@ -32,9 +32,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.circuits import build_fsm, build_random
-from repro.core.event import Event, EventKind
 from repro.core.model import SyncMode
-from repro.core.vtime import INFINITY, VirtualTime
+from repro.core.vtime import VirtualTime
 from repro.fabric import FaultPlan
 from repro.fabric.recovery import checkpoint_processor, restore_processor
 from repro.harness import Schedule
@@ -44,8 +43,9 @@ from repro.parallel.machine import ParallelMachine
 from repro.parallel.procs import ProcsMachine
 from repro.vhdl import simulate
 
-from tests.strategies import (PROTOCOLS, prop_settings, protocols,
-                              small_random_design, small_seeds)
+from tests.strategies import (PROTOCOLS, RingInterleaving, prop_settings,
+                              protocols, ring_steps, small_random_design,
+                              small_seeds)
 from tests.test_parallel_engine import build, ev
 from tests.test_procs import needs_fork
 
@@ -89,78 +89,17 @@ def check_live(proc):
 # ----------------------------------------------------------------------
 # (a) + (b) on a bare processor under arbitrary interleavings
 # ----------------------------------------------------------------------
-#: Two runtimes that can never block, one conservative, one dynamic,
-#: forwarding in a ring 0 -> 1 -> 2 -> 3 -> 0 on one processor.
-RING = [SyncMode.OPTIMISTIC, SyncMode.OPTIMISTIC, SyncMode.CONSERVATIVE,
-        SyncMode.DYNAMIC]
-
-ops = st.lists(st.one_of(
-    st.tuples(st.just("deliver"), st.integers(0, 3), st.integers(0, 12)),
-    st.tuples(st.just("cancel"), st.integers(0, 40), st.just(0)),
-    # An antimessage that overtakes its positive, and the positive later.
-    st.tuples(st.just("orphan"), st.integers(0, 1), st.integers(0, 12)),
-    st.tuples(st.just("adopt"), st.just(0), st.just(0)),
-    st.tuples(st.just("null"), st.integers(0, 3), st.integers(0, 12)),
-    st.tuples(st.just("act"), st.integers(1, 6), st.just(0)),
-    st.tuples(st.just("gvt"), st.just(0), st.just(0)),
-), min_size=1, max_size=60)
-
-
-def gvt_round(proc):
-    """What a machine's GVT round does to one processor."""
-    low = proc.local_min_time()
-    for event in proc.local_fifo:
-        low = min(low, event.time)
-    if low != INFINITY and low > proc.gvt_bound:
-        proc.gvt_bound = low
-    proc.flush_lazy_all(proc.gvt_bound)
-    proc.drain_local()
-    proc.fossil_collect(proc.gvt_bound)
-    proc.rearm_blocked()
+ops = st.lists(ring_steps, min_size=1, max_size=60)
 
 
 @prop_settings(400)
 @given(ops, st.booleans())
 def test_ready_and_live_invariants_under_any_interleaving(sequence, lazy):
-    proc, _lps, runtimes, _sent = build(
-        RING, targets={0: 1, 1: 2, 2: 3, 3: 0})
-    proc.route = proc.local_fifo.append
-    proc.lazy_cancellation = lazy
+    ring = RingInterleaving(lazy)
+    proc, runtimes = ring.proc, ring.runtimes
     assert [rt.blockable for rt in runtimes] == [False, False, True, True]
-    delivered = []  # positives sent to runtimes that can roll back
-    overtaken = []  # positives whose antimessage was delivered first
-    seq = 0
     for op, a, b in sequence:
-        # Never deliver below the commit horizon (a machine cannot).
-        base = max(proc.gvt_bound[0], 0)
-        if op == "deliver":
-            seq += 1
-            event = ev(a, base + b, payload=seq, seq=seq)
-            if a < 2:
-                delivered.append(event)
-            proc.deliver(event)
-            proc.drain_local()
-        elif op == "cancel" and delivered:
-            event = delivered.pop(a % len(delivered))
-            if event.time >= proc.gvt_bound:
-                proc.deliver(event.antimessage())
-                proc.drain_local()
-        elif op == "orphan":
-            seq += 1
-            event = ev(a, base + b, payload=seq, seq=seq)
-            overtaken.append(event)
-            proc.deliver(event.antimessage())
-        elif op == "adopt" and overtaken:
-            proc.deliver(overtaken.pop(0))
-        elif op == "null":
-            proc.deliver(Event(time=VirtualTime(base + b, 0),
-                               kind=EventKind.NULL, dst=a, src=(a - 1) % 4,
-                               send_time=VirtualTime(base, 0)))
-        elif op == "act":
-            for _ in range(a):
-                proc.act()
-        elif op == "gvt":
-            gvt_round(proc)
+        ring.step(op, a, b)
         polls = check_ready(proc)
         check_live(proc)
         assert len(proc.ready) == polls + sum(
@@ -315,13 +254,13 @@ def test_model_crash_schedule_stays_oracle_identical(protocol):
     assert outcome.stats.recoveries == 2
 
 
-# Not "optimistic": that cell stalls about one run in ten at the parent
-# commit too (tests/test_procs.py::test_procs_worker_crash_recovery) —
-# a journalled send injected as withheld at exactly GVT pins GVT, and
-# the worker core has no stall-time inclusive flush like the modelled
-# machine's ``_flush_lazy_at_gvt`` (see ROADMAP known issues).
+# "optimistic" is back (ISSUE 14): the cell used to stall about one run
+# in ten — a journalled send injected as withheld at exactly GVT pinned
+# GVT — until the worker ring got the stall-time inclusive flush of the
+# modelled machine (``WorkerCore._initiate``, the token's ``stalled``).
 @needs_fork
-@pytest.mark.parametrize("protocol", ["mixed", "conservative"])
+@pytest.mark.parametrize("protocol", ["optimistic", "mixed",
+                                      "conservative"])
 def test_procs_kill_recovery_stays_oracle_identical(protocol):
     reference = simulate(build_fsm(cells=4, cycles=4).design)
     design = build_fsm(cells=4, cycles=4).design

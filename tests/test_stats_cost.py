@@ -185,12 +185,19 @@ class TestMergeAlgebra:
         assert "net_rtt_samples" in _ADDITIVE
         assert "net_rtt_sum" not in _ADDITIVE
         assert "net_rtt_max" not in _ADDITIVE
+        # Checkpoint-upload counters: per-worker totals.
+        assert "net_ckpt_frames" in _ADDITIVE
+        assert "net_ckpt_keyframes" in _ADDITIVE
+        assert "net_ckpt_bytes" in _ADDITIVE
 
     def test_net_summary(self):
         stats = RunStats(net_bytes_tx=2048, net_bytes_rx=4096,
                          net_reconnects=2, net_rtt_samples=4,
-                         net_rtt_sum=0.020, net_rtt_max=0.008)
+                         net_rtt_sum=0.020, net_rtt_max=0.008,
+                         net_ckpt_frames=9, net_ckpt_keyframes=2,
+                         net_ckpt_bytes=512)
         text = stats.net_summary()
+        assert "ckpt=9 uploads (2 keyframes) 512B" in text
         assert "tx=2048B" in text
         assert "rx=4096B" in text
         assert "reconnects=2" in text
