@@ -37,7 +37,7 @@ from .core.vtime import format_time, parse_time
 #: Built-in circuit choices, shared by every subcommand that accepts
 #: one (check / fuzz, and run / parallel as a file-less alternative) —
 #: mirrors :data:`repro.harness.check.CIRCUITS`.
-CIRCUIT_CHOICES = ("fsm", "random", "random-full",
+CIRCUIT_CHOICES = ("fsm", "random", "random-full", "iir",
                    "fsm-vhdl", "iir-vhdl", "behav")
 
 #: Scenario axes of the fuzzing campaign (mirrors

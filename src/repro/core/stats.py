@@ -95,6 +95,14 @@ class RunStats:
     #: Token-ring circulations completed (each is one Mattern GVT wave;
     #: only a subset commits a new GVT, counted in ``gvt_rounds``).
     token_waves: int = 0
+    #: Bounded optimism (``WorkerCore``; zero on model/threads runs):
+    #: ``act()`` calls declined because the lowest ready head lay
+    #: beyond the worker's ``GVT + delta`` execution window.
+    window_stalls: int = 0
+    #: Commits at which a worker narrowed its window, and commits at
+    #: which it widened it.
+    window_shrinks: int = 0
+    window_grows: int = 0
 
     # -- network counters (repro.parallel.dist) ------------------------
     #: Bytes written to TCP sockets (frames, coordinator + workers).
@@ -182,6 +190,9 @@ class RunStats:
         self.ipc_batches += other.ipc_batches
         self.ipc_events += other.ipc_events
         self.token_waves += other.token_waves
+        self.window_stalls += other.window_stalls
+        self.window_shrinks += other.window_shrinks
+        self.window_grows += other.window_grows
         self.net_bytes_tx += other.net_bytes_tx
         self.net_bytes_rx += other.net_bytes_rx
         self.net_reconnects += other.net_reconnects
@@ -204,7 +215,9 @@ class RunStats:
                if self.ipc_batches else 0.0)
         return (f"envelopes={self.ipc_batches} events={self.ipc_events} "
                 f"(avg {per:.1f}/envelope) waves={self.token_waves} "
-                f"commits={self.gvt_rounds}")
+                f"commits={self.gvt_rounds} "
+                f"window_stalls={self.window_stalls} "
+                f"(-{self.window_shrinks}/+{self.window_grows})")
 
     def liveness_summary(self) -> str:
         """One-line digest of the liveness/spread instrumentation."""

@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..analysis.diff import diff_results
 from ..circuits.fsm import build_fsm
+from ..circuits.iir import build_iir
 from ..circuits.random_logic import build_random
 from ..circuits.vhdl_text import (build_fsm_from_vhdl,
                                   build_iir_from_vhdl,
@@ -60,6 +61,10 @@ CIRCUITS: Dict[str, Callable[..., object]] = {
     # cancellation — see tests/artifacts/).  Expensive; meant for
     # targeted checks and replay artifacts rather than exploration.
     "random-full": lambda seed, **p: build_random(seed, **p).design,
+    # The paper's gate-level lattice filter: ~1.5k LPs and the design on
+    # which unbounded optimism stormed on real workers (docs/protocol.md
+    # §3.5).  A backend check, far too large for schedule exploration.
+    "iir": lambda seed, **p: build_iir(**p).design,
     # Frontend-elaborated circuits: their process bodies run through
     # the VHDL interpreter (or, under ``--exec compiled``, the closure
     # programs of repro.vhdl.compile), so these are the circuits on

@@ -247,6 +247,7 @@ class WorkerCore:
         self._anti_mins: Dict[int, VirtualTime] = {}
         self._cut_wave = -1
         self._floor_committed: VirtualTime = INFINITY
+        self._open_window()
         self._watchdog = WallClockWatchdog(self.watchdog_bound)
         self._stall_report = None
         # Waves the initiator must sit out after a fresh-process restore
@@ -671,8 +672,73 @@ class WorkerCore:
         proc.drain_local()
         proc.fossil_collect(gvt)
         proc.rearm_blocked()
+        self._move_window(gvt)
         if self.recovery:
             self._take_checkpoint()
+
+    # ------------------------------------------------------------------
+    # Bounded optimism (docs/protocol.md): the GVT + delta window
+    # ------------------------------------------------------------------
+    def _open_window(self) -> None:
+        """Start (or, after a crash, restart) the slow-start: a closed
+        window at the current GVT — at time zero it admits exactly the
+        initial events.  Delta and the marks are volatile; nothing of
+        them is checkpointed."""
+        stats = self._proc.stats
+        self._delta = 0
+        self._ramping = True
+        self._window_marks = (stats.events_executed,
+                              stats.events_rolled_back,
+                              stats.window_stalls)
+        self._proc.window_end = max(self._gvt.pt, 0)
+
+    def _move_window(self, gvt: VirtualTime) -> None:
+        """At a commit: resize delta from what this worker executed,
+        wasted and was refused since the previous one, then pin the
+        window's end to the new GVT."""
+        proc = self._proc
+        stats = proc.stats
+        marks = (stats.events_executed, stats.events_rolled_back,
+                 stats.window_stalls)
+        executed, wasted, stalls = (
+            now - then for now, then in zip(marks, self._window_marks))
+        self._window_marks = marks
+        delta = self._resize_window(executed, wasted, stalls > 0, gvt)
+        if delta < self._delta:
+            self._net.window_shrinks += 1
+        elif delta > self._delta:
+            self._net.window_grows += 1
+        self._delta = delta
+        proc.window_end = gvt.pt + delta
+
+    def _resize_window(self, executed: int, wasted: int, bound: bool,
+                       gvt: VirtualTime) -> int:
+        """The next delta.  Multiplicative decrease on an interval that
+        rolled back more than half of what it executed; increase only
+        on one that wasted under an eighth *and* hit the window (a
+        limit that did not bind says nothing about a wider one) —
+        doubling until the first decrease, by an eighth after it.  The
+        unit is the model's own: the distance from GVT to the lowest
+        head the old window refused, i.e. the least widening that
+        admits anything new."""
+        delta = self._delta
+        if not executed:
+            return delta  # an idle interval is not evidence
+        if 2 * wasted > executed:
+            self._ramping = False
+            return delta // 2
+        if bound and 8 * wasted < executed:
+            proc = self._proc
+            end = proc.window_end
+            refused = min((key[0][0] for key, _lp_id in proc.ready
+                           if key[0][0] > end), default=gvt.pt)
+            gap = max(refused - gvt.pt, 0)
+            if self._ramping:
+                return max(2 * delta, gap)
+            # At least 1 fs: an eighth of a sub-8-fs gap rounds to
+            # nothing, and a window halved to 0 would stay closed.
+            return delta + max(max(delta, gap) // 8, 1)
+        return delta
 
     def _refresh_cancel_floor(self) -> None:
         """Raise (or lower) the horizon to the freshest sound value:
@@ -884,6 +950,7 @@ class WorkerCore:
                       for lp_id, runtime in proc.runtimes.items()}
         restore_processor(proc, self._ckpt)
         proc.gvt_bound = self._gvt
+        self._open_window()  # the new incarnation starts over
         for lp_id, runtime in proc.runtimes.items():
             runtime.cons_epoch = max(pre_epochs.get(lp_id, 0),
                                      runtime.cons_epoch) + 1
@@ -1022,7 +1089,16 @@ class WorkerCore:
 
     def _on_recover(self, victim: int, epochs: Dict[int, int],
                     floor: int) -> None:
-        """Peer side of a crash: epoch bump + journal replay."""
+        """Peer side of a crash: epoch bump + journal replay.
+
+        A crash notice (it carries epochs) is answered with this
+        worker's own delivery horizon for the victim, as a notice
+        without epochs.  The victim's new incarnation may be a fresh
+        process (dist kill-recovery), and a notice this worker sent to
+        the dead one — after a crash of its own, rewinding below what
+        the victim holds as acknowledged — died with it: nothing else
+        would ever replay those entries.
+        """
         for lp_id, epoch in epochs.items():
             runtime = self._runtimes.get(lp_id)
             if runtime is not None and runtime.cons_epoch < epoch:
@@ -1030,6 +1106,10 @@ class WorkerCore:
         items = self.endpoint.replay_for(victim, floor)
         if items:
             self._post_batch(victim, items)
+        if epochs:
+            _sent, expected = self.endpoint.checkpoint_marks()
+            self._post(victim, ("recover", self._index, {},
+                                expected.get(victim, 0)))
 
     # ------------------------------------------------------------------
     # Completion

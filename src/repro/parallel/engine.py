@@ -334,6 +334,12 @@ class Processor:
         #: outstanding cancellation (withheld entry or routed anti).
         self.cancel_note: Optional[Callable[[VirtualTime], None]] = None
         self.until: Optional[int] = None
+        #: Bounded optimism (docs/protocol.md, "Bounded optimism"): no
+        #: event with a physical time beyond this executes; ``None`` is
+        #: unbounded.  Written only by ``WorkerCore``, which moves it to
+        #: ``GVT.pt + delta`` at each commit; the modelled and threaded
+        #: machines and the harness leave it alone.
+        self.window_end: Optional[int] = None
         self.lookahead_of: Callable[[int, int], Optional[Tuple[int, int]]] \
             = lambda src, dst: None
 
@@ -377,10 +383,22 @@ class Processor:
 
         An entry of a blockable runtime that fails the safety test is a
         blocked poll, with all its side effects.
+
+        The execution window is tested on the lowest entry *before* it
+        is popped.  No queue head lies below the heap's lowest key
+        (every arm pushes, or ``armed`` already holds a key at or below
+        the head), so one comparison speaks for the whole processor:
+        nothing is popped, parked or re-armed, and the caller reports
+        "no progress".  A stale entry inside the window is popped and
+        re-armed as ever.
         """
         ready = self.ready
         until = self.until
+        window_end = self.window_end
         while ready:
+            if window_end is not None and ready[0][0][0][0] > window_end:
+                self.stats.window_stalls += 1
+                return None
             key, lp_id = heapq.heappop(ready)
             runtime = self.runtimes[lp_id]
             if not runtime.blockable:

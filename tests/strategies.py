@@ -97,6 +97,8 @@ ring_steps = st.one_of(
     st.tuples(st.just("null"), st.integers(0, 3), st.integers(0, 12)),
     st.tuples(st.just("act"), st.integers(1, 6), st.just(0)),
     st.tuples(st.just("gvt"), st.just(0), st.just(0)),
+    # Move the execution window to GVT + a (a < 0: unbounded again).
+    st.tuples(st.just("window"), st.integers(-1, 8), st.just(0)),
 )
 
 
@@ -116,7 +118,8 @@ def gvt_round(proc):
 class RingInterleaving:
     """The :data:`RING` processor driven one ``ring_steps`` step at a
     time: deliveries, antimessages (rollbacks), overtaking
-    antimessages, NULLs, executions and GVT rounds."""
+    antimessages, NULLs, executions, GVT rounds and moves of the
+    execution window (what ``WorkerCore`` does at a commit)."""
 
     def __init__(self, lazy):
         self.proc, _lps, self.runtimes, _sent = build(
@@ -159,3 +162,5 @@ class RingInterleaving:
                 proc.act()
         elif op == "gvt":
             gvt_round(proc)
+        elif op == "window":
+            proc.window_end = None if a < 0 else base + a

@@ -16,10 +16,11 @@ and victim matrices are marked ``slow``.
 """
 
 import os
+import subprocess
 
 import pytest
 
-from repro.circuits import (build_fsm, build_iir_from_vhdl,
+from repro.circuits import (build_fsm, build_iir, build_iir_from_vhdl,
                             build_random)
 from repro.fabric import wire
 from repro.fabric.plan import FaultPlan
@@ -221,6 +222,36 @@ def test_dist_worker_kill_recovery():
     assert outcome.stats.net_reconnects >= 1
 
 
+#: A worker daemon whose ``WorkerCore`` pins delta at 0, the tightest
+#: execution window (the dist twin of ``tests/test_procs.py::
+#: ClosedWindow``): daemons are fresh interpreters, so the patch has to
+#: travel in their command line.
+CLOSED_WINDOW_DAEMON = (
+    "from repro.parallel.backend import WorkerCore\n"
+    "from repro.parallel.dist import serve\n"
+    "WorkerCore._resize_window = lambda self, *evidence: 0\n"
+    "serve('127.0.0.1', 0, once=True)\n")
+
+
+def test_dist_closed_window_survives_a_kill(monkeypatch):
+    """Liveness of the window does not lean on delta, nor on the
+    incarnation that sized it: a killed worker's successor starts
+    over, closed, and the run still ends oracle-identical."""
+    popen = subprocess.Popen
+
+    def spawn_patched(argv, **kwargs):
+        assert argv[1:4] == ["-m", "repro", "serve"]
+        return popen([argv[0], "-c", CLOSED_WINDOW_DAEMON], **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", spawn_patched)
+    outcome = assert_matches_sequential(
+        lambda: build_fsm(cells=4, cycles=4), "optimistic",
+        kills=[(2, 1)])
+    assert outcome.stats.recoveries >= 1
+    assert outcome.stats.window_stalls > 0
+    assert outcome.stats.window_grows == 0
+
+
 def test_dist_deadline_raises_protocol_error():
     """A hopeless deadline surfaces as ProtocolError with partial
     stats, not a hang (the error path of the coordinator loop)."""
@@ -239,14 +270,24 @@ def test_dist_iir_vhdl_matches_sequential(protocol):
     """The paper's IIR filter, compiled from VHDL text, across TCP.
 
     This is the behavioral iir-vhdl circuit (the one `repro check
-    --circuit iir-vhdl --backend dist` gates on).  The *gate-level*
-    ``build_iir`` under the optimistic protocol is a known pathology
-    on dist: relay latency widens the virtual-time surface and
-    unthrottled optimism turns it into a rollback storm (ROADMAP
-    item 4 — adaptive throttling — is the designated fix).
+    --circuit iir-vhdl --backend dist` gates on); the gate-level
+    design follows.
     """
     assert_matches_sequential(lambda: build_iir_from_vhdl(),
                               protocol, processors=3)
+
+
+@pytest.mark.slow
+def test_dist_gate_iir_optimistic_is_bounded():
+    """Gate-level ``build_iir`` + optimistic used to be kept out of
+    every suite: relay latency widened the virtual-time surface and
+    unthrottled optimism turned it into a rollback storm (16 events
+    executed per committed one, 80 s; 1.45 and under 8 s now).  Each worker now bounds its own
+    optimism to ``GVT + delta`` (docs/protocol.md, "Bounded optimism");
+    ``tests/test_procs.py`` runs the same design in tier-1."""
+    outcome = assert_matches_sequential(build_iir, "optimistic")
+    stats = outcome.stats
+    assert stats.events_executed <= 3 * stats.events_committed
 
 
 @pytest.mark.slow

@@ -22,6 +22,12 @@ Three things are pinned here (ISSUE 13):
     generated from the parent commit; regenerate with
     ``PYTHONPATH=src python tests/test_engine_ready.py`` only for a
     change that is allowed to move traces.
+(d) *The execution window* (ISSUE 16).  ``Processor.window_end`` bounds
+    what ``_pop_safe`` hands out: no event with a ``pt`` beyond the
+    window in force executes, a bound window pops, parks and re-arms
+    nothing, and (a)-(c) hold unchanged whatever the window does.  Only
+    ``WorkerCore`` writes it, so the goldens of (c) and
+    ``tests/data/model_time_golden.json`` stay as they are.
 """
 
 import hashlib
@@ -98,16 +104,64 @@ def test_ready_and_live_invariants_under_any_interleaving(sequence, lazy):
     ring = RingInterleaving(lazy)
     proc, runtimes = ring.proc, ring.runtimes
     assert [rt.blockable for rt in runtimes] == [False, False, True, True]
+    beyond = []  # executions past the window in force when they ran
+    execute = proc._execute
+
+    def execute_checked(runtime, event):
+        end = proc.window_end
+        if end is not None and event.time.pt > end:
+            beyond.append((event, end))
+        execute(runtime, event)
+
+    proc._execute = execute_checked
     for op, a, b in sequence:
         ring.step(op, a, b)
+        assert not beyond
         polls = check_ready(proc)
         check_live(proc)
         assert len(proc.ready) == polls + sum(
             len(rt.armed) for rt in runtimes)
     # Drained: nothing schedulable is left behind in the heap.
+    proc.window_end = None
     while proc.act():
         pass
     assert proc.ready == [] and all(rt.armed == [] for rt in runtimes)
+
+
+def test_bound_window_declines_without_side_effects():
+    """A head beyond the window: ``act`` reports no progress, the heap,
+    ``blocked`` and the poll counters are as they were, and the stall is
+    counted; moving the window is all it takes to go on.  A stale lower
+    entry inside the window is popped and re-armed as ever."""
+    proc, lps, (opt, cons), _ = build(
+        [SyncMode.OPTIMISTIC, SyncMode.CONSERVATIVE])
+    proc.gvt_bound = VirtualTime(20, 0)
+    late = ev(0, 9, payload="late", seq=1)
+    proc.deliver(late)
+    proc.deliver(ev(0, 12, payload="later", seq=2))
+    proc.deliver(ev(1, 15, payload="cons", seq=3))
+    proc.window_end = 10
+    proc.deliver(late.antimessage())  # the entry at 9 is now stale
+    assert [key[0].pt for key, _ in sorted(proc.ready)] == [9, 15]
+    assert not proc.act()
+    # The stale entry went, its runtime re-armed at 12; nothing else.
+    heap = sorted(proc.ready)
+    assert [key[0].pt for key, _ in heap] == [12, 15]
+    assert proc.stats.window_stalls == 1
+    assert proc.stats.blocked_polls == 0 and proc.blocked == set()
+    assert proc.stats.events_executed == 0
+    check_ready(proc)
+    for _ in range(3):
+        assert not proc.act()
+    assert sorted(proc.ready) == heap
+    assert proc.stats.window_stalls == 4
+    proc.window_end = 12
+    assert proc.act() and not proc.act()
+    assert [p for _, p in lps[0].log] == ["later"] and lps[1].log == []
+    proc.window_end = 15
+    assert proc.act() and not proc.act()
+    assert [p for _, p in lps[1].log] == ["cons"]
+    assert proc.ready == [] and proc.stats.window_stalls == 5
 
 
 def test_controlled_candidates_hold_each_unblockable_lp_once():

@@ -209,9 +209,11 @@ class TestThreadedFaultEquivalence:
                            protocol="optimistic", timeout_s=90.0,
                            fault_plan=plan)
         assert traces_of(circuit) == ref.traces
+        # Not ``replayed > 0``: the OS schedules the threads, and a crash
+        # that lands where no peer holds unacknowledged output for the
+        # victim has nothing to replay (1-2 runs in 40 did).
         assert res.stats.crashes == 1
         assert res.stats.recoveries == 1
-        assert res.stats.replayed > 0
 
 
 class TestThreadedTimeoutHardening:

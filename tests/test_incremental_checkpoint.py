@@ -431,14 +431,12 @@ class Forward(LogicalProcess):
                       EventKind.USER, event.payload)
 
 
-def test_crash_rolls_back_sends_the_dead_incarnation_cancelled():
-    """The image's log says E1 sent P.  The dead incarnation then took a
-    straggler, cancelled P and sent P' instead — both journalled — and
-    died; the straggler is gone.  The receiver holds P', not P: the
-    restored worker must not keep claiming P (and later cancel P' as
-    never regenerated), or the message is lost for good — 1 run in 25
-    of tests/test_procs.py::test_procs_worker_crash_recovery ended two
-    commits short that way."""
+def forward_pair():
+    """Worker 0 of a two-worker run, driven by hand: ``source`` (here)
+    forwards to ``sink`` (worker 1, a bare inbox).  Returns ``(core,
+    proc, hub, source, sink)``.  There is no ring, so no commit ever
+    moves the execution window — closed at the start and again after a
+    crash; callers open it by hand."""
     model = Model()
     sink = Forward("sink")
     model.add_lp(sink, SyncMode.OPTIMISTIC)
@@ -457,9 +455,22 @@ def test_crash_rolls_back_sends_the_dead_incarnation_cancelled():
     core._setup_worker(0, proc, core._inner._runtimes,
                        core._inner.placement)
     core._install_route()
+    return core, proc, hub, source, sink
+
+
+def test_crash_rolls_back_sends_the_dead_incarnation_cancelled():
+    """The image's log says E1 sent P.  The dead incarnation then took a
+    straggler, cancelled P and sent P' instead — both journalled — and
+    died; the straggler is gone.  The receiver holds P', not P: the
+    restored worker must not keep claiming P (and later cancel P' as
+    never regenerated), or the message is lost for good — 1 run in 25
+    of tests/test_procs.py::test_procs_worker_crash_recovery ended two
+    commits short that way."""
+    core, proc, _hub, source, _sink = forward_pair()
     runtime = proc.runtimes[source.lp_id]
 
     def run():
+        proc.window_end = None
         while proc.act():
             pass
         core._flush()
@@ -480,3 +491,57 @@ def test_crash_rolls_back_sends_the_dead_incarnation_cancelled():
     assert [e.eid for e in runtime.processed[-1].sent] == [second.eid]
     assert proc.stats.lazy_reused == 1
     assert core.endpoint.stats.suppressed_resends == 1
+
+
+def test_crash_notice_is_answered_with_the_peers_own_horizon():
+    """A notice sent to a worker that is then killed dies with it.  If
+    the sender had crashed and rewound below what the dead worker held
+    as acknowledged, nothing would ever replay those entries — 1 run in
+    25 of tests/test_dist.py::test_dist_drop_crash_disconnect_combo
+    stalled at a reorder buffer waiting for one.  So every crash notice
+    is answered with the peer's own delivery horizon, as a notice
+    without epochs, which replays and is not answered again."""
+    core, proc, hub, source, sink = forward_pair()
+
+    def posted():
+        """Counted envelopes worker 0 sent since the last call."""
+        inner = []
+        while not hub[1].inbox.empty():
+            tag, src, _count, envelope = hub[1].inbox.get()
+            assert (tag, src) == ("c", 0)
+            inner.append(envelope)
+        return inner
+
+    proc.window_end = None
+    proc.deliver(ev(source.lp_id, 10, payload="x"))
+    while proc.act():
+        pass
+    core._flush()
+    ((kind, _src, ((seq, sent),)),) = posted()
+    assert (kind, seq) == ("batch", 0)
+    core.endpoint.ack(1, [0])  # the incarnation that will die has it
+
+    # Worker 1's successor announces itself; its image held seq 0.
+    core._on_recover(1, {sink.lp_id: 1}, 1)
+    assert posted() == [("recover", 0, {}, 0)]
+    # The answer of a peer that needs seq 0 again: replayed, and the
+    # exchange ends there.
+    core._on_recover(1, {}, 0)
+    assert posted() == [("batch", 0, [(0, sent)])]
+
+
+def test_window_halved_to_nothing_opens_again():
+    """After the slow start the window widens by an eighth of itself or
+    of the distance to the lowest refused head.  Times are femtoseconds
+    and the division is integral: without a floor of 1 fs, delta = 0
+    and a refused head under 8 fs away would leave the window closed
+    for the rest of the run — live, but sequential."""
+    core, proc, _hub, source, _sink = forward_pair()
+    gvt = VirtualTime(10, 0)
+    core._delta, core._ramping = 0, False
+    proc.window_end = gvt.pt
+    proc.deliver(ev(source.lp_id, 13, payload="x"))
+    assert not proc.act()  # refused: 3 fs beyond a closed window
+    assert core._resize_window(8, 0, True, gvt) == 1
+    core._delta, proc.window_end = 1, gvt.pt + 1
+    assert core._resize_window(8, 0, True, gvt) == 2

@@ -40,6 +40,9 @@ class TestEquivalence:
                                 protocol=protocol, max_steps=200_000)
         assert res.traces == toggle_reference.traces
         assert res.finals == toggle_reference.finals
+        # Nobody moves the modelled machine's execution window.
+        assert (res.stats.window_stalls, res.stats.window_shrinks,
+                res.stats.window_grows) == (0, 0, 0)
 
     @pytest.mark.parametrize("partition", ["round_robin", "block", "bfs"])
     def test_partitioning_does_not_change_results(self, toggle_reference,

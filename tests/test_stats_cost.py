@@ -107,6 +107,12 @@ class TestRunStats:
         assert "commits=3" in text
         assert "avg 0.0/envelope" in RunStats().ipc_summary()
 
+    def test_ipc_summary_says_when_the_window_acted(self):
+        stats = RunStats(window_stalls=17, window_shrinks=2,
+                         window_grows=5)
+        assert "window_stalls=17 (-2/+5)" in stats.ipc_summary()
+        assert "window_stalls=0 (-0/+0)" in RunStats().ipc_summary()
+
 
 class TestMergeAlgebra:
     """Worker-count and merge-order independence of RunStats.merge."""
@@ -189,6 +195,10 @@ class TestMergeAlgebra:
         assert "net_ckpt_frames" in _ADDITIVE
         assert "net_ckpt_keyframes" in _ADDITIVE
         assert "net_ckpt_bytes" in _ADDITIVE
+        # Bounded-optimism counters: per-worker totals.
+        assert "window_stalls" in _ADDITIVE
+        assert "window_shrinks" in _ADDITIVE
+        assert "window_grows" in _ADDITIVE
 
     def test_net_summary(self):
         stats = RunStats(net_bytes_tx=2048, net_bytes_rx=4096,

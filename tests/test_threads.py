@@ -60,6 +60,10 @@ def test_threaded_matches_sequential(protocol):
     assert traces == ref.traces
     assert outcome.stats.events_committed == ref.stats.events_committed
     assert outcome.gvt_rounds >= 1
+    # The execution window belongs to ``WorkerCore`` (procs, dist).
+    stats = outcome.stats
+    assert (stats.window_stalls, stats.window_shrinks,
+            stats.window_grows) == (0, 0, 0)
 
 
 def test_threaded_fsm():
