@@ -20,10 +20,12 @@ cost*.  Two cost regimes are measured:
 * **latency-weighted** — the cost is a blocking wait, modelling the
   external model evaluation of co-simulation (an IP-block server, a
   disk-backed model, an RPC federate a la HLA).  Blocking releases the
-  GIL, so both real backends can overlap it — but the threaded
-  backend's stop-the-world GVT barrier re-synchronizes every round,
-  while the procs token-ring GVT never stops the workers; procs
-  reaches closer to the ideal ``min(workers, chains)x``.
+  GIL, so both real backends overlap it, and both run the same worker
+  ring (token-ring GVT, nothing ever stops the workers): they approach
+  the ideal ``min(workers, chains)x`` together.  What separates them
+  is the transport — threads start at once and pickle nothing, procs
+  pay for worker start-up and serialization and get their own
+  interpreters in return.
 
 The transcript (``results/procs_speedup.txt``) records the host's
 core count next to the numbers: the compute-weighted procs rows scale
@@ -169,11 +171,12 @@ def test_procs_wall_clock_speedup(benchmark):
         "    multi-core host to watch the 2- and 4-worker rows open\n"
         "    up while the threads row stays flat.\n"
         "  * latency-weighted cost (GIL-releasing, as in\n"
-        "    co-simulation) parallelizes on any host.  procs at 4\n"
-        "    workers beats threads at 4 workers: the token-ring GVT\n"
-        "    never stops the world, while the threaded backend\n"
-        "    re-barriers every GVT round and pays GIL contention on\n"
-        "    the bookkeeping between waits.",
+        "    co-simulation) parallelizes on any host, on both real\n"
+        "    backends: they run the same worker ring, whose token-ring\n"
+        "    GVT never stops the world.  At equal workers threads\n"
+        "    lead by what procs spend starting workers and pickling\n"
+        "    batches; procs buy interpreters of their own with it,\n"
+        "    which only the compute rows can show.",
     ])
     emit("procs_speedup", text)
 
@@ -190,10 +193,8 @@ def test_procs_wall_clock_speedup(benchmark):
     assert procs4_latency > 1.0, procs4_latency
     assert procs4_latency > procs2_latency * 0.9, (
         procs2_latency, procs4_latency)
-    # Side by side at 4 workers: procs >= threads (stop-the-world GVT
-    # + GIL bookkeeping cap the threaded backend).
-    assert procs4_latency > threads_latency * 0.9, (
-        threads_latency, procs4_latency)
+    # The same ring on threads overlaps GIL-releasing waits too.
+    assert threads_latency > 1.0, threads_latency
     if cores >= 2:
         procs4_compute = row(compute_rows, "procs", 4)[3]
         assert procs4_compute > 1.0, procs4_compute

@@ -228,7 +228,7 @@ def cmd_parallel(args) -> int:
     print(f"  antimessages      : {stats.antimessages}")
     print(f"  deadlock recovery : {stats.deadlock_recoveries} rounds")
     print(f"  mode switches     : {stats.mode_switches}")
-    if backend in ("procs", "dist"):
+    if backend != "model":
         print(f"  batched IPC       : {stats.ipc_summary()}")
     if backend == "dist":
         print(f"  network           : {stats.net_summary()}")
@@ -588,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["round_robin", "block", "bfs"])
         p_par.add_argument("--quantum", type=int, default=64,
                            help="events per act-quantum between IPC "
-                                "flushes (threads/procs/dist backends)")
+                                "flushes (procs/dist backends)")
         p_par.add_argument("--hosts", nargs="+", default=None,
                            metavar="HOST:PORT",
                            help="dist backend: pre-started 'repro "
@@ -624,8 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_par.add_argument("--crash", action="append", default=None,
                            metavar="STEP:PROC",
                            help="crash processor PROC after STEP "
-                                "executed events (model/threads) or "
-                                "GVT commits (procs) and recover it "
+                                "executed events (model) or GVT "
+                                "commits (threads/procs/dist) and "
+                                "recover it "
                                 "from its latest checkpoint "
                                 "(repeatable)")
         _add_exec_arg(p_par)

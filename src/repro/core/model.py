@@ -2,9 +2,9 @@
 
 ``Model`` is the protocol-independent description that every engine
 (sequential, conservative, optimistic, adaptive; modelled-parallel or
-threaded) consumes.  It holds the LPs, the declared channels (needed by
-conservative synchronization), and per-LP synchronization preferences
-(used by the mixed/adaptive protocol).
+on real workers) consumes.  It holds the LPs, the declared channels
+(needed by conservative synchronization), and per-LP synchronization
+preferences (used by the mixed/adaptive protocol).
 """
 
 from __future__ import annotations

@@ -95,7 +95,7 @@ class RunStats:
     #: Token-ring circulations completed (each is one Mattern GVT wave;
     #: only a subset commits a new GVT, counted in ``gvt_rounds``).
     token_waves: int = 0
-    #: Bounded optimism (``WorkerCore``; zero on model/threads runs):
+    #: Bounded optimism (``WorkerCore``; zero on modelled runs):
     #: ``act()`` calls declined because the lowest ready head lay
     #: beyond the worker's ``GVT + delta`` execution window.
     window_stalls: int = 0
@@ -128,7 +128,7 @@ class RunStats:
 
     # -- liveness counters (repro.resilience) --------------------------
     #: Virtual-time surface samples taken (one per observation point:
-    #: GVT round on model/threads, token wave on procs).
+    #: GVT round on the modelled machine, token wave on the ring).
     vt_spread_samples: int = 0
     #: Sum over samples of the surface width (max - min local clock, in
     #: femtoseconds) — width_sum / samples is the mean Korniss

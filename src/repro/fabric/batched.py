@@ -1,23 +1,27 @@
-"""Reliable batched delivery for the multiprocess backend.
+"""Reliable batched delivery for the worker ring.
 
-The procs backend (:mod:`repro.parallel.procs`) ships events between
-worker processes as pickled **batches** — one envelope per destination
-per act-quantum — so the per-message serialization cost is amortized.
-When a :class:`~repro.fabric.plan.FaultPlan` is active, every event
-inside a batch still needs the reliable-delivery guarantees the other
-backends get from their fabrics.  This module is the per-worker
-endpoint providing them:
+Every :class:`~repro.parallel.backend.WorkerCore` worker — a thread, a
+``multiprocessing`` process or a daemon on another host — ships events
+to its peers as **batches**, one envelope per destination per
+act-quantum, so the per-message cost of the transport (pickling, on
+procs and dist) is amortized.  When a
+:class:`~repro.fabric.plan.FaultPlan` is active, every event inside a
+batch still needs the reliable-delivery guarantees the modelled
+machine gets from :class:`~repro.fabric.transport.ReliableFabric`.
+This module is the per-worker endpoint providing them:
 
 * **sender side** — per-link sequence numbers, an output journal, an
   unacked map, drop/duplicate/overtake injection drawn from the same
-  seeded :class:`~repro.fabric.plan.LinkFaults` dice as the other
-  fabrics (latency-valued faults are realised as overtakes, exactly as
-  in :mod:`repro.fabric.threaded`);
+  seeded :class:`~repro.fabric.plan.LinkFaults` dice as the modelled
+  fabric (latency-valued faults have no meaning in real time and are
+  realised as *overtakes*: an affected copy is held back on its link
+  and posted after the link's next younger message, which exercises
+  the same out-of-order arrival and receiver-side reorder buffering);
 * **receiver side** — per-link dedup and reorder buffers restoring
   exactly-once in-order delivery, with acknowledgements accumulated
   per batch and flushed as one ack envelope;
-* **pump** — the procs backend has neither a model clock nor a
-  stop-the-world round, so retransmission is *token-driven*: at each
+* **pump** — the ring has neither a model clock nor a global barrier,
+  so retransmission is *token-driven*: at each
   GVT token visit, messages last transmitted two visits ago and still
   unacknowledged are re-posted (dice re-rolled, per-message drop
   budget capped, so delivery is eventually guaranteed);
@@ -28,9 +32,9 @@ endpoint providing them:
   (the classic log-before-send assumption): a crash wipes the
   processor, not the message log.
 
-The endpoint is single-owner state: each worker process owns exactly
-one, so — unlike :class:`~repro.fabric.threaded.ThreadedFabric` — no
-locks are needed.
+The endpoint is single-owner state: each worker owns exactly one and
+no other worker touches it — thread workers included — so no locks are
+needed.
 """
 
 from __future__ import annotations

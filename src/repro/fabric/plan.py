@@ -36,8 +36,8 @@ class FaultPlan:
     rolls the dice again).  ``crashes`` schedules whole-processor
     failures as ``(progress, processor)`` pairs; the progress unit is
     backend-specific — executed events for the modelled
-    :class:`~repro.parallel.machine.ParallelMachine`, completed global
-    rounds for the threaded backend.
+    :class:`~repro.parallel.machine.ParallelMachine`, completed GVT
+    commits on the worker ring (threads / procs / dist).
     """
 
     seed: int = 0

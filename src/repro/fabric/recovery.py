@@ -1,18 +1,21 @@
-"""Durable processor checkpoints for crash-recovery.
+"""Durable processor checkpoints and crash reconciliation.
 
-The fabric takes a *durable checkpoint* of every processor at each
-global (GVT) round — the one moment both backends are globally
-consistent: the modelled machine is single-threaded, and the threaded
-backend's rounds are stop-the-world with a fully drained network.  A
-checkpoint captures the processor's volatile protocol state — every LP's
-state (via the existing ``snapshot``/``restore`` hooks of the
-checkpoint-interval machinery), input queues, the Time-Warp processed
-log, channel promises, adaptation counters and statistics.
+A *durable checkpoint* of a processor is taken where its owner is
+consistent by itself: the modelled machine (single-threaded) images
+every processor at each global GVT round, a ring worker images its own
+processor each time it applies a GVT commit.  A checkpoint captures
+the processor's volatile protocol state — every LP's state (via the
+existing ``snapshot``/``restore`` hooks of the checkpoint-interval
+machinery), input queues, the Time-Warp processed log, channel
+promises, adaptation counters and statistics.
 
 Crashing a processor discards its live state; recovery restores the
 latest checkpoint and then reconciles the survivor with the rest of the
-world (see :mod:`repro.fabric.transport` for the replay/suppression
-protocol layered on the per-link journals).
+world.  The incoming half (journal replay from the checkpoint's
+delivery horizon) belongs to the driver — :mod:`repro.fabric.transport`
+re-queues packets in model time, ``WorkerCore._crash`` asks its peers
+with a ``recover`` notice.  The outgoing half is the same everywhere
+and lives here once: :func:`reconcile_outgoing`.
 
 Non-checkpointable LPs (the paper's heavy-state processes) cannot be
 durably saved either; attempting to checkpoint a processor hosting one
@@ -25,8 +28,11 @@ from __future__ import annotations
 import copy
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
+                    Tuple)
 
+from ..core.event import Event
+from ..core.model import SyncMode
 from ..core.stats import RunStats
 from ..core.vtime import VirtualTime
 
@@ -214,3 +220,74 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
         runtime = proc.runtimes[lp_id]
         if not runtime.blockable:
             runtime.armed.append(key)
+
+
+def reconcile_outgoing(
+        proc, links: Iterable[Tuple[List[Event], Callable[[Set[Any]], None]]],
+        ) -> None:
+    """Feed the dead incarnation's journalled post-checkpoint output
+    back into the restored processor ``proc``.
+
+    ``links`` holds one ``(window, mark_spent)`` pair per outgoing link:
+    the sends journalled on it since the restored checkpoint, in send
+    order, and the callable that tells the link which antimessage ids
+    are already on the wire.  The window feeds the lazy-cancellation
+    machinery — regenerated messages are reused in place, abandoned
+    ones are cancelled, and journalled antimessages suppress one
+    re-send.  Every crash site (the modelled fabric, the worker ring)
+    reconciles through here.
+    """
+    cancelled_since: Set[Any] = set()
+    for window, mark_spent in links:
+        # Eid ratchet: every windowed send is world-visible, but a
+        # checkpoint restored into a fresh process (dist) rewinds
+        # each LP's eid counter to its checkpoint mark.  Re-minting
+        # a windowed seq would pair a *different* message with an
+        # already-journalled eid — and the eventual antimessage
+        # would annihilate the wrong one.  (In-process crashes keep
+        # the live counters, which are already past the window:
+        # the max() is a no-op there.)
+        for event in window:
+            if event.eid is None:
+                continue
+            minter = proc.runtimes.get(event.eid.src)
+            if minter is not None and \
+                    event.eid.seq > minter.lp._seq:
+                minter.lp._seq = event.eid.seq
+        anti_eids = {e.eid for e in window if e.sign < 0}
+        if anti_eids:
+            mark_spent(anti_eids)
+            # Cancelled in the window but sent before it: the
+            # restored log still claims these (see below).
+            cancelled_since |= anti_eids - {
+                e.eid for e in window if e.sign > 0}
+        for event in window:
+            if (event.sign > 0 and not event.is_null
+                    and event.eid not in anti_eids):
+                runtime = proc.runtimes.get(event.src)
+                if runtime is None:
+                    continue
+                if runtime.mode is SyncMode.CONSERVATIVE:
+                    # A conservative LP never rolls back, so the
+                    # restored replay re-executes the same committed
+                    # inputs and deterministically regenerates this
+                    # send: the entry exists only to suppress the
+                    # duplicate, it can never become an antimessage.
+                    # It therefore must NOT go through lazy_pending:
+                    # pinning the cancellation horizon at its own
+                    # timestamp would block the very conservative
+                    # execution whose re-send it is waiting to
+                    # match, and with GVT already at that timestamp
+                    # no flush ever breaks the tie (the conservative
+                    # crash-recovery self-deadlock).
+                    runtime.reuse_pending.append(event)
+                    proc.live.add(event.src)
+                    continue
+                # Each injected entry is an outstanding
+                # cancellation: withhold() lowers the horizon so
+                # no conservative LP commits at its timestamp
+                # before the squash-or-cancel decision lands.
+                proc.withhold(runtime, event)
+    # The receivers annihilated those positives; the antimessages
+    # this repeats are the ones just marked spent.
+    proc.rollback_sends(cancelled_since)

@@ -32,7 +32,7 @@ from ..core.stats import RunStats
 from ..core.vtime import VirtualTime
 from .plan import FaultPlan, LinkFaults
 from .recovery import (ProcessorCheckpoint, checkpoint_processor,
-                       restore_processor)
+                       reconcile_outgoing, restore_processor)
 
 #: A directed processor pair.
 Link = Tuple[int, int]
@@ -506,31 +506,17 @@ class ReliableFabric:
         for lp_id, runtime in proc.runtimes.items():
             runtime.cons_epoch = max(pre_epochs.get(lp_id, 0),
                                      runtime.cons_epoch) + 1
-        self._reconcile_outgoing(proc, index, pre_next)
-        self._replay_incoming(proc, index)
-        self.stats.recoveries += 1
-
-    def _reconcile_outgoing(self, proc, index: int,
-                            pre_next: Dict[Link, int]) -> None:
         marks = self._ckpt_sender_next.get(index, {})
+        links = []
         for link, live_next in pre_next.items():
             state = self._sender(link)
-            base = marks.get(link, 0)
-            window = [state.journal[s] for s in range(base, live_next)
-                      if s in state.journal]
-            anti_eids = {e.eid for e in window if e.sign < 0}
-            state.spent_anti |= anti_eids
-            for event in window:
-                if (event.sign > 0 and not event.is_null
-                        and event.eid not in anti_eids):
-                    runtime = proc.runtimes.get(event.src)
-                    if runtime is not None:
-                        # Every injected entry is an outstanding
-                        # cancellation; withhold() lowers the machine's
-                        # horizon so no conservative LP commits at its
-                        # timestamp before the squash-or-cancel
-                        # decision lands.
-                        proc.withhold(runtime, event)
+            window = [state.journal[seq]
+                      for seq in range(marks.get(link, 0), live_next)
+                      if seq in state.journal]
+            links.append((window, state.spent_anti.update))
+        reconcile_outgoing(proc, links)
+        self._replay_incoming(proc, index)
+        self.stats.recoveries += 1
 
     def _replay_incoming(self, proc, index: int) -> None:
         marks = self._ckpt_recv_expected.get(index, {})

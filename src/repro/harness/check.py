@@ -533,8 +533,8 @@ def check_backend(circuit: str, backend: str, protocol: str,
     dist).
 
     The schedule-exploration machinery above drives the modelled
-    machine, whose interleavings the harness controls.  The threaded,
-    multiprocess and distributed backends schedule for real — the OS
+    machine, whose interleavings the harness controls.  The threads,
+    procs and dist backends schedule for real — the OS
     (and for dist, the network) picks the interleaving — so the
     strongest repeatable check is differential:
     run the circuit once on the sequential oracle, once on the real

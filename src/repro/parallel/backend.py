@@ -1,16 +1,15 @@
 """Shared plumbing for the parallel backends.
 
-Four backends run the same per-processor engine (:mod:`.engine`):
+One per-processor engine (:mod:`.engine`) runs on two kinds of machine:
 
 * the **modelled** machine (:mod:`.machine`) — deterministic
   co-simulation in model time, the benchmark instrument;
-* the **threaded** backend (:mod:`.threads`) — real OS threads with a
-  stop-the-world coordinator, the concurrency demonstration;
-* the **procs** backend (:mod:`.procs`) — real ``multiprocessing``
-  worker processes with batched IPC and an asynchronous token-ring GVT,
-  the wall-clock-speedup backend;
-* the **dist** backend (:mod:`.dist`) — the same worker protocol over
-  an asyncio/TCP transport, so workers run on separate hosts.
+* the **worker ring** (:class:`WorkerCore`) — one real worker per
+  processor on an asynchronous token ring, over three transports:
+  in-process queues between OS threads (:mod:`.threads`, the
+  concurrency demonstration), ``multiprocessing`` pipes between worker
+  processes (:mod:`.procs`, the wall-clock-speedup backend), and
+  asyncio/TCP between hosts (:mod:`.dist`).
 
 They share protocol obligations that used to be duplicated:
 
@@ -21,15 +20,14 @@ They share protocol obligations that used to be duplicated:
 * **The per-processor work predicate** (:func:`proc_has_work`):
   whether a processor still owes protocol work — queued events within
   the horizon, undelivered local messages, or withheld lazy
-  cancellations.  Every backend evaluates it at its global
-  synchronization points (deadlock check / barrier round / token
-  visit).
+  cancellations.  Both machines evaluate it at their global
+  synchronization points (deadlock check / token visit).
 * **The whole worker loop** (:class:`WorkerCore`): act quanta, batched
   flushes, the pipelined Mattern token ring, the cancellation horizon,
-  fabric pump/checkpoint cadence and crash recovery.  The procs and
-  dist backends differ *only* in how an envelope physically reaches a
-  peer, so the loop lives here once, parameterized over three
-  transport hooks (:meth:`WorkerCore._send_envelope`,
+  fabric pump/checkpoint cadence and crash recovery.  The threads,
+  procs and dist backends differ *only* in how an envelope physically
+  reaches a peer, so the loop lives here once, parameterized over
+  three transport hooks (:meth:`WorkerCore._send_envelope`,
   :meth:`WorkerCore._recv_envelope`, :meth:`WorkerCore._emit_result`).
 
 :class:`BackendOutcome` is the common result shape; the per-backend
@@ -41,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..core.event import Event
@@ -48,7 +47,8 @@ from ..core.model import SyncMode
 from ..core.stats import RunStats
 from ..core.vtime import INFINITY, MINUS_INFINITY, VirtualTime
 from ..fabric.batched import BatchedEndpoint
-from ..fabric.recovery import checkpoint_processor, restore_processor
+from ..fabric.recovery import (checkpoint_processor, reconcile_outgoing,
+                               restore_processor)
 from ..resilience import WallClockWatchdog, build_report
 from .engine import LPRuntime, Processor, ProtocolError
 
@@ -174,8 +174,8 @@ class WorkerCore:
     an optional :class:`~repro.fabric.batched.BatchedEndpoint`, the
     pipelined Mattern token-ring GVT with two-cut channel counts, the
     cancellation horizon, checkpoint cadence and crash recovery — lives
-    here once, shared by the procs and dist backends.  A concrete
-    backend supplies the physical transport:
+    here once, shared by the threads, procs and dist backends.  A
+    concrete backend supplies the physical transport:
 
     * :meth:`_send_envelope` — ship one envelope to a peer worker;
     * :meth:`_recv_envelope` — next inbound envelope (or ``None``);
@@ -261,9 +261,7 @@ class WorkerCore:
         if index == 0:
             # Initiator state: a sentinel "completed wave -1" primes the
             # ring (busy, nothing sent, nothing committable).
-            self._completed_token = {"wave": -1, "low": INFINITY,
-                                     "sent": {}, "recv": {},
-                                     "busy": True, "commit": None}
+            self._completed_token = dict(fresh_token(-1, None), busy=True)
             self._prev_sent: Dict[tuple, int] = {}
             self._gvt_committed: VirtualTime = MINUS_INFINITY
             self._commits = 0
@@ -415,13 +413,13 @@ class WorkerCore:
                     (self._gvt, proc.stats.events_committed)):
                 self._stall(
                     f"no GVT advance or commit on worker {self._index} "
-                    f"in {self._watchdog.bound:.1f}s "
+                    f"in {self._watchdog.bound:g}s "
                     f"(gvt {self._gvt}, "
                     f"{proc.stats.events_executed} executed)")
             if time.monotonic() > deadline:
                 self._stall(
                     f"worker {self._index} exceeded the "
-                    f"{self._timeout_s:.1f}s deadline "
+                    f"{self._timeout_s:g}s deadline "
                     f"(gvt {self._gvt}, "
                     f"{self._proc.stats.events_executed} executed)")
 
@@ -773,14 +771,27 @@ class WorkerCore:
                         for channel, n in self._prev_sent.items())
             candidate = token["low"]
             settled = self._counts_settled(sent, recv)
+            while self._crash_schedule and \
+                    self._crash_schedule[0][0] <= self._commits:
+                # No commit is issued from cuts a dead incarnation
+                # contributed to (docs/protocol.md §3.6).  The die goes
+                # out *before* this wave is judged: the last commit has
+                # been applied (and checkpointed) everywhere, this
+                # wave's cuts are the dying incarnation's, and so may
+                # the next one's be — the notice can land on either
+                # side of the victim's next visit.
+                _at, victim = self._crash_schedule.pop(0)
+                self._post(victim, ("die", self._index))
+                self._revalidate = 2
             if self._revalidate > 0:
-                # A restored initiator (dist kill-recovery) holds a
-                # checkpoint-old _prev_sent baseline, and its first
-                # post-restore wave may ride a self-primed sentinel
-                # token with empty counts: run two waves invalid and
-                # unsettled (always safe — it merely delays commits,
-                # pruning and termination) before trusting the re-based
-                # counts again.
+                # Run two waves invalid and unsettled (always safe — it
+                # merely delays commits, pruning and termination).
+                # After a scheduled crash, see above; a restored
+                # initiator (dist kill-recovery) holds a checkpoint-old
+                # _prev_sent baseline, and its first post-restore wave
+                # may ride a self-primed sentinel token with empty
+                # counts, so the re-based counts are trusted again only
+                # after that.
                 valid = False
                 settled = False
                 self._revalidate -= 1
@@ -789,10 +800,6 @@ class WorkerCore:
                 commit = candidate
                 self._gvt_committed = candidate
                 self._commits += 1
-                while self._crash_schedule and \
-                        self._crash_schedule[0][0] <= self._commits:
-                    _at, victim = self._crash_schedule.pop(0)
-                    self._post(victim, ("die", self._index))
             if not token["busy"] and commit is None and valid and settled:
                 self._broadcast_stop()
                 return
@@ -924,19 +931,16 @@ class WorkerCore:
             # duplicate within a lap — the revalidation window above
             # keeps the sentinel's empty counts from committing or
             # settling anything.
-            self._completed_token = {
-                "wave": self._last_completed_wave, "low": INFINITY,
-                "sent": {}, "recv": {}, "busy": True, "commit": None,
-                "anti_low": INFINITY, "floor": INFINITY,
-                "settled": False, "vt_min": None, "vt_max": None}
+            self._completed_token = dict(
+                fresh_token(self._last_completed_wave, None), busy=True)
 
     def _crash(self) -> None:
         """Lose all volatile state, recover from the durable checkpoint,
-        reconcile with the world.  Mirrors ``ThreadedFabric.crash`` but
-        needs no stop-the-world: the fabric endpoint (journals, unacked
-        maps, sequence counters) is durable, in-flight input is
-        re-created by the peers' journal replay, and stale conservative
-        promises are invalidated by an epoch-bump broadcast.
+        reconcile with the world.  Needs no global barrier: the fabric
+        endpoint (journals, unacked maps, sequence counters) is
+        durable, in-flight input is re-created by the peers' journal
+        replay, and stale conservative promises are invalidated by an
+        epoch-bump broadcast.
         """
         endpoint = self.endpoint
         if endpoint is None:  # pragma: no cover - guarded at build time
@@ -959,68 +963,12 @@ class WorkerCore:
         # (or abandons) each message on its own authority.
         for target in self._outbox:
             self._outbox[target] = []
-        # Outgoing reconciliation: the dead incarnation's journalled
-        # post-checkpoint output feeds the lazy-cancellation machinery —
-        # regenerated messages are reused in place, abandoned ones are
-        # cancelled, and journalled antimessages suppress one re-send.
         sender_marks, recv_floors = self._ckpt_marks
         live_sender, _live_recv = endpoint.checkpoint_marks()
-        cancelled_since = set()
-        for dst in live_sender:
-            base = sender_marks.get(dst, 0)
-            window = endpoint.sender_window(dst, base)
-            # Eid ratchet: every windowed send is world-visible, but a
-            # checkpoint restored into a fresh process (dist) rewinds
-            # each LP's eid counter to its checkpoint mark.  Re-minting
-            # a windowed seq would pair a *different* message with an
-            # already-journalled eid — and the eventual antimessage
-            # would annihilate the wrong one.  (In-process crashes keep
-            # the live counters, which are already past the window:
-            # the max() is a no-op there.)
-            for event in window:
-                if event.eid is None:
-                    continue
-                minter = proc.runtimes.get(event.eid.src)
-                if minter is not None and \
-                        event.eid.seq > minter.lp._seq:
-                    minter.lp._seq = event.eid.seq
-            anti_eids = {e.eid for e in window if e.sign < 0}
-            if anti_eids:
-                endpoint.mark_spent_anti(dst, anti_eids)
-                # Cancelled in the window but sent before it: the
-                # restored log still claims these (see below).
-                cancelled_since |= anti_eids - {
-                    e.eid for e in window if e.sign > 0}
-            for event in window:
-                if (event.sign > 0 and not event.is_null
-                        and event.eid not in anti_eids):
-                    runtime = proc.runtimes.get(event.src)
-                    if runtime is None:
-                        continue
-                    if runtime.mode is SyncMode.CONSERVATIVE:
-                        # A conservative LP never rolls back, so the
-                        # restored replay re-executes the same committed
-                        # inputs and deterministically regenerates this
-                        # send: the entry exists only to suppress the
-                        # duplicate, it can never become an antimessage.
-                        # It therefore must NOT go through lazy_pending:
-                        # pinning the cancellation horizon at its own
-                        # timestamp would block the very conservative
-                        # execution whose re-send it is waiting to
-                        # match, and with GVT already at that timestamp
-                        # no flush ever breaks the tie (the conservative
-                        # crash-recovery self-deadlock).
-                        runtime.reuse_pending.append(event)
-                        proc.live.add(event.src)
-                        continue
-                    # Each injected entry is an outstanding
-                    # cancellation: withhold() lowers the horizon so
-                    # no conservative LP commits at its timestamp
-                    # before the squash-or-cancel decision lands.
-                    proc.withhold(runtime, event)
-        # The receivers annihilated those positives; the antimessages
-        # this repeats are the ones just marked spent.
-        proc.rollback_sends(cancelled_since)
+        reconcile_outgoing(proc, [
+            (endpoint.sender_window(dst, sender_marks.get(dst, 0)),
+             partial(endpoint.mark_spent_anti, dst))
+            for dst in live_sender])
         endpoint.rewind_receiver(recv_floors)
         endpoint.stats.recoveries += 1
         # Tell every peer: bump your replica epochs (stale conservative

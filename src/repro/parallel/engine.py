@@ -327,7 +327,8 @@ class Processor:
         #: withheld (lazy) or in-flight cancellation anywhere in the
         #: system.  Maintained by the backend — lowered eagerly through
         #: ``cancel_note`` whenever a cancellation comes into existence,
-        #: raised (recomputed exactly) only at global rounds.  The
+        #: raised (recomputed exactly) only at global rounds (token
+        #: visits on the worker ring).  The
         #: conservative safety rule may commit only strictly below it.
         self.cancel_floor: VirtualTime = INFINITY
         #: Backend hook invoked with the timestamp of every new
@@ -337,8 +338,8 @@ class Processor:
         #: Bounded optimism (docs/protocol.md, "Bounded optimism"): no
         #: event with a physical time beyond this executes; ``None`` is
         #: unbounded.  Written only by ``WorkerCore``, which moves it to
-        #: ``GVT.pt + delta`` at each commit; the modelled and threaded
-        #: machines and the harness leave it alone.
+        #: ``GVT.pt + delta`` at each commit; the modelled machine and
+        #: the harness leave it alone.
         self.window_end: Optional[int] = None
         self.lookahead_of: Callable[[int, int], Optional[Tuple[int, int]]] \
             = lambda src, dst: None

@@ -1,8 +1,9 @@
 """True multiprocess backend: the distributed kernel on worker processes.
 
-The threaded backend proves the protocol is a distributed algorithm but
-cannot show wall-clock speedup (CPython's GIL serializes it).  This
-backend runs one :class:`~repro.parallel.engine.Processor` per
+The threads backend (:mod:`repro.parallel.threads`, this module's
+lifecycle over in-process queues) proves the protocol is a distributed
+algorithm but cannot show wall-clock speedup (CPython's GIL serializes
+it).  This backend runs one :class:`~repro.parallel.engine.Processor` per
 ``multiprocessing`` worker — genuinely isolated address spaces that
 communicate **only** through pickled messages — and is where the
 paper's headline claim (speedup from parallel execution) becomes
@@ -11,9 +12,13 @@ measurable on real hardware (``benchmarks/bench_procs_speedup.py``).
 The worker protocol itself — act quantum, batched flushes, the
 pipelined Mattern token-ring GVT, fabric compatibility, crash
 recovery — lives in :class:`repro.parallel.backend.WorkerCore`, shared
-verbatim with the distributed backend (:mod:`repro.parallel.dist`).
-This module supplies the ``multiprocessing`` transport (one queue per
-worker, one result queue) and the parent-side lifecycle.
+verbatim with the threads and distributed backends
+(:mod:`repro.parallel.threads`, :mod:`repro.parallel.dist`).  This
+module supplies the ``multiprocessing`` transport (one queue per
+worker, one result queue) and the parent-side lifecycle; where the
+queues and workers come from (:meth:`ProcsMachine._context`) and what
+a worker runs (:meth:`ProcsMachine._worker_entry`) are the two hooks
+the threads backend overrides.
 
 Three design decisions carry the backend:
 
@@ -25,8 +30,8 @@ Three design decisions carry the backend:
   achieved amortization (events per envelope).
 
 * **Asynchronous token-ring GVT (Mattern-style).**  There is no
-  stop-the-world coordinator.  A single token circulates the worker
-  ring ``0 -> 1 -> ... -> P-1 -> 0`` carrying, per wave, the minimum
+  global barrier.  A single token circulates the worker ring
+  ``0 -> 1 -> ... -> P-1 -> 0`` carrying, per wave, the minimum
   timestamp observed at each worker's cut (local queues *plus* the
   send-minimum of everything shipped since the previous cut) and the
   cumulative per-channel envelope counts.  When the token returns, the
@@ -56,7 +61,7 @@ Three design decisions carry the backend:
   replay its journal and distrust stale conservative promises (epoch
   bump) — all without a global barrier.
 
-Like the threaded backend, the procs backend supports the static
+Like every ring backend, the procs backend supports the static
 protocols only (optimistic / conservative / mixed); the dynamic mode's
 cross-processor mode sampling has no sound remote implementation
 without extra synchronization.
@@ -84,7 +89,7 @@ import pickle
 import queue as queue_module
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..core.model import Model
 from ..core.stats import RunStats
@@ -188,6 +193,7 @@ class ProcsMachine(WorkerCore):
     """Run a Model on real worker processes; commits identical results."""
 
     backend_name = "procs"
+    outcome_type = ProcsOutcome
 
     def __init__(self, model: Model, processors: int,
                  protocol: str = "optimistic",
@@ -201,8 +207,9 @@ class ProcsMachine(WorkerCore):
                  _snapshot: bool = True) -> None:
         if protocol == "dynamic":
             raise ValueError(
-                "the procs backend supports static protocols only; "
-                "use the modelled machine for the dynamic configuration")
+                f"the {self.backend_name} backend supports static "
+                f"protocols only; use the modelled machine for the "
+                f"dynamic configuration")
         if quantum < 1:
             raise ValueError("quantum must be >= 1")
         model = resolve_model(model)
@@ -265,12 +272,32 @@ class ProcsMachine(WorkerCore):
     # ==================================================================
     # Parent side
     # ==================================================================
+    def _context(self):
+        """Where the run's queues and workers come from: anything with
+        ``multiprocessing``'s ``Queue()`` and ``Process(target=, args=,
+        daemon=)``."""
+        return multiprocessing.get_context(self.start_method)
+
+    def _worker_entry(self, index: int) -> Tuple[Callable, tuple]:
+        """``(target, args)`` that run worker ``index``."""
+        if self.start_method == "fork":
+            return self._worker_main, (index,)
+        spec = _WorkerSpec(
+            model_payload=self._spawn_payload,
+            processors=self.processors, protocol=self.protocol,
+            partition=self._partition_spec, until=self.until,
+            quantum=self.quantum, fault_plan=self.plan,
+            recovery=self.recovery, watchdog_s=self._watchdog_s,
+            timeout_s=self._timeout_s)
+        return _spawn_worker, (spec, index, self._queues,
+                               self._result_queue)
+
     def run(self, timeout_s: float = 120.0) -> ProcsOutcome:
         if timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         start = time.monotonic()
         grace = max(0.5, min(5.0, timeout_s / 10.0))
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = self._context()
         count = self.processors
         # Under fork: created before the fork so every worker inherits
         # every queue.  Under spawn: passed explicitly as process
@@ -278,29 +305,12 @@ class ProcsMachine(WorkerCore):
         self._queues = [ctx.Queue() for _ in range(count)]
         self._result_queue = ctx.Queue()
         self._timeout_s = timeout_s
-        if self.start_method == "fork":
-            spec = None
-        else:
-            spec = _WorkerSpec(
-                model_payload=self._spawn_payload,
-                processors=count, protocol=self.protocol,
-                partition=self._partition_spec, until=self.until,
-                quantum=self.quantum, fault_plan=self.plan,
-                recovery=self.recovery, watchdog_s=self._watchdog_s,
-                timeout_s=timeout_s)
         workers = []
         for index in range(count):
-            if spec is None:
-                proc = ctx.Process(target=self._worker_main,
-                                   args=(index,), daemon=True)
-            else:
-                proc = ctx.Process(
-                    target=_spawn_worker,
-                    args=(spec, index, self._queues,
-                          self._result_queue),
-                    daemon=True)
-            proc.start()
-            workers.append(proc)
+            target, args = self._worker_entry(index)
+            worker = ctx.Process(target=target, args=args, daemon=True)
+            worker.start()
+            workers.append(worker)
         results: Dict[int, tuple] = {}
         error: Optional[tuple] = None
         deadline = start + timeout_s + grace
@@ -308,12 +318,15 @@ class ProcsMachine(WorkerCore):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
+            # Sampled before the wait, judged after it: a worker that
+            # reports and exits while the wait is timing out was alive
+            # here, and its report is fetched on the next turn.
+            dead = [i for i, w in enumerate(workers) if not w.is_alive()]
             try:
                 message = self._result_queue.get(
                     timeout=min(0.5, remaining))
             except queue_module.Empty:
-                dead = [i for i, w in enumerate(workers)
-                        if not w.is_alive() and i not in results]
+                dead = [i for i in dead if i not in results]
                 if dead:
                     error = ("error", dead[0],
                              f"worker {dead[0]} died without reporting "
@@ -325,6 +338,15 @@ class ProcsMachine(WorkerCore):
                 results[message[1]] = message
             else:
                 error = message
+        if len(results) < count:
+            # Error or deadline: the ring will not stop by itself, and a
+            # thread worker cannot be terminated — every worker is told
+            # to stop with the ring's own envelope.  (A worker process
+            # that is gone never reads it: the parent must not wait at
+            # exit to flush it.)
+            for inbound in self._queues:
+                inbound.put(("stop", MINUS_INFINITY, 0, 0))
+                inbound.cancel_join_thread()
         for worker in workers:
             worker.join(timeout=max(0.05, deadline - time.monotonic()))
         laggards = [i for i, w in enumerate(workers) if w.is_alive()]
@@ -338,7 +360,8 @@ class ProcsMachine(WorkerCore):
             if error[3] is not None:
                 partial.merge(error[3])
             failure = ProtocolError(
-                f"procs worker {error[1]} failed: {error[2]}")
+                f"{self.backend_name} worker {error[1]} failed: "
+                f"{error[2]}")
             failure.partial_stats = partial
             if len(error) > 4 and error[4] is not None:
                 failure.stall_report = error[4]
@@ -346,8 +369,8 @@ class ProcsMachine(WorkerCore):
         if len(results) < count:
             missing = sorted(set(range(count)) - set(results))
             failure = ProtocolError(
-                f"procs run exceeded its {timeout_s:.1f}s deadline; "
-                f"workers {missing} never completed")
+                f"{self.backend_name} run exceeded its {timeout_s:g}s "
+                f"deadline; workers {missing} never completed")
             failure.partial_stats = partial
             raise failure
         return self._harvest(results, time.monotonic() - start)
@@ -374,10 +397,10 @@ class ProcsMachine(WorkerCore):
                 lp.now = now
                 for attr, value in attrs.items():
                     setattr(lp, attr, value)
-        return ProcsOutcome(stats=stats, gvt=gvt,
-                            processors=self.processors,
-                            gvt_rounds=commits, waves=waves,
-                            wall_time_s=wall_time_s)
+        return self.outcome_type(stats=stats, gvt=gvt,
+                                 processors=self.processors,
+                                 gvt_rounds=commits, waves=waves,
+                                 wall_time_s=wall_time_s)
 
     # ==================================================================
     # Worker side: the shared WorkerCore over multiprocessing queues

@@ -31,7 +31,8 @@ VT = Tuple[int, int]  # (pt, lt) — VirtualTime flattened for pickling
 class StallReport:
     """Diagnosis attached to a ``ProtocolError`` on a liveness failure."""
 
-    #: Which backend diagnosed the stall ("model" | "threads" | "procs").
+    #: Which backend diagnosed the stall ("model" | "threads" | "procs"
+    #: | "dist").
     backend: str
     #: One-line reason, e.g. "no GVT advance in 500000 steps".
     reason: str
@@ -52,10 +53,10 @@ class StallReport:
     #: processor index -> number of withheld lazy cancellations.
     withheld_lazy: Dict[int, int] = field(default_factory=dict)
     #: In-flight accounting (backend-specific), e.g. token-ring
-    #: channel counts {"sent_to": {...}, "recv_from": {...}} for procs
-    #: or {"fabric_pending": n} for the model/threads backends.
+    #: channel counts {"sent_to": {...}, "recv_from": {...}} for the
+    #: worker ring or {"fabric_pending": n} for the modelled machine.
     in_flight: Dict[str, Any] = field(default_factory=dict)
-    #: Worker/processor that raised the diagnosis (procs only).
+    #: Worker that raised the diagnosis (worker ring only).
     origin: Optional[int] = None
 
     def describe(self) -> str:
@@ -115,8 +116,8 @@ def build_report(backend: str, reason: str, processors: Iterable[Any],
     """Assemble a :class:`StallReport` from live ``Processor`` objects.
 
     ``processors`` is any iterable of ``repro.parallel.engine.Processor``;
-    only read access is needed, so this is safe to call from a stopped
-    world (threads), between steps (model), or inside a worker (procs).
+    only read access is needed, so this is safe to call between steps
+    (model) or inside a worker, on its own processor (worker ring).
     """
     report = StallReport(backend=backend, reason=reason, bound=bound,
                          in_flight=dict(in_flight or {}), origin=origin)

@@ -6,8 +6,8 @@ Two flavours, matching the two notions of time the backends live in:
   wall clock is meaningless.  It counts *scheduler iterations* since the
   last observable progress (GVT advance or commit-count change).
 * :class:`WallClockWatchdog` — for the real-concurrency backends
-  (threads/procs), where an iteration count says nothing about elapsed
-  time under the GIL or a loaded host.
+  (threads/procs/dist), where an iteration count says nothing about
+  elapsed time under the GIL or a loaded host.
 
 Both follow the same contract: feed ``tick(marker)`` a progress marker
 (any equatable snapshot of "where the run is"); the watchdog returns
@@ -26,8 +26,8 @@ from typing import Any, Callable, Optional, Union
 #: circuits; half a million idle iterations is a stall, not slowness.
 DEFAULT_MODEL_STEPS = 500_000
 
-#: Default wall-clock bound (seconds) for threads/procs.  The tier-1
-#: suite's slowest healthy global round is well under a second.
+#: Default wall-clock bound (seconds) for the worker ring.  The tier-1
+#: suite's slowest healthy token wave is well under a second.
 DEFAULT_WALL_S = 30.0
 
 

@@ -10,6 +10,7 @@ parallel run time they report).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.sequential import SequentialSimulator
@@ -124,8 +125,17 @@ def simulate(design, until: Optional[int] = None,
     return _collect(design, stats)
 
 
+#: Backend -> (module of ``repro.parallel``, its runner); a backend's
+#: module is imported when a run first asks for it.
+_RUNNERS = {
+    "model": ("machine", "run_parallel"),
+    "threads": ("threads", "run_threaded"),
+    "procs": ("procs", "run_procs"),
+    "dist": ("dist", "run_dist"),
+}
+
 #: Parallel execution backends selectable by :func:`simulate_parallel`.
-BACKENDS = ("model", "threads", "procs", "dist")
+BACKENDS = tuple(_RUNNERS)
 
 
 def simulate_parallel(design, processors: int,
@@ -151,7 +161,8 @@ def simulate_parallel(design, processors: int,
     * ``"model"``   — the deterministic modelled multiprocessor; its
       ``parallel_time`` is the modelled makespan, and speedup against a
       1-processor run reproduces the paper's speedup figures;
-    * ``"threads"`` — real concurrency on OS threads (shared memory);
+    * ``"threads"`` — the worker ring of ``"procs"`` on OS threads in
+      one process (in-process queues, nothing pickled);
     * ``"procs"``   — real parallelism on ``multiprocessing`` workers
       with batched IPC and token-ring GVT; the only backend that can
       show wall-clock speedup under CPython's GIL;
@@ -178,24 +189,11 @@ def simulate_parallel(design, processors: int,
     design = _claim(design)
     _lower(design, exec_mode)
     model = design.elaborate()
-    if backend == "model":
-        from ..parallel.machine import run_parallel
-        outcome = run_parallel(model, processors=processors, until=until,
-                               protocol=protocol, **machine_kwargs)
-        return _collect(design, outcome.stats,
-                        parallel_time=outcome.makespan,
-                        processors=processors)
-    if backend == "threads":
-        from ..parallel.threads import run_threaded
-        outcome = run_threaded(model, processors=processors, until=until,
-                               protocol=protocol, **machine_kwargs)
-        return _collect(design, outcome.stats, processors=processors)
-    if backend == "dist":
-        from ..parallel.dist import run_dist
-        outcome = run_dist(model, processors=processors, until=until,
-                           protocol=protocol, **machine_kwargs)
-        return _collect(design, outcome.stats, processors=processors)
-    from ..parallel.procs import run_procs
-    outcome = run_procs(model, processors=processors, until=until,
-                        protocol=protocol, **machine_kwargs)
-    return _collect(design, outcome.stats, processors=processors)
+    module, runner = _RUNNERS[backend]
+    run = getattr(import_module(f"..parallel.{module}", __package__), runner)
+    outcome = run(model, processors=processors, until=until,
+                  protocol=protocol, **machine_kwargs)
+    # Only the modelled machine has a makespan.
+    return _collect(design, outcome.stats,
+                    parallel_time=getattr(outcome, "makespan", None),
+                    processors=processors)

@@ -8,6 +8,7 @@ signature, and leave behind a shrunk artifact that replays to a real
 violation.
 """
 
+import dataclasses
 import json
 import types
 
@@ -258,6 +259,42 @@ class TestCampaign:
         assert outcome.ok, outcome.report.violations
         assert outcome.report.label == "baseline"
         assert outcome.report.digest
+
+    @pytest.mark.parametrize("seed, index", [(12, 44), (19, 50)])
+    def test_crash_scenarios_on_a_conservative_model_run_are_clean(
+            self, seed, index):
+        """Two campaign scenarios that failed ("conservative LP clk ...
+        received straggler") until the modelled fabric reconciled a
+        crash through the worker ring's function: it parked the dead
+        incarnation's journalled sends as withheld cancellations even
+        when their sender was conservative, and a cancel-and-resend of
+        one reached a conservative receiver that had committed past it.
+        Regenerated from the sampler, not pasted; the checks on the
+        cell say when a sampler change retargets them."""
+        stream = ScenarioSpace(seed, backends=("model",)).generate()
+        scenario = take(stream, index + 1)[index]
+        assert scenario.protocol == "conservative"
+        assert scenario.fault_plan.crashes
+        outcome = run_scenario(scenario)
+        assert outcome.ok, outcome.report.violations
+
+    @pytest.mark.slow
+    def test_scheduled_crash_does_not_race_its_own_commit(self):
+        """A campaign scenario (random circuit 520903, 3 workers,
+        optimistic, 5 % drop, crash of worker 2 at commit 12) that
+        stalled to its deadline about once in 40 procs runs while the
+        die and a commit from the victim's pre-crash cut shared a token
+        (docs/protocol.md §3.6).  Twenty runs on each in-host ring."""
+        stream = ScenarioSpace(12, backends=("threads",)).generate()
+        scenario = next(s for s in stream if s.circuit_seed == 520903)
+        assert scenario.protocol == "optimistic"
+        assert scenario.fault_plan.crashes == ((12, 2),)
+        for backend in ("threads", "procs"):
+            cell = dataclasses.replace(scenario, backend=backend,
+                                       timeout_s=8.0)
+            for _ in range(20):
+                outcome = run_scenario(cell)
+                assert outcome.ok, (backend, outcome.report.violations)
 
     def test_progress_callback_sees_every_scenario(self):
         seen = []

@@ -431,18 +431,26 @@ class Forward(LogicalProcess):
                       EventKind.USER, event.payload)
 
 
-def forward_pair():
-    """Worker 0 of a two-worker run, driven by hand: ``source`` (here)
-    forwards to ``sink`` (worker 1, a bare inbox).  Returns ``(core,
-    proc, hub, source, sink)``.  There is no ring, so no commit ever
-    moves the execution window — closed at the start and again after a
-    crash; callers open it by hand."""
+def forward_model():
+    """``source`` forwards to ``sink``; returns ``(model, source,
+    sink)``.  Partitioned ``{source: 0, sink: 1}`` the one message
+    crosses a link."""
     model = Model()
     sink = Forward("sink")
     model.add_lp(sink, SyncMode.OPTIMISTIC)
     source = Forward("source", target=sink.lp_id)
     model.add_lp(source, SyncMode.OPTIMISTIC)
     model.connect(source, sink)
+    return model, source, sink
+
+
+def forward_pair():
+    """Worker 0 of a two-worker run, driven by hand: ``source`` (here)
+    forwards to ``sink`` (worker 1, a bare inbox).  Returns ``(core,
+    proc, hub, source, sink)``.  There is no ring, so no commit ever
+    moves the execution window — closed at the start and again after a
+    crash; callers open it by hand."""
+    model, source, sink = forward_model()
     spec = _DistSpec(
         model_payload=pickle.dumps(model), processors=2,
         protocol="optimistic",
@@ -458,39 +466,61 @@ def forward_pair():
     return core, proc, hub, source, sink
 
 
-def test_crash_rolls_back_sends_the_dead_incarnation_cancelled():
+def cancel_after_the_image_then_crash(proc, source, flush, checkpoint,
+                                      crash):
     """The image's log says E1 sent P.  The dead incarnation then took a
     straggler, cancelled P and sent P' instead — both journalled — and
     died; the straggler is gone.  The receiver holds P', not P: the
-    restored worker must not keep claiming P (and later cancel P' as
-    never regenerated), or the message is lost for good — 1 run in 25
-    of tests/test_procs.py::test_procs_worker_crash_recovery ended two
-    commits short that way."""
-    core, proc, _hub, source, _sink = forward_pair()
+    restored processor must not keep claiming P (and later cancel P' as
+    never regenerated), or the message is lost for good."""
     runtime = proc.runtimes[source.lp_id]
 
     def run():
         proc.window_end = None
         while proc.act():
             pass
-        core._flush()
+        flush()
 
     proc.deliver(ev(source.lp_id, 10, payload="x"))
     run()                                   # E1 sends P
     (first,) = runtime.processed[-1].sent
-    core._take_checkpoint()
+    checkpoint()
     proc.deliver(ev(source.lp_id, 5, payload="s"))
     run()                                   # straggler: -P, then P'
     (second,) = runtime.processed[-1].sent
     assert second.eid != first.eid and second.time == first.time
 
-    core._crash()
+    crash()
     run()
-    # E1 ran again and matched P', the copy the receiver holds; the
-    # antimessage for P was not sent twice.
+    # E1 ran again and matched P', the copy the receiver holds.
     assert [e.eid for e in runtime.processed[-1].sent] == [second.eid]
     assert proc.stats.lazy_reused == 1
+
+
+def test_crash_rolls_back_sends_the_dead_incarnation_cancelled():
+    """On the worker ring: 1 run in 25 of tests/test_procs.py::
+    test_procs_worker_crash_recovery ended two commits short that
+    way."""
+    core, proc, _hub, source, _sink = forward_pair()
+    cancel_after_the_image_then_crash(
+        proc, source, core._flush, core._take_checkpoint, core._crash)
+    # The antimessage for P was not sent twice.
     assert core.endpoint.stats.suppressed_resends == 1
+
+
+def test_model_fabric_crash_rolls_back_sends_the_dead_incarnation_cancelled():
+    """The same hole on the modelled fabric, closed by the same
+    function (``fabric.recovery.reconcile_outgoing``)."""
+    model, source, sink = forward_model()
+    machine = ParallelMachine(
+        model, 2, protocol="optimistic",
+        partition={source.lp_id: 0, sink.lp_id: 1},
+        fault_plan=FaultPlan(seed=1), recovery=True)
+    fabric = machine.fabric
+    cancel_after_the_image_then_crash(
+        machine.procs[0], source, lambda: None,
+        lambda: fabric.on_gvt_round(machine), lambda: fabric.crash(0))
+    assert fabric.stats.suppressed_resends == 1
 
 
 def test_crash_notice_is_answered_with_the_peers_own_horizon():
@@ -528,6 +558,56 @@ def test_crash_notice_is_answered_with_the_peers_own_horizon():
     # exchange ends there.
     core._on_recover(1, {}, 0)
     assert posted() == [("batch", 0, [(0, sent)])]
+
+
+def test_a_due_crash_never_shares_a_token_with_a_commit():
+    """docs/protocol.md §3.6: no commit is issued from cuts a dead
+    incarnation contributed to.  The initiator used to pop the crash
+    schedule inside the block that issued commit k, so the die and a
+    commit computed from the victim's pre-crash cut travelled together:
+    the victim restored the image of commit k - 1, then applied k."""
+    core, proc, hub, source, _sink = forward_pair()
+    core._crash_schedule = [(1, 1)]
+
+    def lap():
+        """Worker 1's side of a wave, faked: it has received all that
+        was sent and holds nothing.  Returns the token the initiator
+        forwarded and the counted envelopes posted with it."""
+        token, posted = None, []
+        while not hub[1].inbox.empty():
+            envelope = hub[1].inbox.get()
+            if envelope[0] == "token":
+                token = envelope[1]
+            else:
+                posted.append(envelope[3])
+        token["recv"][(0, 1)] = core._sent_to.get(1, 0)
+        core._completed_token = token
+        return token, posted
+
+    def dies(posted):
+        return [envelope for envelope in posted if envelope[0] == "die"]
+
+    proc.deliver(ev(source.lp_id, 10, payload="x"))
+    core._initiate()                        # wave 0 goes out
+    lap()
+    core._initiate()                        # wave 0 back: commit 1
+    token, posted = lap()
+    assert token["commit"] == VirtualTime(10, 0) and not dies(posted)
+
+    while proc.act():                       # the committed event runs;
+        pass                                # its unacknowledged send is
+    core._flush()                           # every later wave's minimum
+    core._initiate()                        # wave 1 back: the crash is due
+    token, posted = lap()
+    assert dies(posted) == [("die", 0)]
+    assert token["commit"] is None and not token["settled"]
+    core._initiate()                        # wave 2: the die may land
+    token, posted = lap()                   # on either side of its cut
+    assert token["commit"] is None and not token["settled"]
+    assert not dies(posted)
+    core._initiate()                        # wave 3 is trusted again
+    token, _posted = lap()
+    assert token["commit"] == VirtualTime(11, 0)
 
 
 def test_window_halved_to_nothing_opens_again():

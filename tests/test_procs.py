@@ -25,7 +25,7 @@ from repro.circuits import build_dct, build_fsm, build_iir, build_random
 from repro.fabric.plan import FaultPlan
 from repro.parallel.engine import ProtocolError
 from repro.parallel.procs import (START_ENV, ProcsMachine,
-                                  resolve_start_method, run_procs)
+                                  resolve_start_method)
 from repro.vhdl import simulate
 
 RUN_BUDGET_S = float(os.environ.get("REPRO_TEST_TIMEOUT_S", "120"))
@@ -39,16 +39,20 @@ needs_spawn = pytest.mark.skipif(
     reason="platform does not offer the spawn start method")
 
 
-def run_with_budget(model, processors, protocol, machine=None,
+@pytest.fixture
+def machine():
+    """The ``WorkerCore`` machine under test.  ``tests/test_threads.py``
+    re-runs the shared-core tests below with ``ThreadedMachine``."""
+    return ProcsMachine
+
+
+def run_with_budget(model, processors, protocol, machine=ProcsMachine,
                     timeout_s=RUN_BUDGET_S, **kwargs):
-    """Run the procs backend under the module's deadline budget
-    (``machine``: a ``ProcsMachine`` subclass to run instead)."""
+    """Run ``machine`` (``ProcsMachine`` or a subclass) under the
+    module's deadline budget."""
     try:
-        if machine is not None:
-            return machine(model, processors, protocol=protocol,
-                           **kwargs).run(timeout_s=timeout_s)
-        return run_procs(model, processors=processors, protocol=protocol,
-                         timeout_s=timeout_s, **kwargs)
+        return machine(model, processors, protocol=protocol,
+                       **kwargs).run(timeout_s=timeout_s)
     except ProtocolError as failure:
         partial = getattr(failure, "partial_stats", None)
         detail = ""
@@ -57,12 +61,12 @@ def run_with_budget(model, processors, protocol, machine=None,
                       f"{partial.events_committed} committed, "
                       f"{partial.events_executed} executed, "
                       f"{partial.rollbacks} rollbacks)")
-        pytest.fail(f"procs run failed within {timeout_s:.0f}s "
-                    f"budget: {failure}{detail}")
+        pytest.fail(f"{machine.backend_name} run failed within "
+                    f"{timeout_s:.0f}s budget: {failure}{detail}")
 
 
 def assert_matches_sequential(build, protocol, processors=3, **kwargs):
-    """One differential check: procs waves == sequential waves."""
+    """One differential check: the machine's waves == sequential waves."""
     ref_circuit = build()
     ref = simulate(ref_circuit.design)
     circuit = build()
@@ -99,10 +103,11 @@ def test_procs_random_logic_optimistic():
 
 
 @needs_fork
-def test_procs_fault_plan_drop_reorder():
+def test_procs_fault_plan_drop_reorder(machine):
     """Lossy, duplicating, reordering fabric; results still exact."""
     outcome = assert_matches_sequential(
         lambda: build_fsm(cells=4, cycles=4), "optimistic",
+        machine=machine,
         fault_plan=FaultPlan(drop=0.08, duplicate=0.05, reorder=0.08,
                              seed=7))
     stats = outcome.stats
@@ -113,21 +118,27 @@ def test_procs_fault_plan_drop_reorder():
 
 
 @needs_fork
-def test_procs_worker_crash_recovery():
-    """A worker process loses its volatile state mid-run and recovers
-    from its checkpoint + peers' journal replay; waves stay exact."""
+def test_procs_worker_crash_recovery(machine):
+    """A worker loses its volatile state mid-run and recovers from its
+    checkpoint + peers' journal replay; waves stay exact."""
     outcome = assert_matches_sequential(
         lambda: build_fsm(cells=4, cycles=4), "optimistic",
+        machine=machine,
         fault_plan=FaultPlan(seed=11).with_crashes((2, 1)))
-    assert outcome.stats.crashes >= 1
-    assert outcome.stats.recoveries >= 1
+    assert outcome.stats.crashes == 1
+    assert outcome.stats.recoveries == 1
     # ``replayed > 0`` is asserted by the next test, where it is owed:
     # here the OS decides where the crash lands, and workers that bound
     # their optimism often wait for a commit with their links drained,
     # so the victim's peers may hold nothing above its checkpoint.
 
 
-class CrashAfterDelivery(ProcsMachine):
+def mixed_into(machine, mixin):
+    """``mixin`` over ``machine``: the hand-made worker of one test."""
+    return type(mixin.__name__, (mixin, machine), {})
+
+
+class CrashAfterDelivery:
     """A scheduled crash is held back until the victim has delivered
     input beyond its last checkpoint's horizon: wherever the OS lets
     the notice land, a peer then provably owes a journal replay."""
@@ -150,13 +161,13 @@ class CrashAfterDelivery(ProcsMachine):
 
 
 @needs_fork
-def test_procs_crash_replays_the_peers_journal():
+def test_procs_crash_replays_the_peers_journal(machine):
     """End to end on real workers: a crash rewinds the victim's
     delivery horizons to its checkpoint, and what it had delivered
     since comes back from the senders' journals."""
     outcome = assert_matches_sequential(
         lambda: build_fsm(cells=4, cycles=4), "optimistic",
-        machine=CrashAfterDelivery,
+        machine=mixed_into(machine, CrashAfterDelivery),
         fault_plan=FaultPlan(seed=11).with_crashes((2, 1)))
     assert outcome.stats.crashes == 1
     assert outcome.stats.recoveries == 1
@@ -167,18 +178,19 @@ def test_procs_crash_replays_the_peers_journal():
 # Bounded optimism: the GVT + delta execution window (ISSUE 16).
 # ---------------------------------------------------------------------------
 @needs_fork
-def test_procs_gate_iir_optimistic_is_bounded():
+def test_procs_gate_iir_optimistic_is_bounded(machine):
     """The former rollback storm: gate-level iir + optimistic executed
     11-16 events per committed one (11-23 s) before workers bounded
     their optimism; the window keeps it near 1.3 (under 2 s)."""
     outcome = assert_matches_sequential(build_iir, "optimistic",
-                                        processors=2, timeout_s=30)
+                                        processors=2, timeout_s=30,
+                                        machine=machine)
     stats = outcome.stats
     assert stats.events_executed <= 3 * stats.events_committed
     assert stats.window_stalls > 0
 
 
-class ClosedWindow(ProcsMachine):
+class ClosedWindow:
     """Delta pinned at 0, the tightest window: every worker executes
     only what lies at the committed GVT's physical time."""
 
@@ -189,12 +201,12 @@ class ClosedWindow(ProcsMachine):
 @needs_fork
 @pytest.mark.parametrize("protocol", ["optimistic", "mixed",
                                       "conservative"])
-def test_procs_closed_window_is_live(protocol):
+def test_procs_closed_window_is_live(machine, protocol):
     """Any delta >= 0 is live: the globally lowest unprocessed event is
     what the next wave commits, and it then lies inside every window."""
     outcome = assert_matches_sequential(
         lambda: build_fsm(cells=4, cycles=4), protocol, processors=2,
-        machine=ClosedWindow)
+        machine=mixed_into(machine, ClosedWindow))
     assert outcome.stats.window_grows == 0
     assert outcome.stats.window_stalls > 0
 

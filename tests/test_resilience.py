@@ -237,17 +237,25 @@ class TestModelStalls:
         assert outcome.stats.vt_spread_samples == 0
 
 
-class TestThreadsStalls:
+class _RingStalls:
+    """Stall diagnosis on the worker ring; one body, every
+    in-host ``WorkerCore`` backend (set ``backend`` and ``run``)."""
+
+    backend = None
+    run = None
+
     def test_stalled_workers_are_diagnosed(self, monkeypatch):
-        # No worker ever executes: queues stay full, GVT freezes, and
-        # the wall-clock watchdog must end the run with forensics well
-        # inside the run deadline.
+        # No worker ever executes (procs workers inherit the patch
+        # through fork): queues stay full, GVT freezes, every worker's
+        # wall-clock watchdog trips and the parent surfaces the first
+        # report, with forensics, well inside the run deadline.
         monkeypatch.setattr(Processor, "act", lambda self: False)
         with pytest.raises(ProtocolError) as caught:
-            run_threaded(_model(), 2, protocol="optimistic",
-                         watchdog_s=0.4, timeout_s=30.0)
+            self.run(_model(), 2, protocol="optimistic",
+                     watchdog_s=0.4, timeout_s=30.0)
         report = caught.value.stall_report
-        assert report.backend == "threads"
+        assert report.backend == self.backend
+        assert report.origin in (0, 1)
         assert "no GVT advance" in report.reason
         assert report.bound == pytest.approx(0.4)
         assert report.lp_clocks
@@ -256,11 +264,11 @@ class TestThreadsStalls:
 
     def test_stall_trips_deterministically_under_a_fake_clock(
             self, monkeypatch):
-        # Same sabotage, but the engine's watchdog runs on a FakeClock
+        # Same sabotage, but the workers' watchdogs run on a FakeClock
         # that jumps a full second per probe: the stall window elapses
         # in fake time, so the diagnosis does not depend on how long
-        # the host actually takes to spin through global rounds.
-        import repro.parallel.threads as threads_mod
+        # the host actually takes to spin through the worker loop.
+        import repro.parallel.backend as backend_mod
 
         def fake_watchdog(bound_s):
             clock = FakeClock()
@@ -270,45 +278,30 @@ class TestThreadsStalls:
                                        real_tick(marker))[1]
             return dog
 
-        monkeypatch.setattr(threads_mod, "WallClockWatchdog",
+        monkeypatch.setattr(backend_mod, "WallClockWatchdog",
                             fake_watchdog)
         monkeypatch.setattr(Processor, "act", lambda self: False)
         with pytest.raises(ProtocolError) as caught:
-            run_threaded(_model(), 2, protocol="optimistic",
-                         watchdog_s=3.0, timeout_s=30.0)
+            self.run(_model(), 2, protocol="optimistic",
+                     watchdog_s=3.0, timeout_s=30.0)
         report = caught.value.stall_report
-        assert report.backend == "threads"
+        assert report.backend == self.backend
         assert "no GVT advance" in report.reason
         assert report.bound == pytest.approx(3.0)
 
     def test_healthy_run_records_liveness_stats(self):
-        outcome = run_threaded(_model(), 2, protocol="optimistic",
-                               timeout_s=60.0)
+        outcome = self.run(_model(), 2, protocol="optimistic",
+                           timeout_s=60.0)
         assert outcome.stats.watchdog_stalls == 0
         assert outcome.stats.watchdog_probes > 0
         assert outcome.stats.vt_spread_samples > 0
 
 
-class TestProcsStalls:
-    def test_stalled_workers_are_diagnosed(self, monkeypatch):
-        # The patch is inherited through fork, so every worker spins
-        # without executing; each worker's watchdog trips and the
-        # parent surfaces the first report.
-        monkeypatch.setattr(Processor, "act", lambda self: False)
-        with pytest.raises(ProtocolError) as caught:
-            run_procs(_model(), 2, protocol="optimistic",
-                      watchdog_s=0.5, timeout_s=30.0)
-        report = getattr(caught.value, "stall_report", None)
-        assert report is not None
-        assert report.backend == "procs"
-        assert report.origin in (0, 1)
-        assert "no GVT advance" in report.reason
-        assert report.lp_clocks
-        assert caught.value.partial_stats is not None
+class TestThreadsStalls(_RingStalls):
+    backend = "threads"
+    run = staticmethod(run_threaded)
 
-    def test_healthy_run_records_liveness_stats(self):
-        outcome = run_procs(_model(), 2, protocol="optimistic",
-                            timeout_s=60.0)
-        assert outcome.stats.watchdog_stalls == 0
-        assert outcome.stats.watchdog_probes > 0
-        assert outcome.stats.vt_spread_samples > 0
+
+class TestProcsStalls(_RingStalls):
+    backend = "procs"
+    run = staticmethod(run_procs)

@@ -1,23 +1,38 @@
 """Real-thread backend: concurrency demonstration with exact results.
 
+The threads backend is the ``WorkerCore`` ring over in-process queues,
+so beside its own differential runs it joins the shared-core matrix of
+``tests/test_procs.py`` (hostile fabric, crash recovery, journal
+replay, the closed-window liveness cases, bounded optimism on the
+gate-level iir): those tests are imported and re-run here with the
+``machine`` fixture overridden.  What is particular to threads is
+tested below them: no thread outlives ``run()``, nothing is pickled,
+and workers sharing the live LP runtimes stay oracle-identical.
+
 Timing policy: no magic wall-clock sleeps.  Every run gets one
 *deadline budget*, derived from ``REPRO_TEST_TIMEOUT_S`` (default
 120 s — generous on purpose: the budget is a hang detector, not a
-performance assertion) and handed to the backend, whose internal
-barrier waits are themselves derived from that same deadline (see
-``ThreadedMachine._barrier_timeout``).  A deadline overrun surfaces
-the run's ``partial_stats`` so CI logs show *where* the machine
-stopped instead of a bare timeout.
+performance assertion) and handed to the backend.  A deadline overrun
+surfaces the run's ``partial_stats`` so CI logs show *where* the
+machine stopped instead of a bare timeout.
 """
 
 import os
+import sys
+import threading
 
 import pytest
 
 from repro.circuits import build_fsm, build_random
-from repro.parallel.engine import ProtocolError
+from repro.core import NS
+from repro.fabric.plan import FaultPlan
+from repro.parallel.engine import Processor, ProtocolError
+from repro.parallel.procs import START_ENV
 from repro.parallel.threads import ThreadedMachine, run_threaded
-from repro.vhdl import simulate
+from repro.vhdl import CombinationalBody, Design, SL_0, SL_1, simulate
+
+from tests import test_procs as ring
+from tests.test_kernel_semantics import pulse_stim
 
 #: One deadline budget for every threaded run in this module,
 #: overridable for slow or instrumented CI environments.
@@ -60,10 +75,10 @@ def test_threaded_matches_sequential(protocol):
     assert traces == ref.traces
     assert outcome.stats.events_committed == ref.stats.events_committed
     assert outcome.gvt_rounds >= 1
-    # The execution window belongs to ``WorkerCore`` (procs, dist).
-    stats = outcome.stats
-    assert (stats.window_stalls, stats.window_shrinks,
-            stats.window_grows) == (0, 0, 0)
+    # Thread workers bound their optimism like every ``WorkerCore``
+    # worker: the window starts closed, so the first look beyond
+    # physical time zero is refused and counted.
+    assert outcome.stats.window_stalls > 0
 
 
 def test_threaded_fsm():
@@ -81,3 +96,95 @@ def test_threaded_rejects_dynamic():
     model = build_random(1).design.elaborate()
     with pytest.raises(ValueError):
         ThreadedMachine(model, 2, protocol="dynamic")
+
+
+# ---------------------------------------------------------------------------
+# The shared WorkerCore matrix, on threads.
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def machine():
+    return ThreadedMachine
+
+
+test_threads_hostile_fabric = ring.test_procs_fault_plan_drop_reorder
+test_threads_worker_crash_recovery = ring.test_procs_worker_crash_recovery
+test_threads_crash_replays_the_peers_journal = \
+    ring.test_procs_crash_replays_the_peers_journal
+test_threads_closed_window_is_live = ring.test_procs_closed_window_is_live
+test_threads_gate_iir_optimistic_is_bounded = \
+    ring.test_procs_gate_iir_optimistic_is_bounded
+
+
+# ---------------------------------------------------------------------------
+# Particular to threads.
+# ---------------------------------------------------------------------------
+def test_no_thread_outlives_run(monkeypatch):
+    """Success, a diagnosed stall and a deadline overrun all leave the
+    process with the threads it had: workers cannot be terminated, so
+    the parent stops them with the ring's own envelope."""
+    baseline = threading.active_count()
+
+    def model():
+        return build_fsm(cells=6, cycles=10).design.elaborate()
+
+    run_with_budget(model(), 3, "optimistic")
+    assert threading.active_count() == baseline
+
+    with pytest.raises(ProtocolError, match="deadline"):
+        ThreadedMachine(model(), 3).run(timeout_s=0.01)
+    assert threading.active_count() == baseline
+
+    monkeypatch.setattr(Processor, "act", lambda self: False)
+    with pytest.raises(ProtocolError) as caught:
+        run_threaded(model(), 3, watchdog_s=0.2, timeout_s=30.0)
+    assert caught.value.stall_report is not None
+    assert threading.active_count() == baseline
+
+
+def test_nothing_is_pickled_whatever_the_start_method(monkeypatch):
+    """Lambda bodies and a generator stimulus cannot cross a spawn
+    boundary; the threads backend has none to cross, even when the
+    environment asks the procs backend to spawn."""
+    monkeypatch.setenv(START_ENV, "spawn")
+
+    def build():
+        design = Design("chain")
+        a = design.signal("a", SL_0, traced=True)
+        b = design.signal("b", SL_0, traced=True)
+        c = design.signal("c", SL_0, traced=True)
+        design.process("buf1", CombinationalBody([a], [b], lambda v: ~v))
+        design.process("buf2", CombinationalBody([b], [c], lambda v: ~v))
+        design.stimulus(
+            "stim", pulse_stim(a, [(SL_1, 1 * NS), (SL_0, 3 * NS),
+                                   (SL_1, 4 * NS)]), drives=[a])
+        return design
+
+    reference = simulate(build())
+    design = build()
+    outcome = run_with_budget(design.elaborate(), 2, "mixed")
+    assert {s.name: s.trace() for s in design.signals} == reference.traces
+    assert outcome.stats.events_committed \
+        == reference.stats.events_committed
+
+
+def test_shared_runtimes_stay_exact_under_a_hostile_scheduler():
+    """Thread workers read their peers' live ``mode``/``cons_epoch``
+    (procs workers hold replicas).  More workers than cores, a 10 us
+    switch interval, conservative and optimistic LPs side by side and a
+    crash that bumps epochs mid-run: a torn or stale read that let a
+    conservative LP trust a dead promise would commit a wrong wave."""
+    reference = simulate(build_random(42).design)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for seed in (1, 2, 3):
+            circuit = build_random(42)
+            plan = FaultPlan(seed=seed, drop=0.02).with_crashes((3, 2))
+            outcome = run_with_budget(circuit.design.elaborate(), 4,
+                                      "mixed", fault_plan=plan)
+            traces = {s.name: s.trace() for s in circuit.design.signals
+                      if s.traced}
+            assert traces == reference.traces
+            assert outcome.stats.recoveries == 1
+    finally:
+        sys.setswitchinterval(interval)
