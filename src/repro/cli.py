@@ -647,7 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "on stdout")
     p_srv.add_argument("--once", action="store_true",
                        help="exit after serving one coordinator run "
-                            "(used by the auto-spawn path)")
+                            "(a daemon the coordinator spawns itself "
+                            "serves many, and exits with its owner)")
     p_srv.set_defaults(handler=cmd_serve)
 
     p_chk = sub.add_parser(

@@ -141,6 +141,17 @@ class RunStats:
     #: Stalls diagnosed by the watchdog (0 on any healthy run).
     watchdog_stalls: int = 0
 
+    def __getstate__(self) -> dict:
+        """Pickle only the counters that moved: a dist checkpoint
+        upload carries two of these, a ``done`` frame one, and most of
+        their fifty-odd fields are zero."""
+        return {name: value for name, value in self.__dict__.items()
+                if value != _FRESH[name]}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__()
+        self.__dict__.update(state)
+
     def count_execution(self, lp_id: int) -> None:
         self.events_executed += 1
         self.events_per_lp[lp_id] = self.events_per_lp.get(lp_id, 0) + 1
@@ -259,3 +270,7 @@ class RunStats:
                 f"deadlock_recoveries={self.deadlock_recoveries} "
                 f"mode_switches={self.mode_switches} "
                 f"efficiency={self.efficiency:.3f}")
+
+
+#: What ``__getstate__`` leaves out: the fields of a fresh instance.
+_FRESH = RunStats().__dict__

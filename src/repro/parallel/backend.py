@@ -234,6 +234,9 @@ class WorkerCore:
         self._last_token_out: Optional[dict] = None
         self._stop_info: Optional[tuple] = None
         self._ckpt = None
+        #: A commit was applied and its checkpoint not taken yet: the
+        #: worker takes it right after forwarding the token.
+        self._ckpt_owed = False
         self._ckpt_marks: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
         #: Sender marks of the checkpoint before ``_ckpt`` — where its
         #: delta's journal tail starts; None when ``_ckpt`` is a full
@@ -402,6 +405,12 @@ class WorkerCore:
                 token, self._held_token = self._held_token, None
                 self._visit(token)
                 self._forward(token)
+            if self._ckpt_owed:
+                # Forward first, image after: the checkpoint of the
+                # commit this visit applied overlaps the peer's visit
+                # (docs/distributed.md has the recovery argument).
+                self._ckpt_owed = False
+                self._take_checkpoint()
             if self._stop_info is not None:
                 return
             if not progressed and self._held_token is None \
@@ -672,7 +681,7 @@ class WorkerCore:
         proc.rearm_blocked()
         self._move_window(gvt)
         if self.recovery:
-            self._take_checkpoint()
+            self._ckpt_owed = True
 
     # ------------------------------------------------------------------
     # Bounded optimism (docs/protocol.md): the GVT + delta window
@@ -776,10 +785,11 @@ class WorkerCore:
                 # No commit is issued from cuts a dead incarnation
                 # contributed to (docs/protocol.md §3.6).  The die goes
                 # out *before* this wave is judged: the last commit has
-                # been applied (and checkpointed) everywhere, this
-                # wave's cuts are the dying incarnation's, and so may
-                # the next one's be — the notice can land on either
-                # side of the victim's next visit.
+                # been applied everywhere (and is imaged before the
+                # victim reads another envelope), this wave's cuts are
+                # the dying incarnation's, and so may the next one's
+                # be — the notice can land on either side of the
+                # victim's next visit.
                 _at, victim = self._crash_schedule.pop(0)
                 self._post(victim, ("die", self._index))
                 self._revalidate = 2
@@ -1020,8 +1030,16 @@ class WorkerCore:
             if n > self._recv_from.get(src, 0):
                 self._recv_from[src] = n
         endpoint = self.endpoint
+        horizon, ahead = self._gvt, False
         for dst, envelope in tail:
-            if envelope[0] != "c":  # pragma: no cover - relay is counted
+            if envelope[0] == "token":
+                # Forwarded after the image: the dead incarnation cut
+                # this wave, having applied the commit aboard.
+                ahead = True
+                token = envelope[1]
+                self._cut_wave = max(self._cut_wave, token["wave"])
+                if token["commit"] is not None:
+                    horizon = max(horizon, token["commit"])
                 continue
             _tag, _src, count, inner = envelope
             if count > self._sent_to.get(dst, 0):
@@ -1034,6 +1052,50 @@ class WorkerCore:
                     if seq >= link.next_seq:
                         link.next_seq = seq + 1
         self._crash()
+        if self._index:
+            self._rejoin(horizon, ahead)
+
+    def _rejoin(self, horizon: VirtualTime, ahead: bool) -> None:
+        """A restored non-initiator rejoins the ring behind a barrier:
+        it executes and cuts nothing until every peer has answered its
+        crash notice (the answer trails the peer's replay, so every
+        input the dead incarnation consumed is queued again) and the
+        token has come round.  Then ``horizon`` — the last commit the
+        dead incarnation applied, read off the sent-tail's tokens; it
+        was judged from a cut that precedes the image — is applied.
+        If a dead cut postdates the image (``ahead``), the commit on
+        the token now held was judged from it: what lies below it is
+        final but yet to be executed *again* here, so it is a licence
+        to execute (safety bound, window), never a flush or a fossil
+        point.  docs/distributed.md, "Forward first, image after".
+        """
+        owed = set(range(self.processors)) - {self._index}
+        deadline = time.monotonic() + self._timeout_s
+        while (owed or self._held_token is None) \
+                and self._stop_info is None:
+            envelope = self._recv_envelope(0.05)
+            if envelope is None:
+                if time.monotonic() > deadline:
+                    self._stall(f"worker {self._index} restored but "
+                                f"never rejoined: no answer from "
+                                f"{sorted(owed)}")
+                continue
+            if envelope[0] == "c" and envelope[3][0] == "recover":
+                owed.discard(envelope[3][1])
+            self._dispatch(envelope)
+        self._apply_commit(horizon)
+        token = self._held_token
+        if ahead and token is not None and token["commit"] is not None:
+            commit, token["commit"] = token["commit"], None
+            proc = self._proc
+            if commit > proc.gvt_bound:
+                proc.gvt_bound = commit
+                proc.window_end = max(proc.window_end, commit.pt)
+                proc.rearm_blocked()
+            self._held_token = None
+            self._visit(token)
+            token["commit"] = commit
+            self._forward(token)
 
     def _on_recover(self, victim: int, epochs: Dict[int, int],
                     floor: int) -> None:

@@ -40,18 +40,20 @@ coordinator-side state close the remaining holes:
   ``WorkerCore._resend_token``).
 * **Checkpoint uploads** — workers upload their durable image
   (processor checkpoint + fabric endpoint + ring bookkeeping) at every
-  checkpoint: a keyframe now and then, in between deltas holding what
-  changed since the upload before (``_DistWorkerCore._checkpoint_taken``).
+  checkpoint, behind the token that carried its commit: a keyframe now
+  and then, in between deltas holding what changed since the upload
+  before (``_DistWorkerCore._checkpoint_taken``).
   The coordinator keeps the chain as opaque blobs; a killed worker
   process is restored onto a *fresh* daemon, which folds it.
-* **The sent-tail** — the coordinator retains every counted frame it
-  relayed *from* a worker since the last upload its chain took
-  (per-connection FIFO makes the cut exact).  On restore the tail is
-  spliced back into the fabric journal
+* **The sent-tail** — the coordinator retains every counted frame
+  and token it relayed *from* a worker since the last upload its chain
+  took (per-connection FIFO makes the cut exact).  On restore the tail
+  is spliced back into the fabric journal
   (``WorkerCore._restore_incarnation``), so the dead incarnation's
   post-checkpoint sends — which the world has seen — are reconciled
   through the standard lazy-cancellation crash path instead of
-  becoming phantom positives.
+  becoming phantom positives, and the tokens tell it which waves the
+  dead incarnation cut past its image (``WorkerCore._rejoin``).
 
 **Security.**  Frames are pickles (the coordinator ships real models
 with process-body callables).  Trusted networks only — localhost, a
@@ -64,9 +66,11 @@ Like the other real backends, dist supports the static protocols only
 from __future__ import annotations
 
 import asyncio
+import atexit
 import os
 import pickle
 import queue as queue_module
+import stat
 import subprocess
 import sys
 import threading
@@ -94,6 +98,10 @@ DEFAULT_PORT = 7421
 #: Stdout announcement a daemon prints once it is listening (the
 #: coordinator parses this to learn an auto-spawned worker's port).
 PORT_BANNER = "REPRO-DIST-WORKER PORT="
+
+#: First line on the stdin pipe of a daemon a coordinator spawns: the
+#: daemon exits at that pipe's EOF, i.e. however its owner dies.
+OWNER_BANNER = "REPRO-DIST-OWNER\n"
 
 
 @dataclass
@@ -398,9 +406,30 @@ async def _serve_async(host: str, port: int, once: bool,
         await daemon.closed.wait()
 
 
+def _die_with_owner() -> None:
+    """Exit at EOF of stdin if it is a pipe that opens with
+    :data:`OWNER_BANNER`; any other stdin (a terminal, ``/dev/null``,
+    a pipe that says something else or nothing) is left alone."""
+    try:
+        if not stat.S_ISFIFO(os.fstat(0).st_mode):
+            return
+    except OSError:
+        return
+
+    def watch() -> None:
+        with open(0, closefd=False) as owner:
+            if owner.readline() == OWNER_BANNER:
+                owner.read()
+                os._exit(0)
+
+    threading.Thread(target=watch, daemon=True,
+                     name="repro-dist-owner").start()
+
+
 def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
           once: bool = False, announce: bool = True) -> None:
     """Run a worker daemon until told to exit (`repro serve`)."""
+    _die_with_owner()
     try:
         asyncio.run(_serve_async(host, port, once, announce=announce))
     except KeyboardInterrupt:  # pragma: no cover - interactive use
@@ -410,6 +439,37 @@ def serve(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
 # ======================================================================
 # Coordinator side
 # ======================================================================
+#: Warm localhost daemons between the runs of this process, as
+#: ``(process, port)`` (docs/distributed.md, "Daemon lifecycle").
+_idle: List[Tuple[subprocess.Popen, int]] = []
+_idle_lock = threading.Lock()
+
+
+def _reap(proc: subprocess.Popen) -> None:
+    with proc:  # closes its pipes and waits
+        proc.kill()
+
+
+def _park_local(daemons: List[Tuple[subprocess.Popen, int]]) -> None:
+    """End of a run: ``daemons`` become the idle set.  Whatever was
+    idle and not checked out is reaped, so the registry never holds
+    more than the last run used."""
+    with _idle_lock:
+        stale, _idle[:] = list(_idle), daemons
+    for proc, _port in stale:
+        _reap(proc)
+
+
+def shutdown_local_daemons() -> None:
+    """Kill and reap every idle warm daemon (also runs at exit)."""
+    _park_local([])
+
+
+atexit.register(shutdown_local_daemons)
+# A forked child (a procs worker, a pool worker) does not own them.
+os.register_at_fork(after_in_child=_idle.clear)
+
+
 class _WorkerLink:
     """Coordinator-side state of one worker connection."""
 
@@ -431,9 +491,9 @@ class _WorkerLink:
         #: number of the last one (a delta must name it as its base).
         self.ckpt: List[bytes] = []
         self.ckpt_head = -1
-        #: Counted frames relayed *from* this worker since the last
-        #: checkpoint upload the chain took: (dst, envelope) in relay
-        #: order.
+        #: Counted frames and tokens relayed *from* this worker since
+        #: the last checkpoint upload the chain took: (dst, envelope)
+        #: in relay order.
         self.tail: List[Tuple[int, tuple]] = []
         #: Counted envelopes owed *to* this worker while it is
         #: unreachable, flushed in order on reconnect.  Batches alone
@@ -454,8 +514,10 @@ class _WorkerLink:
         #: the peer's sent count forever and the GVT ring never
         #: settles again.
         self.recv_marks: Dict[int, int] = {}
-        #: Popen handle when the coordinator auto-spawned the daemon.
+        #: Popen handle when the coordinator auto-spawned the daemon
+        #: or checked it out warm; never returned once ``killed``.
         self.proc: Optional[subprocess.Popen] = None
+        self.warm = self.killed = False
         self.reconnecting = False
         self.reader_task: Optional[asyncio.Task] = None
 
@@ -559,6 +621,7 @@ class DistMachine:
             watchdog_s=self._watchdog_s, timeout_s=timeout_s)
         self._links = [_WorkerLink(i) for i in range(self.processors)]
         self._tasks: List[asyncio.Task] = []
+        clean = False
         try:
             # All links come up together: daemon start-up (interpreter
             # + imports) is the longest step of a short run and the
@@ -583,10 +646,13 @@ class DistMachine:
                     timeout=max(0.0, self._deadline - time.monotonic()))
             except asyncio.TimeoutError:
                 pass
+            clean = (self._error is None
+                     and len(self._results) == self.processors)
         finally:
             self._finishing = True
             for task in self._tasks:
                 task.cancel()
+            keep = []  # warm only after a run that proved them sound
             for link in self._links:
                 if link.writer is not None:
                     try:
@@ -597,12 +663,13 @@ class DistMachine:
                         link.writer.close()
                     except Exception:
                         pass
-                if link.proc is not None:
-                    try:
-                        link.proc.kill()
-                        link.proc.wait(timeout=5.0)
-                    except Exception:
-                        pass
+                if link.proc is None:
+                    continue
+                if clean and not link.killed:
+                    keep.append((link.proc, link.port))
+                else:
+                    _reap(link.proc)
+            _park_local(keep)
         partial = RunStats()
         for message in self._results.values():
             partial.merge(message[2])
@@ -663,10 +730,29 @@ class DistMachine:
             link.port = int(port) if port else DEFAULT_PORT
         else:
             await self._spawn_local(link)
-        await self._connect(link, fresh=True)
+        try:
+            await self._connect(link, fresh=True)
+        except (ConnectionError, OSError, WireError,
+                asyncio.IncompleteReadError):
+            if not link.warm:
+                raise
+            _reap(link.proc)  # alive but not answering: start over
+            await self._spawn_local(link)
+            await self._connect(link, fresh=True)
 
     async def _spawn_local(self, link: _WorkerLink) -> None:
-        """Start a localhost daemon; parse its port announcement."""
+        """Give ``link`` a localhost daemon: a warm one that is still
+        alive, else a fresh one (parse its port announcement)."""
+        link.host = "127.0.0.1"
+        while True:
+            with _idle_lock:
+                if not _idle:
+                    break
+                link.proc, link.port = _idle.pop()
+            link.warm = link.proc.poll() is None
+            if link.warm:
+                return
+            _reap(link.proc)  # died while idle: only pipes to close
         # The daemon must import the same `repro` this process runs —
         # which may have been put on sys.path programmatically (tests,
         # scripts) rather than via an exported PYTHONPATH.
@@ -677,14 +763,21 @@ class DistMachine:
                              env.get("PYTHONPATH", "").split(os.pathsep)
                              if p and p != pkg_dir]
         env["PYTHONPATH"] = os.pathsep.join(paths)
+        link.warm = False
         link.proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
-             "--host", "127.0.0.1", "--port", "0", "--once"],
+             "--host", "127.0.0.1", "--port", "0"],
             env=env,
+            stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=(None if os.environ.get("REPRO_DIST_DEBUG")
                     else subprocess.DEVNULL),
             text=True)
+        try:
+            link.proc.stdin.write(OWNER_BANNER)
+            link.proc.stdin.flush()
+        except OSError:
+            pass  # died already: the banner read below says so
         loop = asyncio.get_running_loop()
         try:
             line = await asyncio.wait_for(
@@ -699,7 +792,6 @@ class DistMachine:
             raise ProtocolError(
                 f"spawned worker daemon {link.index} printed "
                 f"{line!r} instead of a port announcement")
-        link.host = "127.0.0.1"
         link.port = int(line[len(PORT_BANNER):].strip())
 
     async def _connect(self, link: _WorkerLink, fresh: bool) -> None:
@@ -848,8 +940,14 @@ class DistMachine:
             target = self._links[dst]
             if envelope[0] == "token":
                 # A token FROM this worker proves it consumed its
-                # input token: release custody of that copy.
+                # input token: release custody of that copy.  It also
+                # proves a cut: the tail tells a restored successor
+                # (the latest wave and every commit are all it reads).
                 link.token_custody = None
+                if link.tail and link.tail[-1][1][0] == "token" \
+                        and link.tail[-1][1][1]["commit"] is None:
+                    link.tail.pop()
+                link.tail.append((dst, envelope))
                 wave = envelope[1].get("wave", 0)
                 target.token_custody = envelope
                 if self._pop_injection(self._disconnects, dst, wave):
@@ -923,11 +1021,8 @@ class DistMachine:
         """Kill the worker process; restore onto a fresh daemon."""
         if link.proc is None:  # pragma: no cover - guarded in __init__
             return
-        try:
-            link.proc.kill()
-            link.proc.wait(timeout=5.0)
-        except Exception:
-            pass
+        _reap(link.proc)
+        link.killed = True
         link.connected = False
         if link.writer is not None:
             try:

@@ -15,8 +15,13 @@ procs run.  Tier-1 keeps to the small fsm circuit; the wider protocol
 and victim matrices are marked ``slow``.
 """
 
+import asyncio
 import os
+import signal
 import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -26,9 +31,13 @@ from repro.fabric import wire
 from repro.fabric.plan import FaultPlan
 from repro.fabric.wire import (HEADER_SIZE, WireError, decode_frame,
                                decode_header, encode_frame)
-from repro.parallel.dist import DistMachine, run_dist
+from repro.parallel import dist
+from repro.parallel.dist import (DistMachine, run_dist,
+                                 shutdown_local_daemons)
 from repro.parallel.engine import ProtocolError
 from repro.vhdl import simulate
+
+from tests.conftest import serve_descendants
 
 RUN_BUDGET_S = float(os.environ.get("REPRO_TEST_TIMEOUT_S", "120"))
 
@@ -230,10 +239,10 @@ CLOSED_WINDOW_DAEMON = (
     "from repro.parallel.backend import WorkerCore\n"
     "from repro.parallel.dist import serve\n"
     "WorkerCore._resize_window = lambda self, *evidence: 0\n"
-    "serve('127.0.0.1', 0, once=True)\n")
+    "serve('127.0.0.1', 0)\n")
 
 
-def test_dist_closed_window_survives_a_kill(monkeypatch):
+def test_dist_closed_window_survives_a_kill(monkeypatch, cold_daemons):
     """Liveness of the window does not lean on delta, nor on the
     incarnation that sized it: a killed worker's successor starts
     over, closed, and the run still ends oracle-identical."""
@@ -255,9 +264,294 @@ def test_dist_closed_window_survives_a_kill(monkeypatch):
 def test_dist_deadline_raises_protocol_error():
     """A hopeless deadline surfaces as ProtocolError with partial
     stats, not a hang (the error path of the coordinator loop)."""
-    model = build_fsm(cells=4, cycles=4).design.elaborate()
+    model = build_fsm(cells=12, cycles=8).design.elaborate()
     with pytest.raises(ProtocolError, match="deadline"):
-        run_dist(model, 2, protocol="optimistic", timeout_s=0.05)
+        run_dist(model, 2, protocol="conservative", timeout_s=0.05)
+
+
+# ---------------------------------------------------------------------------
+# Daemon lifecycle: warm between the runs of a process, never after a
+# run that did not prove them sound, never beyond their owner.
+# ---------------------------------------------------------------------------
+def fsm_run(**kwargs):
+    return run_with_budget(build_fsm(cells=4, cycles=4).design.elaborate(),
+                           2, "optimistic", **kwargs)
+
+
+def idle_pids():
+    return sorted(proc.pid for proc, _port in dist._idle)
+
+
+def eventually(condition, within_s=2.0):
+    deadline = time.monotonic() + within_s
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+def gone(pid):
+    """No such process, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+def thread_count(pid):
+    with open(f"/proc/{pid}/status") as handle:
+        return int(handle.read().split("Threads:")[1].split()[0])
+
+
+def test_second_run_reuses_the_first_runs_daemons(cold_daemons):
+    fsm_run()
+    first = idle_pids()
+    assert len(first) == 2
+    fsm_run()
+    assert idle_pids() == first
+    assert serve_descendants(os.getpid()) == first
+    # Never more idle daemons than the last run used.
+    run_with_budget(build_fsm(cells=4, cycles=4).design.elaborate(), 3,
+                    "optimistic")
+    assert len(idle_pids()) == 3 and set(first) < set(idle_pids())
+    fsm_run()
+    assert len(idle_pids()) == 2
+    assert serve_descendants(os.getpid()) == idle_pids()
+    shutdown_local_daemons()
+    assert idle_pids() == [] == serve_descendants(os.getpid())
+
+
+def test_a_run_that_failed_returns_no_daemon(cold_daemons):
+    fsm_run()
+    first = idle_pids()
+    model = build_fsm(cells=12, cycles=8).design.elaborate()
+    with pytest.raises(ProtocolError, match="deadline"):
+        run_dist(model, 2, protocol="conservative", timeout_s=0.05)
+    assert idle_pids() == []
+    assert all(gone(pid) for pid in first)
+    assert serve_descendants(os.getpid()) == []
+
+
+def test_a_killed_links_daemon_is_not_returned(cold_daemons):
+    fsm_run()
+    first = idle_pids()
+    outcome = fsm_run(kills=[(2, 1)])
+    assert outcome.stats.recoveries >= 1
+    # Worker 0's daemon came back; neither the victim's nor the one
+    # that replaced it mid-run did.
+    assert len(idle_pids()) == 1 and idle_pids()[0] in first
+    assert serve_descendants(os.getpid()) == idle_pids()
+
+
+def test_a_daemon_killed_while_idle_is_replaced(cold_daemons):
+    fsm_run()
+    first = idle_pids()
+    victim = dist._idle[0][0]
+    victim.kill()
+    victim.wait()
+    fsm_run()
+    second = idle_pids()
+    assert len(second) == 2 and victim.pid not in second
+    assert len(set(first) & set(second)) == 1
+
+
+def test_a_warm_daemon_that_does_not_answer_is_replaced(cold_daemons):
+    """Alive by ``poll()`` but not listening where the registry says:
+    the failed ``hello`` discards it and a fresh one takes the run."""
+    fsm_run()
+    first = idle_pids()
+    proc, _port = dist._idle[0]
+    dist._idle[0] = (proc, 1)  # tcpmux: connection refused
+    fsm_run()
+    assert proc.pid not in idle_pids() and gone(proc.pid)
+    assert len(idle_pids()) == 2
+    assert len(set(first) & set(idle_pids())) == 1
+
+
+def test_back_to_back_runs_leak_no_thread(cold_daemons):
+    fsm_run()
+    pids = idle_pids()
+    assert eventually(lambda: all(thread_count(pid) == thread_count(pids[0])
+                                  for pid in pids))
+    baseline = [thread_count(pid) for pid in pids]
+    for _ in range(20):
+        fsm_run()
+    assert idle_pids() == pids
+    assert eventually(
+        lambda: [thread_count(pid) for pid in pids] == baseline)
+
+
+def test_a_daemons_sessions_end_with_their_runs():
+    """The multi-session daemon an auto-spawned worker now is, hosted
+    in this process so its ``sessions`` can be read: twenty runs leave
+    it empty, with no worker thread behind."""
+    box = {}
+    ready = threading.Event()
+
+    async def host():
+        box["daemon"] = daemon = dist._WorkerDaemon()
+        server = await asyncio.start_server(daemon.handle, "127.0.0.1", 0)
+        box["port"] = server.sockets[0].getsockname()[1]
+        box["loop"] = asyncio.get_running_loop()
+        ready.set()
+        async with server:
+            await daemon.closed.wait()
+
+    thread = threading.Thread(target=asyncio.run, args=(host(),))
+    thread.start()
+    try:
+        assert ready.wait(10.0)
+        threads = threading.active_count()
+        hosts = [f"127.0.0.1:{box['port']}"] * 2
+        for _ in range(20):
+            fsm_run(hosts=hosts)
+        daemon = box["daemon"]
+        assert eventually(lambda: not daemon.sessions)
+        assert eventually(lambda: threading.active_count() == threads)
+    finally:
+        box["loop"].call_soon_threadsafe(box["daemon"].closed.set)
+        thread.join(10.0)
+
+
+CHILD_COORDINATOR = (
+    "import sys\n"
+    "from repro.circuits import build_fsm\n"
+    "from repro.parallel import dist\n"
+    "while True:\n"
+    "    dist.run_dist(build_fsm(cells=4, cycles=4).design.elaborate(),\n"
+    "                  2, protocol='optimistic', timeout_s=60.0)\n"
+    "    print(*(proc.pid for proc, _port in dist._idle), flush=True)\n"
+    "    if sys.argv[1] == 'once':\n"
+    "        break\n")
+
+
+def child_coordinator(mode):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.dirname(dist.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.Popen([sys.executable, "-c", CHILD_COORDINATOR, mode],
+                            env=env, stdout=subprocess.PIPE, text=True)
+
+
+def test_interpreter_exit_leaves_no_daemon():
+    with child_coordinator("once") as child:
+        pids = [int(pid) for pid in child.stdout.readline().split()]
+        assert child.wait(30.0) == 0
+    assert len(pids) == 2
+    # Reaped by the exiting interpreter itself, not merely signalled.
+    assert all(gone(pid) for pid in pids)
+
+
+def test_a_sigkilled_coordinator_leaves_no_daemon():
+    """The owner pipe: a coordinator that dies without running a line
+    of clean-up (SIGKILL, the OOM killer) used to leave its daemons
+    listening for ever."""
+    with child_coordinator("forever") as child:
+        try:
+            # Past its first run: the daemons exist, warm or mid-run.
+            assert child.stdout.readline().split()
+            pids = serve_descendants(child.pid)
+            assert len(pids) == 2
+        finally:
+            child.send_signal(signal.SIGKILL)
+    assert eventually(lambda: all(gone(pid) for pid in pids), within_s=2.0)
+
+
+# ---------------------------------------------------------------------------
+# Forward first, image after (docs/distributed.md).
+# ---------------------------------------------------------------------------
+class UploadOrder(DistMachine):
+    """A coordinator that records, per worker and in arrival order,
+    the tokens it relayed *from* it (as the commit each carried) and
+    the checkpoint uploads it received from it (as their number)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.frames = {}
+
+    async def _on_frame(self, link, frame):
+        log = self.frames.setdefault(link.index, [])
+        if frame[0] == "relay" and frame[2][0] == "token":
+            log.append(("token", frame[2][1]["commit"]))
+        elif frame[0] == "ckpt":
+            log.append(("ckpt", frame[2]))
+        await super()._on_frame(link, frame)
+
+
+@pytest.mark.parametrize("protocol", ["optimistic", "conservative"])
+def test_an_upload_follows_the_token_that_carried_its_commit(protocol):
+    reference = simulate(build_fsm(cells=6, cycles=6).design)
+    design = build_fsm(cells=6, cycles=6).design
+    machine = UploadOrder(design.elaborate(), 2, protocol=protocol,
+                          partition="block")
+    outcome = machine.run(timeout_s=RUN_BUDGET_S)
+    assert {s.name: s.trace() for s in design.signals if s.traced} \
+        == reference.traces
+    assert len(machine.frames) == 2
+    for log in machine.frames.values():
+        uploads = [n for kind, n in log if kind == "ckpt"]
+        commits = [c for kind, c in log if kind == "token" and c is not None]
+        # Gap-free, and one per commit after the initial image.
+        assert uploads == list(range(len(uploads)))
+        assert len(uploads) == 1 + len(commits) == 1 + outcome.gvt_rounds
+        assert log[0] == ("ckpt", 0)
+        for before, (kind, _n) in zip(log, log[1:]):
+            if kind == "ckpt":
+                # Right behind the relay of the token that carried the
+                # commit it images — not ahead of it, on the token's path.
+                assert before[0] == "token" and before[1] is not None
+
+
+class KillBehindTheToken(DistMachine):
+    """Kills ``victim`` in the window forward-first opened: its token
+    relayed on (commit ``at_commit`` aboard), the upload imaging that
+    commit not accepted — whatever of it the dead connection still
+    holds is discarded, as if the kill had come a moment earlier."""
+
+    def __init__(self, *args, victim, at_commit=2, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.victim, self.at_commit = victim, at_commit
+        self.commits = 0
+        self.dead_reader = None
+        self.discarded = []
+
+    async def _on_frame(self, link, frame):
+        if frame[0] == "ckpt" and link.reader is self.dead_reader:
+            self.discarded.append(frame[2])
+            return
+        await super()._on_frame(link, frame)
+        if link.index == self.victim and self.dead_reader is None \
+                and frame[0] == "relay" and frame[2][0] == "token" \
+                and frame[2][1]["commit"] is not None:
+            self.commits += 1
+            if self.commits == self.at_commit:
+                self.dead_reader = link.reader
+                self.head = link.ckpt_head
+                await self._inject_kill(link)
+
+
+def kill_behind_the_token(protocol, victim):
+    reference = simulate(build_fsm(cells=4, cycles=4).design)
+    design = build_fsm(cells=4, cycles=4).design
+    machine = KillBehindTheToken(design.elaborate(), 2, protocol=protocol,
+                                 victim=victim)
+    outcome = machine.run(timeout_s=RUN_BUDGET_S)
+    assert {s.name: s.trace() for s in design.signals if s.traced} \
+        == reference.traces
+    assert outcome.stats.events_committed == reference.stats.events_committed
+    # The kill happened, and the restore was from the image *before*
+    # the commit the token had already carried on.
+    assert machine.dead_reader is not None
+    assert outcome.stats.recoveries >= 1
+    assert all(n > machine.head for n in machine.discarded)
+    return machine
+
+
+def test_dist_kill_between_token_relay_and_upload():
+    kill_behind_the_token("optimistic", victim=1)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +594,9 @@ def test_dist_kill_matrix(protocol):
             lambda: build_fsm(cells=4, cycles=4), protocol,
             kills=[(2, victim)])
         assert outcome.stats.recoveries >= 1
+        # ... and in the window between its token's relay and the
+        # upload that images the commit the token carried.
+        kill_behind_the_token(protocol, victim)
 
 
 @pytest.mark.slow

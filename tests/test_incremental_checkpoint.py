@@ -383,7 +383,7 @@ def test_orphan_delta_then_keyframe_then_restore_from_a_chain(monkeypatch):
 # ----------------------------------------------------------------------
 # (d) bring-up
 # ----------------------------------------------------------------------
-def test_concurrent_spawns_get_their_own_ports():
+def test_concurrent_spawns_get_their_own_ports(cold_daemons):
     design = build_fsm(cells=4, cycles=2).design
     machine = DistMachine(design.elaborate(), 3, protocol="optimistic")
     machine.run(timeout_s=120.0)
@@ -391,7 +391,8 @@ def test_concurrent_spawns_get_their_own_ports():
     assert all(ports) and len(set(ports)) == 3
 
 
-def test_silent_daemon_fails_the_run_and_leaves_no_child(monkeypatch):
+def test_silent_daemon_fails_the_run_and_leaves_no_child(monkeypatch,
+                                                          cold_daemons):
     """Worker 1's daemon never prints its banner: ``run()`` raises,
     the sibling bring-up is cancelled, every child is reaped."""
     children = []

@@ -8,7 +8,9 @@ additivity for event/IPC counters, ``max`` for peaks and final time,
 and dict-union-with-sum for the per-LP load map.
 """
 
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -82,6 +84,30 @@ class TestRunStats:
         assert a.final_time == VirtualTime(20, 0)
         assert a.peak_speculative == 7  # max, not sum
         assert a.events_per_lp == {1: 6, 2: 2}
+
+    def test_pickles_only_what_moved_and_comes_back_whole(self):
+        """``__getstate__`` drops default-valued fields (two of these
+        ride every dist checkpoint upload); nothing may be lost."""
+        full = _random_stats(random.Random(7))
+        for field in dataclasses.fields(RunStats):
+            if getattr(full, field.name) == getattr(RunStats(), field.name):
+                # Fully populated: no field left at its default.
+                setattr(full, field.name, {3: 1} if field.name ==
+                        "events_per_lp" else 1)
+        for stats in (full, RunStats(), RunStats(rollbacks=2)):
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(stats, protocol))
+                assert back == stats
+                assert vars(back).keys() == vars(stats).keys()
+            assert copy.deepcopy(stats) == stats
+        assert set(full.__getstate__()) == set(vars(full))
+        assert RunStats(rollbacks=2).__getstate__() == {"rollbacks": 2}
+        sparse = len(pickle.dumps(RunStats(rollbacks=2), -1))
+        assert sparse < len(pickle.dumps(full, -1)) / 5
+        # A restored instance owns its per-LP map.
+        back = pickle.loads(pickle.dumps(RunStats(), -1))
+        back.count_execution(1)
+        assert RunStats().events_per_lp == {}
 
     def test_summary_mentions_key_counters(self):
         stats = RunStats(rollbacks=4, null_messages=2)
