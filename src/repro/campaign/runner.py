@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..core.stats import RunStats
 from ..harness.check import Checker, RunReport, check_backend
 from ..harness.schedule import (DefaultScheduler, RandomScheduler,
-                                ReplayScheduler, Schedule)
+                                ReplayScheduler)
 from .axes import Scenario, ScenarioSpace
 from .corpus import Corpus
 from .triage import FailureSignature, classify
@@ -186,9 +186,9 @@ class Campaign:
         # reserved for fast failures: a diagnosed livelock runs to the
         # watchdog bound on *every* probe and would eat the whole
         # campaign budget for one artifact.
+        checker = _make_checker(scenario, until=self.until)
         if scenario.backend == "model" and decisions \
                 and outcome.duration_s < 1.0:
-            checker = _make_checker(scenario, until=self.until)
             decisions = checker.shrink(decisions, budget=SHRINK_BUDGET)
             replay = checker.run_schedule(
                 ReplayScheduler(decisions), "shrunk-replay")
@@ -198,21 +198,11 @@ class Campaign:
                 violations = list(replay.violations)
             else:  # over-shrunk (flaky failure): keep the original
                 decisions = list(report.decisions)
-        schedule = Schedule(
-            circuit=scenario.circuit,
-            circuit_seed=scenario.circuit_seed,
-            processors=scenario.processors,
-            protocol=scenario.protocol,
-            decisions=decisions, label=report.label,
-            violations=violations,
-            lazy_cancellation=scenario.lazy_cancellation,
-            circuit_params=scenario.params(),
-            fault_plan=(scenario.fault_plan.to_dict()
-                        if scenario.fault_plan is not None else None),
-            exec_mode=scenario.exec_mode)
         path = self.corpus.record(
-            signature, schedule, scenario,
-            trace_fingerprint=fingerprint, shrunk=shrunk)
+            signature,
+            checker.schedule(report, decisions=decisions,
+                             violations=violations),
+            scenario, trace_fingerprint=fingerprint, shrunk=shrunk)
         summary.new_artifacts.append(path)
 
     def run(self) -> CampaignSummary:

@@ -50,16 +50,28 @@ AXIS_CHOICES = ("topology", "faults", "schedules", "lazy", "exec")
 EXEC_CHOICES = ("interp", "compiled")
 
 
+def _usage_error(message: str) -> int:
+    """A flag's value or a configuration the machine rejects: one
+    ``repro:`` line, exit status 2 (argparse's own for bad usage)."""
+    print(f"repro: {message}", file=sys.stderr)
+    return 2
+
+
 def _parse_until(text: Optional[str]) -> Optional[int]:
     """'500ns' / '1 us' / '1000' (fs) -> femtoseconds."""
     if text is None:
         return None
     text = text.strip()
-    for unit in ("fs", "ps", "ns", "us", "ms", "sec", "s"):
-        if text.endswith(unit):
-            number = text[: -len(unit)].strip()
-            return parse_time(float(number), unit)
-    return int(text)
+    try:
+        for unit in ("fs", "ps", "ns", "us", "ms", "sec", "s"):
+            if text.endswith(unit):
+                number = text[: -len(unit)].strip()
+                return parse_time(float(number), unit)
+        return int(text)
+    except ValueError:
+        raise SystemExit(_usage_error(
+            f"--until {text!r} is not a time such as '500ns', '1 us' "
+            f"or a femtosecond count"))
 
 
 def _load_design(args):
@@ -180,18 +192,21 @@ def cmd_parallel(args) -> int:
             crashes = []
             for spec in args.crash:
                 at, _, proc = spec.partition(":")
-                crashes.append((int(at), int(proc)))
+                try:
+                    crashes.append((int(at), int(proc)))
+                except ValueError:
+                    return _usage_error(
+                        f"--crash {spec!r} is not STEP:PROC (two ints)")
             plan = plan.with_crashes(*crashes)
     backend = getattr(args, "backend", "model")
     extra = {}
     if backend != "model":
-        extra["timeout_s"] = args.timeout
+        # Every ring backend takes the same RingSpec.
+        extra.update(timeout_s=args.timeout, quantum=args.quantum)
         if args.watchdog is not None:
             extra["watchdog_s"] = args.watchdog
     elif args.watchdog is not None:
         extra["watchdog"] = int(args.watchdog)
-    if backend in ("procs", "dist"):
-        extra["quantum"] = args.quantum
     if backend == "procs" and args.start_method is not None:
         extra["start_method"] = args.start_method
     if backend == "dist" and args.hosts:
@@ -204,6 +219,8 @@ def cmd_parallel(args) -> int:
                                    backend=backend,
                                    exec_mode=args.exec,
                                    fault_plan=plan, **extra)
+    except ValueError as failure:  # a configuration the machine rejects
+        return _usage_error(str(failure))
     except ProtocolError as failure:
         report = getattr(failure, "stall_report", None)
         if report is not None:
@@ -235,6 +252,9 @@ def cmd_parallel(args) -> int:
     if plan is not None:
         print(f"  fault plan        : {plan.describe()}")
         print(f"  fabric            : {stats.fabric_summary()}")
+    if args.waves:
+        from .analysis.waves import render_waves
+        print(render_waves(result))
     if args.vcd:
         write_vcd(result, args.vcd)
         print(f"waveforms written to {args.vcd}")
@@ -271,13 +291,16 @@ def cmd_check(args) -> int:
             backend_kwargs["hosts"] = args.hosts
         failed = False
         for circuit in args.circuit:
-            run = check_backend(circuit, backend=args.backend,
-                                protocol=args.protocol,
-                                processors=args.processors,
-                                circuit_seed=args.circuit_seed,
-                                circuit_params=circuit_params,
-                                exec_mode=exec_mode,
-                                **backend_kwargs)
+            try:
+                run = check_backend(circuit, backend=args.backend,
+                                    protocol=args.protocol,
+                                    processors=args.processors,
+                                    circuit_seed=args.circuit_seed,
+                                    circuit_params=circuit_params,
+                                    exec_mode=exec_mode,
+                                    **backend_kwargs)
+            except ValueError as failure:  # rejected configuration
+                return _usage_error(str(failure))
             status = "CLEAN" if run.ok else "FAILED"
             print(f"{circuit} [{run.label}]: {status}")
             for violation in run.violations:
@@ -303,17 +326,14 @@ def cmd_check(args) -> int:
         print("result: " + ("CLEAN" if run.ok else "FAILED"))
         return 0 if run.ok else 1
 
-    watchdog = None if args.watchdog is None else int(args.watchdog)
+    checker = dict(
+        circuit_seed=args.circuit_seed, processors=args.processors,
+        protocol=args.protocol, lazy_cancellation=args.lazy_cancellation,
+        watchdog=None if args.watchdog is None else int(args.watchdog),
+        circuit_params=circuit_params, exec_mode=exec_mode)
 
     if args.record:
-        checker = Checker(args.circuit[0], circuit_seed=args.circuit_seed,
-                          processors=args.processors,
-                          protocol=args.protocol,
-                          lazy_cancellation=args.lazy_cancellation,
-                          watchdog=watchdog,
-                          circuit_params=circuit_params,
-                          exec_mode=exec_mode)
-        schedule, run = checker.record()
+        schedule, run = Checker(args.circuit[0], **checker).record()
         schedule.save(args.record)
         print(f"recorded {schedule.circuit} schedule "
               f"({len(schedule.decisions)} decisions, "
@@ -324,14 +344,7 @@ def cmd_check(args) -> int:
 
     reports = check_circuits(args.circuit, schedules=args.schedules,
                              seed=args.seed,
-                             circuit_seed=args.circuit_seed,
-                             processors=args.processors,
-                             protocol=args.protocol,
-                             artifact_dir=args.artifact_dir,
-                             lazy_cancellation=args.lazy_cancellation,
-                             watchdog=watchdog,
-                             circuit_params=circuit_params,
-                             exec_mode=exec_mode)
+                             artifact_dir=args.artifact_dir, **checker)
     failed = False
     for report in reports:
         print(report.summary())
@@ -588,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["round_robin", "block", "bfs"])
         p_par.add_argument("--quantum", type=int, default=64,
                            help="events per act-quantum between IPC "
-                                "flushes (procs/dist backends)")
+                                "flushes (threads/procs/dist backends)")
         p_par.add_argument("--hosts", nargs="+", default=None,
                            metavar="HOST:PORT",
                            help="dist backend: pre-started 'repro "
@@ -605,13 +618,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 "pristine model)")
         p_par.add_argument("--timeout", type=float, default=120.0,
                            help="wall-clock budget in seconds "
-                                "(threads/procs backends)")
+                                "(threads/procs/dist backends)")
         p_par.add_argument("--watchdog", type=float, default=None,
                            metavar="BOUND",
                            help="liveness watchdog bound: machine steps "
                                 "without GVT progress (model backend) or "
-                                "seconds (threads/procs).  On by default "
-                                "at a generous bound; 0 disables.  A "
+                                "seconds (threads/procs/dist).  On by "
+                                "default at a generous bound; 0 disables.  A "
                                 "diagnosed stall prints a forensic "
                                 "report instead of hanging")
         p_par.add_argument("--fault-plan", default=None, metavar="SPEC",

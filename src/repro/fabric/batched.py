@@ -10,16 +10,18 @@ batch still needs the reliable-delivery guarantees the modelled
 machine gets from :class:`~repro.fabric.transport.ReliableFabric`.
 This module is the per-worker endpoint providing them:
 
-* **sender side** — per-link sequence numbers, an output journal, an
-  unacked map, drop/duplicate/overtake injection drawn from the same
-  seeded :class:`~repro.fabric.plan.LinkFaults` dice as the modelled
-  fabric (latency-valued faults have no meaning in real time and are
-  realised as *overtakes*: an affected copy is held back on its link
-  and posted after the link's next younger message, which exercises
-  the same out-of-order arrival and receiver-side reorder buffering);
-* **receiver side** — per-link dedup and reorder buffers restoring
-  exactly-once in-order delivery, with acknowledgements accumulated
-  per batch and flushed as one ack envelope;
+* **the link state machine** of :mod:`repro.fabric.link` — per-link
+  sequence numbers, output journal, unacked map, dedup and reorder
+  buffers — the same one the modelled fabric drives, aged here by the
+  GVT wave of a send's last transmission;
+* **batch faults** — drop/duplicate/overtake injection drawn from the
+  same seeded :class:`~repro.fabric.plan.LinkFaults` dice, in the same
+  per-message order, as the modelled fabric (latency-valued faults
+  have no meaning in real time and are realised as *overtakes*: an
+  affected copy is held back on its link and posted after the link's
+  next younger message, which exercises the same out-of-order arrival
+  and receiver-side reorder buffering), with acknowledgements
+  accumulated per batch and flushed as one ack envelope;
 * **pump** — the ring has neither a model clock nor a global barrier,
   so retransmission is *token-driven*: at each
   GVT token visit, messages last transmitted two visits ago and still
@@ -40,39 +42,20 @@ needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.event import Event
 from ..core.stats import RunStats
+from .link import InLink, Item, OutLink, owed
 from .plan import FaultPlan, LinkFaults
 
-#: One transmitted copy inside a batch: (per-link sequence no., event).
-Item = Tuple[int, Event]
-
 
 @dataclass
-class _OutLink:
-    """Sender-side state of one directed worker link."""
+class _OutLink(OutLink):
+    """The link's sender half plus what only a batch can do to it."""
 
-    faults: LinkFaults
-    next_seq: int = 0
-    #: Durable output journal (crash-recovery replays from it).
-    journal: Dict[int, Event] = field(default_factory=dict)
-    #: seq -> (event, wave last transmitted); durable, like the journal.
-    unacked: Dict[int, Tuple[Event, int]] = field(default_factory=dict)
-    #: EventIds whose cancellation is already journalled: a recovered
-    #: incarnation re-emitting the same antimessage is suppressed once.
-    spent_anti: set = field(default_factory=set)
     #: Copies held back to overtake the link's next younger traffic.
     holdback: List[Item] = field(default_factory=list)
-
-
-@dataclass
-class _InLink:
-    """Receiver-side state of one directed worker link."""
-
-    expected: int = 0
-    buffer: Dict[int, Event] = field(default_factory=dict)
 
 
 class BatchedEndpoint:
@@ -85,8 +68,9 @@ class BatchedEndpoint:
         #: Current GVT wave (the owner bumps it at each token visit);
         #: used to age unacked entries for the retransmit pump.
         self.wave = 0
+        #: The link state machine (:mod:`.link`), aged by ``wave``.
         self._out: Dict[int, _OutLink] = {}
-        self._in: Dict[int, _InLink] = {}
+        self._in: Dict[int, InLink] = {}
         #: src worker -> seqs delivered since the last ack flush.
         self._acks_pending: Dict[int, List[int]] = {}
 
@@ -98,10 +82,10 @@ class BatchedEndpoint:
             self._out[dst] = link
         return link
 
-    def _in_link(self, src: int) -> _InLink:
+    def _in_link(self, src: int) -> InLink:
         link = self._in.get(src)
         if link is None:
-            link = _InLink()
+            link = InLink()
             self._in[src] = link
         return link
 
@@ -114,15 +98,9 @@ class BatchedEndpoint:
         stats = self.stats
         items: List[Item] = []
         for event in events:
-            if event.sign < 0 and event.eid in link.spent_anti:
-                link.spent_anti.discard(event.eid)
-                stats.suppressed_resends += 1
+            seq = link.stage(event, self.wave, stats)
+            if seq is None:
                 continue
-            seq = link.next_seq
-            link.next_seq += 1
-            link.journal[seq] = event
-            link.unacked[seq] = (event, self.wave)
-            stats.fabric_sent += 1
             held, link.holdback = link.holdback, []
             if link.faults.should_drop(seq):
                 stats.dropped += 1
@@ -147,9 +125,7 @@ class BatchedEndpoint:
         """Process an ack envelope from ``dst`` for our sends to it."""
         link = self._out_link(dst)
         for seq in seqs:
-            if link.unacked.pop(seq, None) is not None:
-                link.faults.forget(seq)
-                self.stats.acks += 1
+            link.acked(seq, self.stats)
 
     def pump(self, wave: int) -> Dict[int, List[Item]]:
         """Token-visit retransmission: items to re-post, per destination.
@@ -195,21 +171,7 @@ class BatchedEndpoint:
         out: List[Event] = []
         for seq, event in items:
             acks.append(seq)  # ack every copy so the sender's map clears
-            if seq < link.expected:
-                stats.dedup_dropped += 1
-                continue
-            if seq > link.expected:
-                if seq in link.buffer:
-                    stats.dedup_dropped += 1
-                else:
-                    link.buffer[seq] = event
-                    stats.reorder_buffered += 1
-                continue
-            out.append(event)
-            link.expected += 1
-            while link.expected in link.buffer:
-                out.append(link.buffer.pop(link.expected))
-                link.expected += 1
+            out.extend(link.accept(seq, event, stats))
         return out
 
     def take_acks(self) -> Dict[int, List[int]]:
@@ -220,33 +182,22 @@ class BatchedEndpoint:
     # ------------------------------------------------------------------
     # GVT / termination support
     # ------------------------------------------------------------------
-    def pending_events(self) -> Iterable[Event]:
+    def pending_events(self) -> Iterator[Event]:
         """Events this endpoint still owes the protocol.
 
         Unacked copies (the only surviving copy of a dropped message
-        lives here), holdback copies, and reorder-parked arrivals all
+        lives here), reorder-parked arrivals and holdback copies all
         pin the local GVT contribution.
         """
+        yield from owed(self._out.values(), self._in.values())
         for link in self._out.values():
-            for event, _wave in link.unacked.values():
-                yield event
             for _seq, event in link.holdback:
-                yield event
-        for link in self._in.values():
-            for event in link.buffer.values():
                 yield event
 
     def quiet(self) -> bool:
         """True when no link owes a delivery or an acknowledgement."""
-        if self._acks_pending:
-            return False
-        for link in self._out.values():
-            if link.unacked or link.holdback:
-                return False
-        for link in self._in.values():
-            if link.buffer:
-                return False
-        return True
+        return not self._acks_pending \
+            and next(self.pending_events(), None) is None
 
     # ------------------------------------------------------------------
     # Crash-recovery support
@@ -271,11 +222,8 @@ class BatchedEndpoint:
         clone.__dict__.update(self.__dict__)
         clone._out = {}
         for dst, link in self._out.items():
-            journal = link.journal
-            clone._out[dst] = replace(link, journal={
-                seq: journal[seq]
-                for seq in range(marks.get(dst, 0), link.next_seq)
-                if seq in journal})
+            clone._out[dst] = replace(
+                link, journal=link.window(marks.get(dst, 0)))
         return clone
 
     def adopt_journal(self, older: "BatchedEndpoint") -> None:
@@ -293,8 +241,7 @@ class BatchedEndpoint:
         in order through the normal buffer path.
         """
         for src, link in self._in.items():
-            link.expected = floors.get(src, 0)
-            link.buffer.clear()
+            link.rewind(floors.get(src, 0))
         self._acks_pending.clear()
 
     def sender_window(self, dst: int, base: int) -> List[Event]:
@@ -304,9 +251,7 @@ class BatchedEndpoint:
         restored replay reconciles it through the lazy-cancellation
         machinery (reuse what it regenerates, cancel what it abandons).
         """
-        link = self._out_link(dst)
-        return [link.journal[seq] for seq in range(base, link.next_seq)
-                if seq in link.journal]
+        return list(self._out_link(dst).window(base).values())
 
     def mark_spent_anti(self, dst: int, eids) -> None:
         self._out_link(dst).spent_anti |= set(eids)
@@ -318,11 +263,6 @@ class BatchedEndpoint:
         receiver rewound below them, so they count as owed again and
         re-enter the unacked map until re-acknowledged.
         """
-        link = self._out_link(dst)
-        items: List[Item] = []
-        for seq in sorted(s for s in link.journal if s >= floor):
-            event = link.journal[seq]
-            link.unacked[seq] = (event, self.wave)
-            items.append((seq, event))
+        items = self._out_link(dst).replay(floor, self.wave)
         self.stats.replayed += len(items)
         return items

@@ -6,11 +6,12 @@ The machine routes every remote message through a pluggable *fabric*:
   duplicate-free, per-link FIFO delivery after a fixed latency.  Zero
   overhead; byte-identical behaviour to the pre-fabric machine.
 * :class:`ReliableFabric` — a reliable-delivery protocol running over a
-  faulty link model (:class:`~repro.fabric.plan.FaultPlan`): per-link
-  sequence numbers, receiver-side dedup + reorder buffers restoring
-  exactly-once in-order delivery, acknowledgements, timeout-driven
-  retransmission with capped exponential backoff, per-link output
-  journals, and whole-processor crash-recovery from durable checkpoints.
+  faulty link model (:class:`~repro.fabric.plan.FaultPlan`): the link
+  state machine of :mod:`repro.fabric.link` (sequence numbers, journal,
+  acknowledgements, dedup + reorder buffers restoring exactly-once
+  in-order delivery) driven by the model clock — latency, timeout-driven
+  retransmission with capped exponential backoff — plus journal pruning
+  and whole-processor crash-recovery from durable checkpoints.
 
 The synchronization protocol above (optimistic / conservative / mixed /
 dynamic) is *unchanged*: it still assumes exactly-once FIFO links, and
@@ -24,12 +25,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.event import Event
 from ..core.stats import RunStats
 from ..core.vtime import VirtualTime
+from .link import InLink, OutLink, owed
 from .plan import FaultPlan, LinkFaults
 from .recovery import (ProcessorCheckpoint, checkpoint_processor,
                        reconcile_outgoing, restore_processor)
@@ -122,31 +124,6 @@ class PerfectFabric:
             "enable durable checkpoints and journal replay")
 
 
-@dataclass
-class _SenderLink:
-    """Sender-side state of one directed processor link."""
-
-    faults: LinkFaults
-    next_seq: int = 0
-    #: seq -> original event, for every send not yet acknowledged.
-    unacked: Dict[int, Event] = field(default_factory=dict)
-    #: seq -> transmission attempts so far (for backoff).
-    attempts: Dict[int, int] = field(default_factory=dict)
-    #: seq -> event for every send retained for recovery replay.
-    journal: Dict[int, Event] = field(default_factory=dict)
-    #: Antimessage ids already on the wire pre-crash: suppress re-sends.
-    spent_anti: Set[object] = field(default_factory=set)
-
-
-@dataclass
-class _ReceiverLink:
-    """Receiver-side state of one directed processor link."""
-
-    expected: int = 0
-    #: Out-of-order copies parked until the gap below them fills.
-    buffer: Dict[int, Event] = field(default_factory=dict)
-
-
 class ReliableFabric:
     """Reliable exactly-once FIFO delivery over a faulty link model."""
 
@@ -164,8 +141,11 @@ class ReliableFabric:
         self.machine = None
         self.stats = RunStats()
         self._seq = itertools.count()
-        self._senders: Dict[Link, _SenderLink] = {}
-        self._receivers: Dict[Link, _ReceiverLink] = {}
+        #: The link state machine (:mod:`.link`); this fabric drives it
+        #: from the model clock and ages an unacked send by its
+        #: transmission attempts.
+        self._senders: Dict[Link, OutLink] = {}
+        self._receivers: Dict[Link, InLink] = {}
         #: Copies currently sitting in some inbox, per (link, seq).
         #: Lets the global-stall recovery revive only messages that are
         #: genuinely *lost* instead of blasting every unacked send.
@@ -205,17 +185,17 @@ class ReliableFabric:
             return self._ingress(proc, item)
         return ingress
 
-    def _sender(self, link: Link) -> _SenderLink:
+    def _sender(self, link: Link) -> OutLink:
         state = self._senders.get(link)
         if state is None:
-            state = _SenderLink(faults=LinkFaults(self.plan, link))
+            state = OutLink(LinkFaults(self.plan, link))
             self._senders[link] = state
         return state
 
-    def _receiver(self, link: Link) -> _ReceiverLink:
+    def _receiver(self, link: Link) -> InLink:
         state = self._receivers.get(link)
         if state is None:
-            state = _ReceiverLink()
+            state = InLink()
             self._receivers[link] = state
         return state
 
@@ -224,21 +204,10 @@ class ReliableFabric:
     # ------------------------------------------------------------------
     def send(self, sender, dst_proc, event: Event) -> None:
         link = (sender.index, dst_proc.index)
-        state = self._sender(link)
-        if event.sign < 0 and event.eid in state.spent_anti:
-            # This cancellation already went out before the crash (it is
-            # journaled); the fabric owns completing it.  A second copy
-            # would park at the receiver as an unmatchable negative.
-            state.spent_anti.discard(event.eid)
-            self.stats.suppressed_resends += 1
+        seq = self._sender(link).stage(event, 1, self.stats)
+        if seq is None:
             return
         sender.clock += self.machine.cost.remote_send
-        seq = state.next_seq
-        state.next_seq += 1
-        state.journal[seq] = event
-        state.unacked[seq] = event
-        state.attempts[seq] = 1
-        self.stats.fabric_sent += 1
         self._transmit(link, seq, event)
         self._arm_timer(sender, link, seq, attempts=1)
 
@@ -316,21 +285,19 @@ class ReliableFabric:
 
     def _maybe_retransmit(self, link: Link, seq: int) -> None:
         state = self._sender(link)
-        event = state.unacked.get(seq)
-        if event is None:
-            state.attempts.pop(seq, None)
+        if seq not in state.unacked:
             return  # acknowledged since the timer was armed
+        event, attempts = state.unacked[seq]
         sender = self.machine.procs[link[0]]
         if self._inflight.get((link, seq), 0) > 0:
             # A copy is still queued at the receiver — the message is
             # slow, not lost.  Deadlock-recovery rounds fence every
             # clock forward, which would otherwise mass-expire timers
             # and flood the fabric with to-be-deduped retransmissions.
-            self._arm_timer(sender, link, seq,
-                            attempts=state.attempts.get(seq, 1))
+            self._arm_timer(sender, link, seq, attempts=attempts)
             return
-        attempts = state.attempts.get(seq, 1) + 1
-        state.attempts[seq] = attempts
+        attempts += 1
+        state.unacked[seq] = (event, attempts)
         sender.clock += self.machine.cost.remote_send
         self.stats.retransmitted += 1
         if self.tracer is not None:
@@ -353,30 +320,10 @@ class ReliableFabric:
             self._inflight[key] = live
         else:
             self._inflight.pop(key, None)
-        sender = self._sender(link)
-        if sender.unacked.pop(seq, None) is not None:
-            # Acknowledgement: modelled as an instantaneous control
-            # message (its cost rides the remote_recv charge).
-            sender.attempts.pop(seq, None)
-            sender.faults.forget(seq)
-            self.stats.acks += 1
-        receiver = self._receiver(link)
-        if seq < receiver.expected:
-            self.stats.dedup_dropped += 1
-            return ()
-        if seq > receiver.expected:
-            if seq in receiver.buffer:
-                self.stats.dedup_dropped += 1
-            else:
-                receiver.buffer[seq] = event
-                self.stats.reorder_buffered += 1
-            return ()
-        out = [event]
-        receiver.expected += 1
-        while receiver.expected in receiver.buffer:
-            out.append(receiver.buffer.pop(receiver.expected))
-            receiver.expected += 1
-        return tuple(out)
+        # Acknowledgement: modelled as an instantaneous control message
+        # (its cost rides the remote_recv charge).
+        self._sender(link).acked(seq, self.stats)
+        return self._receiver(link).accept(seq, event, self.stats)
 
     # ------------------------------------------------------------------
     # Global-state hooks (GVT, termination, release floors)
@@ -390,21 +337,10 @@ class ReliableFabric:
         release floors must treat these as future arrivals, or a lost
         message could be committed past.
         """
-        for state in self._senders.values():
-            for event in state.unacked.values():
-                yield event
-        for receiver in self._receivers.values():
-            for event in receiver.buffer.values():
-                yield event
+        return owed(self._senders.values(), self._receivers.values())
 
     def has_pending(self) -> bool:
-        for state in self._senders.values():
-            if state.unacked:
-                return True
-        for receiver in self._receivers.values():
-            if receiver.buffer:
-                return True
-        return False
+        return next(self.pending_events(), None) is not None
 
     def on_gvt_round(self, machine) -> None:
         for proc in machine.procs:
@@ -498,23 +434,16 @@ class ReliableFabric:
                     self._inflight.pop(key, None)
         pre_epochs = {lp_id: runtime.cons_epoch
                       for lp_id, runtime in proc.runtimes.items()}
-        pre_next = {link: state.next_seq
-                    for link, state in self._senders.items()
-                    if link[0] == index}
         restore_processor(proc, ckpt)
         proc.gvt_bound = machine.gvt
         for lp_id, runtime in proc.runtimes.items():
             runtime.cons_epoch = max(pre_epochs.get(lp_id, 0),
                                      runtime.cons_epoch) + 1
         marks = self._ckpt_sender_next.get(index, {})
-        links = []
-        for link, live_next in pre_next.items():
-            state = self._sender(link)
-            window = [state.journal[seq]
-                      for seq in range(marks.get(link, 0), live_next)
-                      if seq in state.journal]
-            links.append((window, state.spent_anti.update))
-        reconcile_outgoing(proc, links)
+        reconcile_outgoing(proc, [
+            (list(state.window(marks.get(link, 0)).values()),
+             state.spent_anti.update)
+            for link, state in self._senders.items() if link[0] == index])
         self._replay_incoming(proc, index)
         self.stats.recoveries += 1
 
@@ -525,12 +454,12 @@ class ReliableFabric:
             if link[1] != index:
                 continue
             horizon = marks.get(link, 0)
-            receiver = self._receiver(link)
-            receiver.expected = horizon
-            receiver.buffer.clear()
+            self._receiver(link).rewind(horizon)
             src = self.machine.procs[link[0]]
-            for seq in sorted(s for s in state.journal if s >= horizon):
-                event = state.journal[seq]
+            # Not owed again (no tick): the copies go lossless into the
+            # inbox, where GVT sees them; owing them too would feed them
+            # to it a second time through pending_events().
+            for seq, event in state.replay(horizon):
                 deliver_at = src.clock + latency
                 heapq.heappush(proc.inbox,
                                (deliver_at, next(self._seq),

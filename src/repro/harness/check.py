@@ -433,41 +433,37 @@ class Checker:
         # recipe); later failures are saved verbatim.
         decisions = self.shrink(run.decisions) if not report.artifacts \
             else list(run.decisions)
-        schedule = Schedule(
-            circuit=self.circuit, circuit_seed=self.circuit_seed,
-            processors=self.processors, protocol=self.protocol,
-            decisions=decisions, label=run.label,
-            wave_digest=self.oracle_digest,
-            violations=run.violations,
-            lazy_cancellation=self.lazy_cancellation,
-            circuit_params=self.circuit_params,
-            fault_plan=(self.fault_plan.to_dict()
-                        if self.fault_plan is not None else None),
-            exec_mode=self.exec_mode)
         index = len(report.artifacts)
         path = os.path.join(self.artifact_dir,
                             f"fail-{self.circuit}-{index}.json")
-        schedule.save(path)
+        self.schedule(run, decisions=decisions,
+                      wave_digest=self.oracle_digest).save(path)
         report.artifacts.append(path)
 
     # ------------------------------------------------------------------
     # Record / replay
     # ------------------------------------------------------------------
-    def record(self) -> Tuple[Schedule, RunReport]:
-        """Run the canonical schedule and package it as an artifact."""
-        run = self.run_schedule(DefaultScheduler(), "recorded")
-        schedule = Schedule(
+    def schedule(self, run: RunReport, **fields) -> Schedule:
+        """``run`` as a replayable artifact of this checker's
+        configuration.  ``fields`` override or add: a shrunk decision
+        list, the digest a replay must reproduce, the ``ncands`` that
+        let a verbatim replay detect divergence."""
+        fields = {"decisions": run.decisions, "label": run.label,
+                  "violations": run.violations, **fields}
+        return Schedule(
             circuit=self.circuit, circuit_seed=self.circuit_seed,
             processors=self.processors, protocol=self.protocol,
-            decisions=run.decisions, ncands=run.ncands,
-            label="recorded", wave_digest=run.digest,
-            violations=run.violations,
             lazy_cancellation=self.lazy_cancellation,
             circuit_params=self.circuit_params,
             fault_plan=(self.fault_plan.to_dict()
                         if self.fault_plan is not None else None),
-            exec_mode=self.exec_mode)
-        return schedule, run
+            exec_mode=self.exec_mode, **fields)
+
+    def record(self) -> Tuple[Schedule, RunReport]:
+        """Run the canonical schedule and package it as an artifact."""
+        run = self.run_schedule(DefaultScheduler(), "recorded")
+        return self.schedule(run, ncands=run.ncands,
+                             wave_digest=run.digest), run
 
 
 def replay_schedule(schedule: Schedule,
@@ -501,25 +497,12 @@ def replay_schedule(schedule: Schedule,
 
 
 def check_circuits(circuits: List[str], schedules: int = 25,
-                   seed: int = 0, circuit_seed: int = 0,
-                   processors: int = 2, protocol: str = "dynamic",
-                   artifact_dir: Optional[str] = None,
-                   lazy_cancellation: bool = False,
-                   watchdog: Optional[int] = None,
-                   circuit_params: Optional[Dict] = None,
-                   exec_mode: str = "interp") -> List[CheckReport]:
-    """Explore every named circuit; the CLI entry point's core."""
-    reports = []
-    for circuit in circuits:
-        checker = Checker(circuit, circuit_seed=circuit_seed,
-                          processors=processors, protocol=protocol,
-                          artifact_dir=artifact_dir,
-                          lazy_cancellation=lazy_cancellation,
-                          watchdog=watchdog,
-                          circuit_params=circuit_params,
-                          exec_mode=exec_mode)
-        reports.append(checker.explore(schedules=schedules, seed=seed))
-    return reports
+                   seed: int = 0, **checker) -> List[CheckReport]:
+    """Explore every named circuit, each under ``Checker(circuit,
+    **checker)``; the CLI entry point's core."""
+    return [Checker(circuit, **checker).explore(schedules=schedules,
+                                                seed=seed)
+            for circuit in circuits]
 
 
 def check_backend(circuit: str, backend: str, protocol: str,

@@ -29,6 +29,11 @@ They share protocol obligations that used to be duplicated:
   reaches a peer, so the loop lives here once, parameterized over
   three transport hooks (:meth:`WorkerCore._send_envelope`,
   :meth:`WorkerCore._recv_envelope`, :meth:`WorkerCore._emit_result`).
+* **The description of a ring run** (:class:`RingSpec`) and what is
+  done with one wherever the worker lives: validate it, build the
+  machine from it (``WorkerCore.__init__`` / ``_build_inner``), ship
+  the model beside it (:func:`pristine_payload`), and fold the
+  workers' reports or fail with their partial stats (:func:`harvest`).
 
 :class:`BackendOutcome` is the common result shape; the per-backend
 outcome types extend it so callers can treat any backend's stats/GVT
@@ -37,20 +42,25 @@ uniformly.
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.event import Event
 from ..core.model import SyncMode
 from ..core.stats import RunStats
 from ..core.vtime import INFINITY, MINUS_INFINITY, VirtualTime
 from ..fabric.batched import BatchedEndpoint
+from ..fabric.plan import FaultPlan
 from ..fabric.recovery import (checkpoint_processor, reconcile_outgoing,
                                restore_processor)
-from ..resilience import WallClockWatchdog, build_report
+from ..resilience import (DEFAULT_WALL_S, WallClockWatchdog, build_report,
+                          resolve_watchdog)
+from .cost import SHARED_MEMORY
 from .engine import LPRuntime, Processor, ProtocolError
+from .partition import Partition
 
 
 def resolve_model(design_or_model):
@@ -125,6 +135,133 @@ class BackendOutcome:
     gvt: VirtualTime
     processors: int
     gvt_rounds: int
+    #: Token-ring circulations completed (Mattern waves).
+    waves: int = 0
+    #: Wall-clock duration of the run, first worker started to harvest.
+    wall_time_s: float = 0.0
+
+
+@dataclass(frozen=True)
+class RingSpec:
+    """What a ring run is, besides the model.
+
+    A forked or thread worker inherits it with the machine; a spawned
+    or remote worker is sent it beside the pristine pickled model
+    (:func:`pristine_payload`) and nothing else.  Validated here, so
+    every way of making one — a machine constructor, ``run()`` setting
+    the deadline — crosses the same checks.
+    """
+
+    processors: int
+    protocol: str = "optimistic"
+    partition: Union[str, Partition, Callable] = "round_robin"
+    until: Optional[int] = None
+    #: Event executions per act quantum, between flushes.
+    quantum: int = 64
+    fault_plan: Optional[FaultPlan] = None
+    #: Durable checkpoints; ``None`` = when the plan schedules a crash.
+    recovery: Optional[bool] = None
+    watchdog_s: Optional[float] = None
+    #: The run's deadline; ``run(timeout_s)`` sets it.
+    timeout_s: float = 120.0
+
+    def __post_init__(self) -> None:
+        if self.protocol == "dynamic":
+            raise ValueError(
+                "the worker ring (threads / procs / dist) supports "
+                "static protocols only; use the modelled machine for "
+                "the dynamic configuration")
+        if self.quantum < 1:
+            raise ValueError("quantum must be >= 1")
+        if self.timeout_s <= 0:
+            raise ValueError("timeout_s must be positive")
+        if self.crashes and not self.recovers:
+            raise ValueError("a crash schedule requires recovery=True")
+
+    @property
+    def crashes(self) -> List[Tuple[int, int]]:
+        """The crash schedule: (completed GVT commits, worker) pairs."""
+        plan = self.fault_plan
+        return sorted(plan.crashes) if plan is not None else []
+
+    @property
+    def recovers(self) -> bool:
+        if self.recovery is None:
+            return bool(self.crashes)
+        return bool(self.recovery)
+
+
+def pristine_payload(model, partition) -> bytes:
+    """Pickle ``model`` for workers that cannot inherit it (spawned or
+    remote).  Taken *before* a machine build seeds init events, so a
+    worker's own build — same spec, same deterministic partitioner —
+    reproduces exactly the machine a forked worker inherits.  What
+    cannot be shipped is said here, not by a worker that hangs."""
+    try:
+        pickle.dumps(partition, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as failure:
+        raise ValueError(
+            f"cannot ship this partition to spawned or remote workers "
+            f"({failure}); use a named partitioner, a placement dict or "
+            f"a module-level partitioner function (or, on procs, "
+            f"start_method='fork')") from failure
+    try:
+        return pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as failure:
+        raise RuntimeError(
+            f"model is not picklable ({failure}), which spawned and "
+            f"remote workers require; make process bodies module-level "
+            f"callables (see repro.circuits.bodies) (or, on procs, use "
+            f"start_method='fork')") from failure
+
+
+def harvest(machine, results: Dict[int, tuple], error: Optional[tuple],
+            wall_time_s: float, net: Optional[RunStats] = None):
+    """The parent side's last step on every ring backend.
+
+    Unless every worker of ``machine`` reported ``done``, raise
+    :class:`ProtocolError` — with the partial stats of those heard
+    from, and the stall report if one was diagnosed.  Otherwise fold
+    the reports into one outcome and pull the final LP states back into
+    the caller's model, so results are read (e.g. the VHDL kernel's
+    trace collection) exactly as after a run on any other backend.
+    """
+    spec, backend = machine.spec, machine.backend_name
+    stats = RunStats()
+    for index in sorted(results):
+        stats.merge(results[index][2])
+    if net is not None:
+        stats.merge(net)
+    if error is not None or len(results) < spec.processors:
+        if error is not None:
+            if error[3] is not None:
+                stats.merge(error[3])
+            failure = ProtocolError(
+                f"{backend} worker {error[1]} failed: {error[2]}")
+            if len(error) > 4 and error[4] is not None:
+                failure.stall_report = error[4]
+        else:
+            missing = sorted(set(range(spec.processors)) - set(results))
+            failure = ProtocolError(
+                f"{backend} run exceeded its {spec.timeout_s:g}s "
+                f"deadline; workers {missing} never completed")
+        failure.partial_stats = stats
+        raise failure
+    gvt = MINUS_INFINITY
+    waves = commits = 0
+    for _tag, _i, _stats, lp_states, wgvt, wwaves, wcommits \
+            in results.values():
+        gvt = max(gvt, wgvt)
+        waves = max(waves, wwaves)
+        commits = max(commits, wcommits)
+        for lp_id, (now, attrs) in lp_states.items():
+            lp = machine.model.lps[lp_id]
+            lp.now = now
+            for attr, value in attrs.items():
+                setattr(lp, attr, value)
+    return machine.outcome_type(
+        stats=stats, gvt=gvt, processors=spec.processors,
+        gvt_rounds=commits, waves=waves, wall_time_s=wall_time_s)
 
 
 def fresh_token(wave: int, commit: Optional[VirtualTime],
@@ -181,10 +318,8 @@ class WorkerCore:
     * :meth:`_recv_envelope` — next inbound envelope (or ``None``);
     * :meth:`_emit_result` — deliver a done/error message upstream.
 
-    and sets the run parameters (``processors``, ``quantum``, ``until``,
-    ``plan``, ``recovery``, ``use_fabric``, ``watchdog_bound``,
-    ``backend_name``, ``_crash_schedule``, ``_timeout_s``) before
-    calling :meth:`_run_worker`.
+    and is constructed, like every ring machine, from a model and a
+    :class:`RingSpec`.
 
     **Envelope format.**  Counted envelopes — anything that enters the
     ring's per-channel send/receive counts, i.e. everything except the
@@ -202,6 +337,31 @@ class WorkerCore:
     acks are regenerated on dedup re-receipt), never by the stamp.
     """
 
+    def __init__(self, model, spec: RingSpec) -> None:
+        model = resolve_model(model)
+        model.validate()
+        self.model = model
+        self.spec = spec
+        self.plan = spec.fault_plan
+        self.recovery = spec.recovers
+        self.use_fabric = (self.plan is not None
+                           and (self.plan.faulty or self.recovery))
+        self._crash_schedule = spec.crashes
+        self.watchdog_bound = float(
+            resolve_watchdog(spec.watchdog_s, DEFAULT_WALL_S))
+
+    def _build_inner(self) -> None:
+        """Build this machine's processors exactly like the modelled
+        backend does — partition, runtimes, seeded init events.  A
+        function of (model, spec) alone: every worker that runs it on
+        the pristine model gets the same machine."""
+        from .machine import ParallelMachine  # it imports this module
+
+        spec = self.spec
+        self._inner = ParallelMachine(
+            self.model, spec.processors, protocol=spec.protocol,
+            cost=SHARED_MEMORY, partition=spec.partition, until=spec.until)
+
     # -- transport hooks (concrete backends override) -------------------
     def _send_envelope(self, target: int, envelope: tuple) -> None:
         raise NotImplementedError
@@ -214,16 +374,15 @@ class WorkerCore:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def _setup_worker(self, index: int, proc: Processor,
-                      runtimes: Dict[int, LPRuntime],
-                      placement: Dict[int, int]) -> None:
+    def _setup_worker(self, index: int) -> None:
+        inner = self._inner
         self._index = index
-        self._proc = proc
-        self._runtimes = runtimes
-        self._placement = placement
+        self._proc: Processor = inner.procs[index]
+        self._runtimes: Dict[int, LPRuntime] = inner._runtimes
+        self._placement: Dict[int, int] = inner.placement
         self._net = RunStats()        # transport counters (crash-durable)
         self._outbox: Dict[int, List[Event]] = {
-            i: [] for i in range(self.processors) if i != index}
+            i: [] for i in range(self.spec.processors) if i != index}
         self._sent_to: Dict[int, int] = {}
         self._recv_from: Dict[int, int] = {}
         self._send_min: VirtualTime = INFINITY
@@ -270,11 +429,11 @@ class WorkerCore:
             self._commits = 0
             self._last_completed_wave = -1
 
-    def _run_worker(self, index: int, proc: Processor,
-                    runtimes: Dict[int, LPRuntime],
-                    placement: Dict[int, int],
-                    restore: Optional[tuple] = None) -> None:
-        self._setup_worker(index, proc, runtimes, placement)
+    def _run_index(self, index: int,
+                   restore: Optional[tuple] = None) -> None:
+        """Be worker ``index`` of the built machine until the ring
+        stops (``restore``: see :meth:`_restore_incarnation`)."""
+        self._setup_worker(index)
         try:
             self._install_route()
             if restore is not None:
@@ -385,9 +544,9 @@ class WorkerCore:
         raise ProtocolError("stall diagnosed: " + reason)
 
     def _worker_loop(self) -> None:
-        deadline = time.monotonic() + self._timeout_s
+        deadline = time.monotonic() + self.spec.timeout_s
         proc = self._proc
-        quantum = self.quantum
+        quantum = self.spec.quantum
         while self._stop_info is None:
             progressed = self._drain(0.0)
             for _ in range(quantum):
@@ -428,7 +587,7 @@ class WorkerCore:
             if time.monotonic() > deadline:
                 self._stall(
                     f"worker {self._index} exceeded the "
-                    f"{self._timeout_s:g}s deadline "
+                    f"{self.spec.timeout_s:g}s deadline "
                     f"(gvt {self._gvt}, "
                     f"{self._proc.stats.events_executed} executed)")
 
@@ -545,7 +704,7 @@ class WorkerCore:
         if stale_wave <= self._max_stale_resent:
             return
         self._max_stale_resent = stale_wave
-        self._send_envelope((self._index + 1) % self.processors,
+        self._send_envelope((self._index + 1) % self.spec.processors,
                             ("token", self._last_token_out))
 
     def _on_batch(self, src: int, items: list) -> None:
@@ -595,7 +754,7 @@ class WorkerCore:
             return True
         if self.endpoint is not None and not self.endpoint.quiet():
             return True
-        return proc_has_work(self._proc, self.until)
+        return proc_has_work(self._proc, self.spec.until)
 
     def _visit(self, token: dict) -> None:
         """One worker's token visit: apply the piggybacked commit, cut,
@@ -665,7 +824,7 @@ class WorkerCore:
 
     def _forward(self, token: dict) -> None:
         self._last_token_out = token
-        self._send_envelope((self._index + 1) % self.processors,
+        self._send_envelope((self._index + 1) % self.spec.processors,
                             ("token", token))
 
     def _apply_commit(self, gvt: VirtualTime) -> None:
@@ -855,7 +1014,7 @@ class WorkerCore:
 
     def _broadcast_stop(self) -> None:
         info = (self._gvt_committed, self._net.token_waves, self._commits)
-        for peer in range(1, self.processors):
+        for peer in range(1, self.spec.processors):
             self._send_envelope(peer, ("stop",) + info)
         self._stop_info = info
 
@@ -986,7 +1145,7 @@ class WorkerCore:
         # replay your journal from my checkpoint's delivery horizon.
         epochs = {lp_id: runtime.cons_epoch
                   for lp_id, runtime in proc.runtimes.items()}
-        for peer in range(self.processors):
+        for peer in range(self.spec.processors):
             if peer == self._index:
                 continue
             self._post(peer, ("recover", self._index, epochs,
@@ -1069,8 +1228,8 @@ class WorkerCore:
         to execute (safety bound, window), never a flush or a fossil
         point.  docs/distributed.md, "Forward first, image after".
         """
-        owed = set(range(self.processors)) - {self._index}
-        deadline = time.monotonic() + self._timeout_s
+        owed = set(range(self.spec.processors)) - {self._index}
+        deadline = time.monotonic() + self.spec.timeout_s
         while (owed or self._held_token is None) \
                 and self._stop_info is None:
             envelope = self._recv_envelope(0.05)

@@ -9,7 +9,10 @@ frame (:mod:`repro.fabric.wire`).  The synchronization protocol is
 :class:`~repro.parallel.backend.WorkerCore` the procs backend runs —
 same act quantum, same batched flushes, same pipelined Mattern
 token-ring GVT, same :class:`~repro.fabric.batched.BatchedEndpoint`
-retransmission and crash recovery.  Only the transport differs.
+retransmission and crash recovery.  Only the transport differs, and
+what a worker is told to run is what a spawned procs worker gets as
+process arguments: the pristine pickled model and the run's
+:class:`~repro.parallel.backend.RingSpec`, here as the ``spec`` frame.
 
 **Topology.**  Hub and spoke: workers never dial each other.  Every
 envelope a worker addresses to a peer travels as a ``("relay", dst,
@@ -76,21 +79,16 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from ..core.model import Model
 from ..core.stats import RunStats
-from ..core.vtime import MINUS_INFINITY
 from ..fabric.plan import FaultPlan
 from ..fabric.wire import WireError, recv_frame, send_frame
-from ..resilience import DEFAULT_WALL_S, resolve_watchdog
-from .backend import (BackendOutcome, WorkerCore, fold_images,
-                      resolve_model)
-from .cost import SHARED_MEMORY
+from .backend import (BackendOutcome, RingSpec, WorkerCore, fold_images,
+                      harvest, pristine_payload, resolve_model)
 from .engine import ProtocolError
-from .machine import ParallelMachine
-from .partition import Partition
 
 #: Default TCP port for `repro serve`.
 DEFAULT_PORT = 7421
@@ -108,32 +106,6 @@ OWNER_BANNER = "REPRO-DIST-OWNER\n"
 class DistOutcome(BackendOutcome):
     """Result of one distributed run (the shared backend shape)."""
 
-    #: Token-ring circulations completed (Mattern waves).
-    waves: int = 0
-    #: Wall-clock duration of the run, connect to harvest.
-    wall_time_s: float = 0.0
-
-
-@dataclass
-class _DistSpec:
-    """Everything a remote worker needs to rebuild its machine.
-
-    The payload is the *pristine* pickled model — the same artifact
-    discipline the procs backend uses under ``spawn``, shipped over
-    TCP instead of a process-argument pickle.
-    """
-
-    model_payload: bytes
-    processors: int
-    protocol: str
-    partition: Any
-    until: Optional[int]
-    quantum: int
-    fault_plan: Optional[FaultPlan]
-    watchdog_s: Optional[float] = None
-    timeout_s: float = 120.0
-    extra: Dict[str, Any] = field(default_factory=dict)
-
 
 # ======================================================================
 # Worker side
@@ -143,40 +115,21 @@ class _DistWorkerCore(WorkerCore):
 
     backend_name = "dist"
 
-    def __init__(self, spec: _DistSpec, session: "_Session") -> None:
+    def __init__(self, spec: Tuple[bytes, RingSpec],
+                 session: "_Session") -> None:
         self._session = session
-        model = pickle.loads(spec.model_payload)
-        model.validate()
-        self.model = model
-        self.until = spec.until
-        self.quantum = spec.quantum
-        # The fabric is unconditional on dist: TCP links lose written
-        # frames when a connection dies, so every batch needs the
-        # journal/ack machinery even under an empty plan.
-        self.plan = (spec.fault_plan if spec.fault_plan is not None
-                     else FaultPlan())
-        self.recovery = True
-        self.use_fabric = True
-        self._crash_schedule = sorted(self.plan.crashes)
-        self.protocol = spec.protocol
-        self.processors = spec.processors
-        self.watchdog_bound = float(
-            resolve_watchdog(spec.watchdog_s, DEFAULT_WALL_S))
-        self._timeout_s = spec.timeout_s
-        self._inner = ParallelMachine(
-            model, spec.processors, protocol=spec.protocol,
-            cost=SHARED_MEMORY, partition=spec.partition,
-            until=spec.until)
+        payload, ring = spec
+        # The fabric and recovery are unconditional on dist: TCP links
+        # lose written frames when a connection dies, so every batch
+        # needs the journal/ack machinery even under an empty plan.
+        super().__init__(pickle.loads(payload), replace(
+            ring, fault_plan=ring.fault_plan or FaultPlan(), recovery=True))
+        self._build_inner()
         # Upload bookkeeping (see _checkpoint_taken).
         self._uploads = 0
         self._keyframe_bytes = 0
         self._delta_bytes = 0
         self._attaches_seen = 0
-
-    def run(self, index: int, restore: Optional[tuple] = None) -> None:
-        self._run_worker(index, self._inner.procs[index],
-                         self._inner._runtimes, self._inner.placement,
-                         restore=restore)
 
     # -- transport hooks ------------------------------------------------
     def _send_envelope(self, target: int, envelope: tuple) -> None:
@@ -241,7 +194,7 @@ class _Session:
     """
 
     def __init__(self, daemon: "_WorkerDaemon", index: int,
-                 spec: _DistSpec,
+                 spec: Tuple[bytes, RingSpec],
                  restore: Optional[Tuple[List[bytes], list, dict]]) -> None:
         self.daemon = daemon
         self.index = index
@@ -263,7 +216,7 @@ class _Session:
         self.thread.start()
 
     # -- core thread ----------------------------------------------------
-    def _run(self, spec: _DistSpec,
+    def _run(self, spec: Tuple[bytes, RingSpec],
              restore: Optional[Tuple[List[bytes], list, dict]]) -> None:
         try:
             core = _DistWorkerCore(spec, self)
@@ -273,11 +226,11 @@ class _Session:
                        f"{type(exc).__name__}: {exc}", RunStats(), None))
             return
         if restore is None:
-            core.run(self.index)
+            core._run_index(self.index)
         else:
             image = fold_images([pickle.loads(blob) for blob in restore[0]])
-            core.run(self.index, restore=(image, list(restore[1]),
-                                          dict(restore[2])))
+            core._run_index(self.index, restore=(image, list(restore[1]),
+                                                 dict(restore[2])))
 
     def send(self, frame: tuple) -> None:
         self.loop.call_soon_threadsafe(self._enqueue, frame)
@@ -526,37 +479,25 @@ class DistMachine:
     """Coordinate a model run across TCP worker daemons."""
 
     backend_name = "dist"
+    outcome_type = DistOutcome
 
     def __init__(self, model: Model, processors: int,
-                 protocol: str = "optimistic",
-                 partition: Union[str, Partition, Callable] = "round_robin",
-                 until: Optional[int] = None,
-                 quantum: int = 64,
-                 fault_plan: Optional[FaultPlan] = None,
-                 recovery: Optional[bool] = None,
-                 watchdog_s: Optional[float] = None,
                  hosts: Optional[List[str]] = None,
                  disconnects: Optional[List[Tuple[int, int]]] = None,
-                 kills: Optional[List[Tuple[int, int]]] = None) -> None:
-        if protocol == "dynamic":
-            raise ValueError(
-                "the dist backend supports static protocols only; "
-                "use the modelled machine for the dynamic configuration")
-        if quantum < 1:
-            raise ValueError("quantum must be >= 1")
-        if recovery is not None and not recovery:
+                 kills: Optional[List[Tuple[int, int]]] = None,
+                 **ring) -> None:
+        """``ring``: the fields of
+        :class:`~repro.parallel.backend.RingSpec`, as for
+        :class:`~repro.parallel.procs.ProcsMachine`."""
+        # ``timeout_s`` is run()'s, not a constructor parameter.
+        self.spec = RingSpec(processors, timeout_s=120.0, **ring)
+        if self.spec.recovery is not None and not self.spec.recovery:
             raise ValueError(
                 "the dist backend cannot run without recovery: a TCP "
                 "link is itself an unreliable channel")
         model = resolve_model(model)
         model.validate()
         self.model = model
-        self.until = until
-        self.quantum = quantum
-        self.plan = fault_plan
-        self.protocol = protocol
-        self.processors = processors
-        self._watchdog_s = watchdog_s
         self.hosts = list(hosts) if hosts else []
         if len(self.hosts) > processors:
             raise ValueError(
@@ -575,32 +516,11 @@ class DistMachine:
             raise ValueError(
                 "kill injection requires auto-spawned workers "
                 "(the coordinator cannot respawn an external daemon)")
-        # The artifact discipline of the spawn start method, over TCP:
-        # snapshot the pristine model before anything seeds init events.
-        try:
-            pickle.dumps(partition, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as failure:
-            raise ValueError(
-                f"the dist backend cannot ship this partition to "
-                f"workers ({failure}); use a named partitioner, a "
-                f"placement dict, or a module-level partitioner "
-                f"function") from failure
-        try:
-            self._model_payload = pickle.dumps(
-                model, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as failure:
-            raise RuntimeError(
-                f"model is not picklable ({failure}), which the dist "
-                f"backend requires; make process bodies module-level "
-                f"callables (see repro.circuits.bodies)") from failure
-        self._partition_spec = partition
-        self.watchdog_bound = float(
-            resolve_watchdog(watchdog_s, DEFAULT_WALL_S))
+        self._payload = pristine_payload(model, self.spec.partition)
 
     # ------------------------------------------------------------------
     def run(self, timeout_s: float = 120.0) -> DistOutcome:
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        self.spec = replace(self.spec, timeout_s=timeout_s)
         return asyncio.run(self._run_async(timeout_s))
 
     # ------------------------------------------------------------------
@@ -613,13 +533,9 @@ class DistMachine:
         self._error: Optional[tuple] = None
         self._finishing = False
         self._complete = asyncio.Event()
-        self._spec = _DistSpec(
-            model_payload=self._model_payload,
-            processors=self.processors, protocol=self.protocol,
-            partition=self._partition_spec, until=self.until,
-            quantum=self.quantum, fault_plan=self.plan,
-            watchdog_s=self._watchdog_s, timeout_s=timeout_s)
-        self._links = [_WorkerLink(i) for i in range(self.processors)]
+        self._spec = (self._payload, self.spec)
+        self._links = [_WorkerLink(i)
+                       for i in range(self.spec.processors)]
         self._tasks: List[asyncio.Task] = []
         clean = False
         try:
@@ -647,7 +563,7 @@ class DistMachine:
             except asyncio.TimeoutError:
                 pass
             clean = (self._error is None
-                     and len(self._results) == self.processors)
+                     and len(self._results) == self.spec.processors)
         finally:
             self._finishing = True
             for task in self._tasks:
@@ -670,53 +586,8 @@ class DistMachine:
                 else:
                     _reap(link.proc)
             _park_local(keep)
-        partial = RunStats()
-        for message in self._results.values():
-            partial.merge(message[2])
-        partial.merge(self._net)
-        if self._error is not None:
-            error = self._error
-            if error[3] is not None:
-                partial.merge(error[3])
-            failure = ProtocolError(
-                f"dist worker {error[1]} failed: {error[2]}")
-            failure.partial_stats = partial
-            if len(error) > 4 and error[4] is not None:
-                failure.stall_report = error[4]
-            raise failure
-        if len(self._results) < self.processors:
-            missing = sorted(
-                set(range(self.processors)) - set(self._results))
-            failure = ProtocolError(
-                f"dist run exceeded its {timeout_s:.1f}s deadline; "
-                f"workers {missing} never completed")
-            failure.partial_stats = partial
-            raise failure
-        return self._harvest(time.monotonic() - start)
-
-    def _harvest(self, wall_time_s: float) -> DistOutcome:
-        stats = RunStats()
-        gvt = MINUS_INFINITY
-        waves = 0
-        commits = 0
-        for index in range(self.processors):
-            _tag, _i, wstats, lp_states, wgvt, wwaves, wcommits = \
-                self._results[index]
-            stats.merge(wstats)
-            if wgvt > gvt:
-                gvt = wgvt
-            waves = max(waves, wwaves)
-            commits = max(commits, wcommits)
-            for lp_id, (now, attrs) in lp_states.items():
-                lp = self.model.lps[lp_id]
-                lp.now = now
-                for attr, value in attrs.items():
-                    setattr(lp, attr, value)
-        stats.merge(self._net)
-        return DistOutcome(stats=stats, gvt=gvt,
-                           processors=self.processors,
-                           gvt_rounds=commits, waves=waves,
-                           wall_time_s=wall_time_s)
+        return harvest(self, self._results, self._error,
+                       time.monotonic() - start, net=self._net)
 
     # ------------------------------------------------------------------
     # Connection lifecycle
@@ -972,7 +843,7 @@ class DistMachine:
             if frame[1] not in self._results:
                 self._results[frame[1]] = frame
             link.done = True
-            if len(self._results) >= self.processors:
+            if len(self._results) >= self.spec.processors:
                 self._complete.set()
         elif kind == "error":
             if self._error is None:
@@ -1042,23 +913,7 @@ class DistMachine:
                     self._reconnect(link, delay=0.0)))
 
 
-def run_dist(model: Model, processors: int,
-             protocol: str = "optimistic",
-             partition: Union[str, Partition, Callable] = "round_robin",
-             until: Optional[int] = None,
-             quantum: int = 64,
-             timeout_s: float = 120.0,
-             fault_plan: Optional[FaultPlan] = None,
-             recovery: Optional[bool] = None,
-             watchdog_s: Optional[float] = None,
-             hosts: Optional[List[str]] = None,
-             disconnects: Optional[List[Tuple[int, int]]] = None,
-             kills: Optional[List[Tuple[int, int]]] = None) -> DistOutcome:
-    """Convenience wrapper mirroring :func:`run_procs`."""
-    machine = DistMachine(model, processors, protocol=protocol,
-                          partition=partition, until=until,
-                          quantum=quantum, fault_plan=fault_plan,
-                          recovery=recovery, watchdog_s=watchdog_s,
-                          hosts=hosts, disconnects=disconnects,
-                          kills=kills)
-    return machine.run(timeout_s=timeout_s)
+def run_dist(model: Model, processors: int, timeout_s: float = 120.0,
+             **config) -> DistOutcome:
+    """``DistMachine(model, processors, **config).run(timeout_s)``."""
+    return DistMachine(model, processors, **config).run(timeout_s)

@@ -69,16 +69,15 @@ without extra synchronization.
 **Start methods.**  Under ``fork`` workers inherit the pre-built
 machine and nothing but events, tokens and final states ever crosses a
 pickle boundary.  Under ``spawn``/``forkserver`` each worker instead
-receives a :class:`_WorkerSpec` — the *pristine* pickled model
-(snapshotted before the inner machine seeds init events) plus the
-machine parameters — and deterministically rebuilds its own machine
-locally: same model, same partition spec, same placement, same seeded
-queues as every sibling.  This is the artifact discipline of
-:mod:`repro.vhdl.artifact` applied at the worker boundary, and it is
-what the dist backend ships over the wire.  The method is chosen by
-the ``start_method`` parameter, then the ``REPRO_PROCS_START``
-environment variable, then ``fork`` when the platform offers it, else
-``spawn``.
+receives the *pristine* pickled model and the run's
+:class:`~repro.parallel.backend.RingSpec` — exactly what the dist
+backend ships over the wire — and rebuilds its own machine with the
+one ring constructor: same model, same spec, hence the same placement
+and the same seeded queues as every sibling
+(:func:`~repro.parallel.backend.pristine_payload`).  The method is
+chosen by the ``start_method`` parameter, then the
+``REPRO_PROCS_START`` environment variable, then ``fork`` when the
+platform offers it, else ``spawn``.
 """
 
 from __future__ import annotations
@@ -88,29 +87,19 @@ import os
 import pickle
 import queue as queue_module
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Optional, Tuple
 
 from ..core.model import Model
 from ..core.stats import RunStats
 from ..core.vtime import MINUS_INFINITY
-from ..fabric.plan import FaultPlan
-from ..resilience import DEFAULT_WALL_S, resolve_watchdog
-from .backend import BackendOutcome, WorkerCore, resolve_model
-from .cost import SHARED_MEMORY
-from .engine import ProtocolError
-from .machine import ParallelMachine
-from .partition import Partition
+from .backend import (BackendOutcome, RingSpec, WorkerCore, harvest,
+                      pristine_payload)
 
 
 @dataclass
 class ProcsOutcome(BackendOutcome):
     """Result of one multiprocess run (the shared backend shape)."""
-
-    #: Token-ring circulations completed (Mattern waves).
-    waves: int = 0
-    #: Wall-clock duration of the run, workers live to joined.
-    wall_time_s: float = 0.0
 
 
 #: Environment override for the worker start method.
@@ -135,45 +124,25 @@ def resolve_start_method(start_method: Optional[str] = None) -> str:
     return start_method
 
 
-@dataclass
-class _WorkerSpec:
-    """Everything a spawned worker needs to rebuild its machine.
-
-    ``model_payload`` is the pristine model pickled *before* the
-    parent's inner machine seeded init events, so the child's build —
-    same parameters, same deterministic partitioner — reproduces the
-    exact machine a forked worker would have inherited.
-    """
-
-    model_payload: bytes
-    processors: int
-    protocol: str
-    partition: Any
-    until: Optional[int]
-    quantum: int
-    fault_plan: Optional[FaultPlan]
-    recovery: bool
-    watchdog_s: Optional[float] = None
-    timeout_s: float = 120.0
-    extra: Dict[str, Any] = field(default_factory=dict)
+def _rebuild(payload: bytes, spec: RingSpec) -> "ProcsMachine":
+    """A spawn-mode worker's machine: the ring constructor on the
+    pristine model, with none of the parent's start-method state."""
+    machine = ProcsMachine.__new__(ProcsMachine)
+    WorkerCore.__init__(machine, pickle.loads(payload), spec)
+    machine._build_inner()
+    return machine
 
 
-def _spawn_worker(spec: _WorkerSpec, index: int, queues: list,
-                  result_queue) -> None:
+def _spawn_worker(payload: bytes, spec: RingSpec, index: int,
+                  queues: list, result_queue) -> None:
     """Spawn-mode worker entry point (module-level: picklable by ref).
 
-    Rebuilds the machine from the spec, wires in the parent-created
-    queues, and runs the standard worker loop — from here on the two
-    start methods are indistinguishable.
+    Rebuilds the machine, wires in the parent-created queues, and runs
+    the standard worker loop — from here on the two start methods are
+    indistinguishable.
     """
     try:
-        model = pickle.loads(spec.model_payload)
-        machine = ProcsMachine(
-            model, spec.processors, protocol=spec.protocol,
-            partition=spec.partition, until=spec.until,
-            quantum=spec.quantum, fault_plan=spec.fault_plan,
-            recovery=spec.recovery, watchdog_s=spec.watchdog_s,
-            _snapshot=False)
+        machine = _rebuild(payload, spec)
     except BaseException as exc:  # noqa: BLE001 - forwarded to parent
         try:
             result_queue.put(("error", index,
@@ -185,89 +154,31 @@ def _spawn_worker(spec: _WorkerSpec, index: int, queues: list,
         return
     machine._queues = queues
     machine._result_queue = result_queue
-    machine._timeout_s = spec.timeout_s
-    machine._worker_main(index)
+    machine._run_index(index)
 
 
 class ProcsMachine(WorkerCore):
-    """Run a Model on real worker processes; commits identical results."""
+    """Run a Model on real worker processes; commits identical results.
+
+    ``ring`` is the run itself — ``protocol``, ``partition``, ``until``,
+    ``quantum``, ``fault_plan``, ``recovery``, ``watchdog_s``: the
+    fields of :class:`~repro.parallel.backend.RingSpec`.
+    """
 
     backend_name = "procs"
     outcome_type = ProcsOutcome
 
     def __init__(self, model: Model, processors: int,
-                 protocol: str = "optimistic",
-                 partition: Union[str, Partition, Callable] = "round_robin",
-                 until: Optional[int] = None,
-                 quantum: int = 64,
-                 fault_plan: Optional[FaultPlan] = None,
-                 recovery: Optional[bool] = None,
-                 watchdog_s: Optional[float] = None,
-                 start_method: Optional[str] = None,
-                 _snapshot: bool = True) -> None:
-        if protocol == "dynamic":
-            raise ValueError(
-                f"the {self.backend_name} backend supports static "
-                f"protocols only; use the modelled machine for the "
-                f"dynamic configuration")
-        if quantum < 1:
-            raise ValueError("quantum must be >= 1")
-        model = resolve_model(model)
-        model.validate()
-        self.model = model
-        self.until = until
-        self.quantum = quantum
-        self.plan = fault_plan
-        self.recovery = bool(
-            (fault_plan.needs_recovery if fault_plan is not None else False)
-            if recovery is None else recovery)
-        self.use_fabric = (fault_plan is not None
-                          and (fault_plan.faulty or self.recovery))
-        #: Crash schedule: (completed-GVT-commits, worker) pairs.
-        self._crash_schedule = sorted(
-            fault_plan.crashes) if fault_plan is not None else []
-        if self._crash_schedule and not self.recovery:
-            raise ValueError("a crash schedule requires recovery=True")
+                 start_method: Optional[str] = None, **ring) -> None:
+        # ``timeout_s`` is run()'s, not a constructor parameter.
+        super().__init__(model, RingSpec(processors, timeout_s=120.0,
+                                         **ring))
         self.start_method = resolve_start_method(start_method)
-        self._watchdog_s = watchdog_s
-        self._spawn_payload: Optional[bytes] = None
-        if _snapshot and self.start_method != "fork":
-            # Snapshot the *pristine* model before the inner machine
-            # build mutates it (init-event seeding): spawned workers
-            # rebuild from this payload and must reproduce exactly the
-            # state a forked worker would inherit.
-            try:
-                pickle.dumps(partition,
-                             protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as failure:
-                raise ValueError(
-                    f"the {self.start_method!r} start method cannot "
-                    f"ship this partition to workers ({failure}); use "
-                    f"a named partitioner, a placement dict, a module-"
-                    f"level partitioner function, or "
-                    f"start_method='fork'") from failure
-            try:
-                self._spawn_payload = pickle.dumps(
-                    model, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception as failure:
-                raise RuntimeError(
-                    f"model is not picklable ({failure}), which the "
-                    f"{self.start_method!r} start method requires; "
-                    f"make process bodies module-level callables (see "
-                    f"repro.circuits.bodies) or use "
-                    f"start_method='fork'") from failure
-        self._partition_spec = partition
-        # Build processors exactly like the other real backend; under
-        # fork workers inherit the fully seeded machine, under spawn
-        # they rebuild it from the pristine payload.
-        inner = ParallelMachine(model, processors, protocol=protocol,
-                                cost=SHARED_MEMORY, partition=partition,
-                                until=until)
-        self._inner = inner
-        self.protocol = protocol
-        self.processors = processors
-        self.watchdog_bound = float(
-            resolve_watchdog(watchdog_s, DEFAULT_WALL_S))
+        #: What a worker that cannot inherit this machine rebuilds it
+        #: from — taken before the build below seeds init events.
+        self._payload = (None if self.start_method == "fork" else
+                         pristine_payload(self.model, self.spec.partition))
+        self._build_inner()
 
     # ==================================================================
     # Parent side
@@ -280,31 +191,22 @@ class ProcsMachine(WorkerCore):
 
     def _worker_entry(self, index: int) -> Tuple[Callable, tuple]:
         """``(target, args)`` that run worker ``index``."""
-        if self.start_method == "fork":
-            return self._worker_main, (index,)
-        spec = _WorkerSpec(
-            model_payload=self._spawn_payload,
-            processors=self.processors, protocol=self.protocol,
-            partition=self._partition_spec, until=self.until,
-            quantum=self.quantum, fault_plan=self.plan,
-            recovery=self.recovery, watchdog_s=self._watchdog_s,
-            timeout_s=self._timeout_s)
-        return _spawn_worker, (spec, index, self._queues,
-                               self._result_queue)
+        if self._payload is None:
+            return self._run_index, (index,)
+        return _spawn_worker, (self._payload, self.spec, index,
+                               self._queues, self._result_queue)
 
     def run(self, timeout_s: float = 120.0) -> ProcsOutcome:
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        self.spec = replace(self.spec, timeout_s=timeout_s)
         start = time.monotonic()
         grace = max(0.5, min(5.0, timeout_s / 10.0))
         ctx = self._context()
-        count = self.processors
+        count = self.spec.processors
         # Under fork: created before the fork so every worker inherits
         # every queue.  Under spawn: passed explicitly as process
         # arguments (multiprocessing duplicates the queue handles).
         self._queues = [ctx.Queue() for _ in range(count)]
         self._result_queue = ctx.Queue()
-        self._timeout_s = timeout_s
         workers = []
         for index in range(count):
             target, args = self._worker_entry(index)
@@ -353,62 +255,11 @@ class ProcsMachine(WorkerCore):
         for index in laggards:
             workers[index].terminate()
             workers[index].join(timeout=grace)
-        partial = RunStats()
-        for message in results.values():
-            partial.merge(message[2])
-        if error is not None:
-            if error[3] is not None:
-                partial.merge(error[3])
-            failure = ProtocolError(
-                f"{self.backend_name} worker {error[1]} failed: "
-                f"{error[2]}")
-            failure.partial_stats = partial
-            if len(error) > 4 and error[4] is not None:
-                failure.stall_report = error[4]
-            raise failure
-        if len(results) < count:
-            missing = sorted(set(range(count)) - set(results))
-            failure = ProtocolError(
-                f"{self.backend_name} run exceeded its {timeout_s:g}s "
-                f"deadline; workers {missing} never completed")
-            failure.partial_stats = partial
-            raise failure
-        return self._harvest(results, time.monotonic() - start)
-
-    def _harvest(self, results: Dict[int, tuple],
-                 wall_time_s: float) -> ProcsOutcome:
-        stats = RunStats()
-        gvt = MINUS_INFINITY
-        waves = 0
-        commits = 0
-        for index in range(self.processors):
-            _tag, _i, wstats, lp_states, wgvt, wwaves, wcommits = \
-                results[index]
-            stats.merge(wstats)
-            if wgvt > gvt:
-                gvt = wgvt
-            waves = max(waves, wwaves)
-            commits = max(commits, wcommits)
-            # Pull each worker's final LP states back into the parent's
-            # model so callers (e.g. the VHDL kernel's trace collection)
-            # read results exactly as they do for the other backends.
-            for lp_id, (now, attrs) in lp_states.items():
-                lp = self.model.lps[lp_id]
-                lp.now = now
-                for attr, value in attrs.items():
-                    setattr(lp, attr, value)
-        return self.outcome_type(stats=stats, gvt=gvt,
-                                 processors=self.processors,
-                                 gvt_rounds=commits, waves=waves,
-                                 wall_time_s=wall_time_s)
+        return harvest(self, results, error, time.monotonic() - start)
 
     # ==================================================================
     # Worker side: the shared WorkerCore over multiprocessing queues
     # ==================================================================
-    def _worker_main(self, index: int) -> None:
-        self._run_worker(index, self._inner.procs[index],
-                         self._inner._runtimes, self._inner.placement)
-
     def _send_envelope(self, target: int, envelope: tuple) -> None:
         self._queues[target].put(envelope)
 
@@ -425,20 +276,7 @@ class ProcsMachine(WorkerCore):
         self._result_queue.put(message)
 
 
-def run_procs(model: Model, processors: int,
-              protocol: str = "optimistic",
-              partition: Union[str, Partition, Callable] = "round_robin",
-              until: Optional[int] = None,
-              quantum: int = 64,
-              timeout_s: float = 120.0,
-              fault_plan: Optional[FaultPlan] = None,
-              recovery: Optional[bool] = None,
-              watchdog_s: Optional[float] = None,
-              start_method: Optional[str] = None) -> ProcsOutcome:
-    """Convenience wrapper mirroring :func:`run_threaded`."""
-    machine = ProcsMachine(model, processors, protocol=protocol,
-                           partition=partition, until=until,
-                           quantum=quantum, fault_plan=fault_plan,
-                           recovery=recovery, watchdog_s=watchdog_s,
-                           start_method=start_method)
-    return machine.run(timeout_s=timeout_s)
+def run_procs(model: Model, processors: int, timeout_s: float = 120.0,
+              **config) -> ProcsOutcome:
+    """``ProcsMachine(model, processors, **config).run(timeout_s)``."""
+    return ProcsMachine(model, processors, **config).run(timeout_s)

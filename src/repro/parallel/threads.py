@@ -39,11 +39,10 @@ import copy
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple
 
 from ..core.model import Model
-from ..fabric.plan import FaultPlan
-from .partition import Partition
+from .backend import RingSpec, WorkerCore
 from .procs import ProcsMachine, ProcsOutcome
 
 
@@ -78,17 +77,11 @@ class ThreadedMachine(ProcsMachine):
     backend_name = "threads"
     outcome_type = ThreadedOutcome
 
-    def __init__(self, model: Model, processors: int,
-                 protocol: str = "optimistic",
-                 partition: Union[str, Partition, Callable] = "round_robin",
-                 until: Optional[int] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 recovery: Optional[bool] = None,
-                 watchdog_s: Optional[float] = None) -> None:
-        super().__init__(model, processors, protocol=protocol,
-                         partition=partition, until=until,
-                         fault_plan=fault_plan, recovery=recovery,
-                         watchdog_s=watchdog_s, _snapshot=False)
+    def __init__(self, model: Model, processors: int, **ring) -> None:
+        # No start method to resolve, no payload to snapshot.
+        WorkerCore.__init__(self, model, RingSpec(
+            processors, timeout_s=120.0, **ring))
+        self._build_inner()
 
     def _context(self) -> _InProcess:
         return _InProcess()
@@ -99,20 +92,10 @@ class ThreadedMachine(ProcsMachine):
         # processors and queues.
         worker = copy.copy(self)
         worker._crash_schedule = list(self._crash_schedule)
-        return worker._worker_main, (index,)
+        return worker._run_index, (index,)
 
 
-def run_threaded(model: Model, processors: int,
-                 protocol: str = "optimistic",
-                 partition: Union[str, Partition, Callable] = "round_robin",
-                 until: Optional[int] = None,
-                 timeout_s: float = 120.0,
-                 fault_plan: Optional[FaultPlan] = None,
-                 recovery: Optional[bool] = None,
-                 watchdog_s: Optional[float] = None) -> ThreadedOutcome:
-    """Convenience wrapper mirroring :func:`run_parallel`."""
-    machine = ThreadedMachine(model, processors, protocol=protocol,
-                              partition=partition, until=until,
-                              fault_plan=fault_plan, recovery=recovery,
-                              watchdog_s=watchdog_s)
-    return machine.run(timeout_s=timeout_s)
+def run_threaded(model: Model, processors: int, timeout_s: float = 120.0,
+                 **config) -> ThreadedOutcome:
+    """``ThreadedMachine(model, processors, **config).run(timeout_s)``."""
+    return ThreadedMachine(model, processors, **config).run(timeout_s)

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,53 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["parallel", vhd, "--top", "tb",
                   "--protocol", "psychic"])
+
+
+class TestRingCommandLine:
+    """What ``run`` accepts it acts on; what the machine rejects is one
+    ``repro:`` line and exit status 2, not a traceback."""
+
+    @staticmethod
+    def one_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("backend", ["threads", "procs", "dist"])
+    def test_default_protocol_on_a_ring_backend(self, backend, capsys):
+        # --protocol defaults to dynamic, which only the model runs.
+        assert main(["run", "--circuit", "fsm", "-p", "2",
+                     "--backend", backend]) == 2
+        assert "static protocols only" in self.one_line(capsys)
+        assert main(["check", "--circuit", "fsm",
+                     "--backend", backend]) == 2
+        assert "static protocols only" in self.one_line(capsys)
+
+    def test_bad_crash_spec(self, capsys):
+        assert main(["run", "--circuit", "fsm", "--crash", "foo"]) == 2
+        assert "--crash 'foo'" in self.one_line(capsys)
+
+    def test_bad_until(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--circuit", "fsm", "--until", "abc"])
+        assert exit_.value.code == 2
+        assert "--until 'abc'" in self.one_line(capsys)
+
+    def test_run_waves_renders(self, vhd, capsys):
+        assert main(["run", vhd, "--top", "tb", "-p", "2",
+                     "--waves"]) == 0
+        out = capsys.readouterr().out
+        assert "clk :" in out and "ns/column" in out
+
+    def test_quantum_reaches_the_threads_backend(self, capsys):
+        def events_per_envelope(quantum):
+            assert main(["run", "--circuit", "fsm", "-p", "2",
+                         "--backend", "threads", "--protocol",
+                         "optimistic", "--quantum", quantum]) == 0
+            return float(re.search(r"avg ([0-9.]+)/envelope",
+                                   capsys.readouterr().out).group(1))
+
+        assert events_per_envelope("1") < events_per_envelope("64")
 
 
 class TestCheckCommand:

@@ -36,8 +36,8 @@ from repro.core.vtime import VirtualTime
 from repro.fabric import FaultPlan, transport
 from repro.fabric.recovery import checkpoint_processor, restore_processor
 from repro.parallel import backend, dist
-from repro.parallel.backend import fold_images
-from repro.parallel.dist import DistMachine, _DistSpec, _DistWorkerCore
+from repro.parallel.backend import RingSpec, fold_images
+from repro.parallel.dist import DistMachine, _DistWorkerCore
 from repro.parallel.engine import ProtocolError
 from repro.parallel.machine import ParallelMachine
 from repro.parallel.procs import ProcsMachine
@@ -240,15 +240,13 @@ def endpoint_state(endpoint):
 def run_on_hub(cells, cycles, protocol):
     """Two dist worker cores on an in-memory hub, one thread each."""
     model = build_fsm(cells=cells, cycles=cycles).design.elaborate()
-    spec = _DistSpec(
-        model_payload=pickle.dumps(model), processors=2, protocol=protocol,
-        partition="block", until=None, quantum=64, fault_plan=None,
-        timeout_s=120.0)
+    spec = (pickle.dumps(model),
+            RingSpec(2, protocol=protocol, partition="block"))
     hub = {}
     for index in range(2):
         hub[index] = HubSession(hub)
         hub[index].core = _DistWorkerCore(spec, hub[index])
-    threads = [threading.Thread(target=hub[i].core.run, args=(i,))
+    threads = [threading.Thread(target=hub[i].core._run_index, args=(i,))
                for i in hub]
     for thread in threads:
         thread.start()
@@ -452,17 +450,13 @@ def forward_pair():
     moves the execution window — closed at the start and again after a
     crash; callers open it by hand."""
     model, source, sink = forward_model()
-    spec = _DistSpec(
-        model_payload=pickle.dumps(model), processors=2,
-        protocol="optimistic",
-        partition={source.lp_id: 0, sink.lp_id: 1}, until=None,
-        quantum=64, fault_plan=None)
+    spec = (pickle.dumps(model),
+            RingSpec(2, partition={source.lp_id: 0, sink.lp_id: 1}))
     hub = {}
     hub[0], hub[1] = HubSession(hub), HubSession(hub)
     core = hub[0].core = _DistWorkerCore(spec, hub[0])
-    proc = core._inner.procs[0]
-    core._setup_worker(0, proc, core._inner._runtimes,
-                       core._inner.placement)
+    core._setup_worker(0)
+    proc = core._proc
     core._install_route()
     return core, proc, hub, source, sink
 
