@@ -99,11 +99,13 @@ def checkpoint_processor(proc, previous: Optional[ProcessorCheckpoint] = None,
     :func:`restore_processor` copies every container out).  Without
     it, or after a restore, every runtime is captured.
     """
+    copies = proc.copies
     ckpt = ProcessorCheckpoint(
         clock=proc.clock,
         gvt_bound=proc.gvt_bound,
         local_fifo=list(proc.local_fifo),
-        ready=list(proc.ready),
+        ready=sorted(entry for entry in proc.ready
+                     for _ in range(copies.get(entry, 1))),
         blocked=set(proc.blocked),
         stats=replace(proc.stats,
                       events_per_lp=dict(proc.stats.events_per_lp)),
@@ -170,11 +172,12 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
     never collide with post-recovery conservative phases.
 
     The readiness bookkeeping derived from the image is rebuilt, not
-    stored: ``live`` from what each restored runtime holds, ``armed``
-    from the restored ready heap (whose entries for a non-blockable
-    runtime are distinct by construction, so images carry no
-    duplicates of them).  ``imaged`` is dropped: the caller goes on to
-    bump every epoch, so the next checkpoint is a full one.
+    stored: ``live`` from what each restored runtime holds, the ready
+    heap and its ``copies`` from the image's multiset of entries (one
+    per poll of a blockable runtime; those of any other runtime are
+    distinct by construction), ``armed`` from the heap.  ``imaged`` is
+    dropped: the caller goes on to bump every epoch, so the next
+    checkpoint is a full one.
     """
     from ..parallel.engine import _Entry
 
@@ -182,7 +185,11 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
     proc.gvt_bound = ckpt.gvt_bound
     proc.local_fifo = deque(ckpt.local_fifo)
     proc.inbox = []
-    proc.ready = list(ckpt.ready)
+    proc.ready = sorted(set(ckpt.ready))
+    proc.copies = {}
+    for entry in ckpt.ready:
+        if proc.runtimes[entry[1]].blockable:
+            proc.copies[entry] = proc.copies.get(entry, 0) + 1
     proc.blocked = set(ckpt.blocked)
     proc.stats = copy.deepcopy(ckpt.stats)
     for lp_id, image in ckpt.runtimes.items():

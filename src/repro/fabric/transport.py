@@ -435,6 +435,7 @@ class ReliableFabric:
         pre_epochs = {lp_id: runtime.cons_epoch
                       for lp_id, runtime in proc.runtimes.items()}
         restore_processor(proc, ckpt)
+        machine.drop_floors()
         proc.gvt_bound = machine.gvt
         for lp_id, runtime in proc.runtimes.items():
             runtime.cons_epoch = max(pre_epochs.get(lp_id, 0),

@@ -160,7 +160,7 @@ class LPRuntime:
         self.last_null_promise: Dict[int, VirtualTime] = {}
         self.committed = 0
         #: Distance-based lower bound on future arrivals, refreshed by the
-        #: machine's global rounds (see ParallelMachine._release_bounds).
+        #: machine's global rounds (ParallelMachine._refresh_release_floors).
         self.release_floor: VirtualTime = MINUS_INFINITY
         #: Executions since the last state snapshot (interval
         #: checkpointing; see Processor.checkpoint_interval).
@@ -301,11 +301,13 @@ class Processor:
         #: cascades iterative and preserves send order).
         self.local_fifo = deque()
         #: Runtimes with a queued head, keyed for lowest-timestamp-first:
-        #: ``(head sort key, lp id)``, lazily deleted.  Entries of
-        #: blockable runtimes are polls and are pushed on every arm;
-        #: entries of the rest mirror ``LPRuntime.armed`` (see
-        #: docs/protocol.md, "Readiness bookkeeping").
+        #: ``(head sort key, lp id)``, lazily deleted, each distinct entry
+        #: once.  Entries of blockable runtimes are polls, one per arm:
+        #: ``copies`` holds how many each stands for.  Entries of the
+        #: rest mirror ``LPRuntime.armed`` (see docs/protocol.md,
+        #: "Readiness bookkeeping").
         self.ready: List[Tuple[tuple, int]] = []
+        self.copies: Dict[Tuple[tuple, int], int] = {}
         self.blocked: Set[int] = set()
         self.stats = RunStats()
         #: Conformance hooks (repro.harness): a Tracer records every
@@ -365,25 +367,40 @@ class Processor:
         if runtime.head() is not None:
             self._push_ready(runtime.queue[0][0], runtime)
 
-    def _push_ready(self, key: tuple, runtime: LPRuntime) -> None:
+    def _push_ready(self, key: tuple, runtime: LPRuntime,
+                    copies: int = 1) -> None:
         """Enter ``(key, runtime)`` into the ready heap — always for a
-        blockable runtime (the entry is a poll), at most once per key
-        and only below its other entries for one that cannot block."""
-        if not runtime.blockable:
+        blockable runtime (the entry is a poll; ``copies`` of them), at
+        most once per key and only below its other entries for one that
+        cannot block."""
+        entry = (key, runtime.lp.lp_id)
+        if runtime.blockable:
+            held = self.copies.get(entry)
+            if held:
+                self.copies[entry] = held + copies
+                return
+            self.copies[entry] = copies
+        else:
             armed = runtime.armed
             if armed and armed[-1] <= key:
                 # An entry of this runtime surfaces at or before the
                 # head; it is checked against the queue when popped.
                 return
             armed.append(key)
-        heapq.heappush(self.ready, (key, runtime.lp.lp_id))
+        heapq.heappush(self.ready, entry)
 
     def _pop_safe(self) -> Optional[Tuple[tuple, LPRuntime]]:
         """Pop ready entries up to the first whose runtime may execute
         its queue head now; ``None`` when the heap runs out.
 
         An entry of a blockable runtime that fails the safety test is a
-        blocked poll, with all its side effects.
+        blocked poll, with all its side effects — once per copy, in the
+        order the copies would surface one by one.  Where every copy
+        surfaces back to back with the same effect, they go in one step:
+        a dead or beyond-horizon head drops them all, and a stale entry
+        below the head re-keys them all to it (each re-armed copy lies
+        above the rest).  A stale entry above the head re-arms one copy,
+        which then surfaces before the next.
 
         The execution window is tested on the lowest entry *before* it
         is popped.  No queue head lies below the heap's lowest key
@@ -394,36 +411,71 @@ class Processor:
         re-armed as ever.
         """
         ready = self.ready
+        copies = self.copies
+        runtimes = self.runtimes
         until = self.until
         window_end = self.window_end
+        heappop = heapq.heappop
         while ready:
-            if window_end is not None and ready[0][0][0][0] > window_end:
+            entry = ready[0]
+            key, lp_id = entry
+            if window_end is not None and key[0][0] > window_end:
                 self.stats.window_stalls += 1
                 return None
-            key, lp_id = heapq.heappop(ready)
-            runtime = self.runtimes[lp_id]
+            runtime = runtimes[lp_id]
             if not runtime.blockable:
+                heappop(ready)
                 runtime.armed.pop()  # always ``key``: lowest surfaces first
+                head = runtime.head()
+                if head is None:
+                    continue
+                if runtime.queue[0][0] != key:
+                    # Stale entry: the queue changed; re-arm with the truth.
+                    self._arm(runtime)
+                    continue
+                if until is not None and head.time.pt > until:
+                    # Beyond the simulation horizon; park it unarmed.
+                    continue
+                return key, runtime  # it cannot block
+            held = copies[entry]
             head = runtime.head()
-            if head is None:
-                continue
-            if runtime.queue[0][0] != key:
-                # Stale entry: the queue changed; re-arm with the truth.
-                self._arm(runtime)
-                continue
-            if until is not None and head.time.pt > until:
-                # Beyond the simulation horizon; park it unarmed.
-                continue
-            if not self._safe(runtime, head):
-                self.blocked.add(lp_id)
-                runtime.blocked_streak += 1
-                self.stats.blocked_polls += 1
-                if self.use_lookahead:
-                    self._send_nulls(runtime)
-                self._maybe_go_optimistic(runtime)
-                continue
-            return key, runtime
+            if head is not None:
+                head_key = runtime.queue[0][0]
+                if head_key != key:
+                    # Stale entry: the queue changed; re-arm with the truth.
+                    self.blocked.discard(lp_id)
+                    if key < head_key:
+                        heappop(ready)
+                        del copies[entry]
+                        self._push_ready(head_key, runtime, held)
+                    else:
+                        self._take_copy(entry, held)
+                        self._push_ready(head_key, runtime)
+                    continue
+                if until is None or head.time.pt <= until:
+                    self._take_copy(entry, held)
+                    if self._safe(runtime, head):
+                        return key, runtime
+                    self.blocked.add(lp_id)
+                    runtime.blocked_streak += 1
+                    self.stats.blocked_polls += 1
+                    if self.use_lookahead:
+                        self._send_nulls(runtime)
+                    self._maybe_go_optimistic(runtime)
+                    continue
+            # Nothing queued, or beyond the simulation horizon: park it
+            # unarmed.
+            heappop(ready)
+            del copies[entry]
         return None
+
+    def _take_copy(self, entry: Tuple[tuple, int], held: int) -> None:
+        """Remove one copy of the lowest ready entry."""
+        if held == 1:
+            heapq.heappop(self.ready)
+            del self.copies[entry]
+        else:
+            self.copies[entry] = held - 1
 
     def rearm_blocked(self) -> None:
         """After a GVT advance, blocked conservative LPs may be safe."""

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from itertools import chain, compress
+from operator import ne
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.event import Event
 from ..core.model import Model, SyncMode
@@ -231,21 +233,27 @@ class ParallelMachine:
             proc.lookahead_of = self._lookahead_for
             proc.gvt_bound = self.gvt
             proc.cancel_note = self._note_cancellation
-        # Release-floor sweep tables, fixed for the run: who can ever
-        # read a floor (the safety test of a blockable runtime is the
-        # only reader), its predecessors, and each LP's successors with
-        # the successor's reaction lookahead.
-        lps = self.model.lps
-        self._floor_readers: List[
-                Tuple[LPRuntime, Tuple[int, ...], Processor]] = [
-            (runtime, tuple(self.model.predecessors(lp_id)),
-             self.procs[self.placement[lp_id]])
-            for lp_id, runtime in self._runtimes.items()
-            if runtime.blockable]
-        self._succ_lookahead: Dict[int, Tuple[Tuple[int, int], ...]] = {
-            lp.lp_id: tuple((nxt, lps[nxt].react_lookahead_phases)
-                            for nxt in self.model.successors(lp.lp_id))
-            for lp in lps} if self._floor_readers else {}
+        # Release-floor sweep tables, fixed for the run and indexed by lp
+        # id: who can ever read a floor (the safety test of a blockable
+        # runtime is the only reader) and its processor, each LP's
+        # predecessors, successors and reaction lookahead.  Without a
+        # reader there is no sweep.
+        model = self.model
+        self._readers: List[Optional[Tuple[LPRuntime, Processor]]] = [
+            (runtime, self.procs[self.placement[lp_id]])
+            if runtime.blockable else None
+            for lp_id, runtime in self._runtimes.items()]
+        if not any(self._readers):
+            self._readers = []
+        lps = model.lps if self._readers else []
+        self._preds = [tuple(model.predecessors(lp.lp_id)) for lp in lps]
+        self._succ = [tuple(model.successors(lp.lp_id)) for lp in lps]
+        self._react = [lp.react_lookahead_phases for lp in lps]
+        #: The last walk of ``compute_gvt`` (potentials, arrivals), and
+        #: what the sweep carries between rounds (potentials, arrivals,
+        #: ``B``, ``A``, parents) — ``None`` means a full round.
+        self._noted: Optional[Tuple[list, list]] = None
+        self._carried: Optional[Tuple[list, ...]] = None
         for lp in self.model.lps:
             runtime = self._runtimes[lp.lp_id]
             for event in lp.init_events():
@@ -270,21 +278,55 @@ class ParallelMachine:
     # Global services
     # ------------------------------------------------------------------
     def compute_gvt(self) -> VirtualTime:
-        """Exact GVT: min over all queued and in-flight event times."""
-        low = INFINITY
+        """Exact GVT: min over all queued and in-flight event times.
+
+        The walk notes them per LP — the earliest queued at or under way
+        to it (its *potential*) and the earliest under way to it — and
+        leaves both for the release-floor sweep of the same round; it
+        also samples the peak of speculatively processed events.
+        """
+        potential = [INFINITY] * len(self._runtimes)
+        arriving = list(potential)
+        speculative = 0
+
+        def arrive(lp_id: int, time: VirtualTime) -> None:
+            if time < arriving[lp_id]:
+                arriving[lp_id] = time
+                if time < potential[lp_id]:
+                    potential[lp_id] = time
+
         for proc in self.procs:
-            t = proc.local_min_time()
-            if t < low:
-                low = t
+            runtimes = proc.runtimes
+            for lp_id in proc.live:
+                runtime = runtimes[lp_id]
+                speculative += len(runtime.processed)
+                if runtime.cancelled:
+                    runtime.head()  # drops annihilated entries
+                if runtime.queue:
+                    time = runtime.queue[0][0][0]
+                    if time < potential[lp_id]:
+                        potential[lp_id] = time
+                if runtime.negatives:
+                    # A parked negative implies its positive twin is
+                    # still under way.
+                    for negative in runtime.negatives.values():
+                        arrive(lp_id, negative.time)
+                for pending in runtime.lazy_pending:
+                    # A withheld cancellation may yet arrive at its
+                    # destination as an antimessage.
+                    arrive(pending.dst, pending.time)
+            for _at, _seq, event in proc.inbox:
+                arrive(event.dst, event.time)
             for event in proc.local_fifo:
-                if event.time < low:
-                    low = event.time
-        # Messages the fabric still owes (unacked or parked in reorder
-        # buffers) are in-flight work and must pin the commit horizon.
+                arrive(event.dst, event.time)
+        # Messages the fabric still owes (unacked, possibly dropped, or
+        # parked in reorder buffers) will arrive eventually.
         for event in self.fabric.pending_events():
-            if event.time < low:
-                low = event.time
-        return low
+            arrive(event.dst, event.time)
+        self._noted = (potential, arriving)
+        if speculative > self._peak_speculative:
+            self._peak_speculative = speculative
+        return min(potential, default=INFINITY)
 
     def _gvt_round(self, barrier: bool) -> None:
         """Advance the commit horizon; optionally synchronize clocks.
@@ -313,7 +355,6 @@ class ParallelMachine:
                 gvt=None if g in (INFINITY, MINUS_INFINITY)
                 else (g[0], g[1]),
                 barrier=barrier)
-        self._note_speculative_peak()
         self._refresh_release_floors()
         for proc in self.procs:
             proc.gvt_bound = self.gvt
@@ -427,13 +468,6 @@ class ParallelMachine:
         error.partial_stats = self._partial_stats()
         raise error
 
-    def _note_speculative_peak(self) -> None:
-        total = sum(len(proc.runtimes[lp_id].processed)
-                    for proc in self.procs
-                    for lp_id in proc.live)
-        if total > self._peak_speculative:
-            self._peak_speculative = total
-
     def _refresh_release_floors(self) -> None:
         """Distance-based release bounds (bounded-lag refinement).
 
@@ -447,93 +481,111 @@ class ParallelMachine:
             A_i = min over predecessors j of B_j
             B_j = min(m_j, min over predecessors k of B_k + react_la(j))
 
-        where ``m_j`` is the minimum timestamp queued at / in flight to
-        ``j``.  This is a multi-source shortest-path problem solved with
-        one Dijkstra sweep; the bounds remain valid until refreshed
-        (consuming events only raises them).  For LP classes with zero
-        declared lookahead the sweep degenerates to reachability, which
-        is still sound and still better than plain GVT.
+        where ``m_j`` is the potential ``compute_gvt`` noted for ``j``
+        (the minimum timestamp queued at / in flight to it).  This is a
+        multi-source shortest-path problem solved by Dijkstra; the
+        bounds remain valid until refreshed (consuming events only
+        raises them).  For LP classes with zero declared lookahead the
+        sweep degenerates to reachability, which is still sound and
+        still better than plain GVT.  Undelivered messages are *future
+        arrivals* at their target and cap its floor directly — the
+        predecessor's output bound cannot stand in for a message already
+        under way.
 
         Only blockable runtimes ever read a floor (``_safe`` returns
         before the bound for the rest), so only they are written —
         under the ``optimistic`` protocol there is nothing to do.
+
+        ``B``, ``A`` and the predecessor each ``A`` came from are carried
+        to the next round, which redoes only what the potentials moved:
+        a risen potential takes the ``B`` it was with it, a lost ``B``
+        the ``A`` that came from it, and a lost ``A`` the ``B`` it gave;
+        lost ``A`` are reseeded from the predecessors, lost ``B`` and
+        those of moved potentials recomputed, Dijkstra runs from the
+        ones that changed, and only readers whose ``A`` or arrivals moved
+        are evaluated again — the same values as a full sweep.  A
+        restore drops the carried state (:meth:`drop_floors`).
         """
-        if not self._floor_readers:
+        if not self._readers:
             return
-        potentials: Dict[int, VirtualTime] = {}
-        #: Undelivered messages are *future arrivals* at their target and
-        #: must cap its release floor directly — the predecessor's output
-        #: bound cannot stand in for a message already under way.
-        inflight_floor: Dict[int, VirtualTime] = {}
-
-        def note(lp_id: int, time: VirtualTime,
-                 arriving: bool = False) -> None:
-            current = potentials.get(lp_id)
-            if current is None or time < current:
-                potentials[lp_id] = time
-            if arriving:
-                current = inflight_floor.get(lp_id)
-                if current is None or time < current:
-                    inflight_floor[lp_id] = time
-
-        for proc in self.procs:
-            runtimes = proc.runtimes
-            for lp_id in proc.live:
-                runtime = runtimes[lp_id]
-                if runtime.head() is not None:
-                    note(lp_id, runtime.queue[0][0][0])
-                for negative in runtime.negatives.values():
-                    # A parked negative implies its positive twin is still
-                    # under way: treat it as a pending arrival.
-                    note(lp_id, negative.time, arriving=True)
-                for pending in runtime.lazy_pending:
-                    # A withheld cancellation may yet arrive at its
-                    # destination as an antimessage.
-                    note(pending.dst, pending.time, arriving=True)
-            for _at, _seq, event in proc.inbox:
-                note(event.dst, event.time, arriving=True)
-            for event in proc.local_fifo:
-                note(event.dst, event.time, arriving=True)
-        for event in self.fabric.pending_events():
-            # Dropped-but-unacked and reorder-parked copies will arrive
-            # eventually (retransmission guarantees it).
-            note(event.dst, event.time, arriving=True)
-
-        # Dijkstra over B (earliest future output/occupancy per LP).
-        settled: Dict[int, VirtualTime] = {}
-        heap = [(time, lp_id) for lp_id, time in potentials.items()]
+        noted, self._noted = self._noted, None
+        if noted is None:
+            self.compute_gvt()
+            noted, self._noted = self._noted, None
+        potential, arriving = noted
+        n = len(potential)
+        full = self._carried is None
+        if full:
+            self._carried = ([INFINITY] * n, [INFINITY] * n,
+                             [INFINITY] * n, [INFINITY] * n, [-1] * n)
+        was, was_arriving, bound, arrival, parent = self._carried
+        succ, preds, react = self._succ, self._preds, self._react
+        moved = list(compress(range(n), map(ne, potential, was)))
+        # B and A lost with a risen potential (``cut``: every A that
+        # moved, for the readers).
+        lost = [v for v in moved if bound[v] == was[v] < potential[v]]
+        cut = []
+        for v in lost:  # grows while it is walked
+            bound[v] = INFINITY
+            for w in succ[v]:
+                if parent[w] == v:
+                    parent[w] = -1
+                    arrival[w] = INFINITY
+                    cut.append(w)
+                    if bound[w] is not INFINITY and bound[w] != was[w]:
+                        lost.append(w)  # its B came from that A
+        for w in cut:
+            for k in preds[w]:
+                if bound[k] < arrival[w]:
+                    arrival[w], parent[w] = bound[k], k
+        heap = []
+        for v in chain(lost, moved):
+            best, low, la = potential[v], arrival[v], react[v]
+            if low is not INFINITY:
+                low = (low[0], low[1] + la) if la else low
+                if low < best:
+                    best = low
+            if best != bound[v]:
+                bound[v] = best
+                heap.append((best, v))
         heapq.heapify(heap)
-        succ = self._succ_lookahead
         heappop, heappush = heapq.heappop, heapq.heappush
-        potential = potentials.get
         while heap:
-            time, lp_id = heappop(heap)
-            if lp_id in settled:
+            time, v = heappop(heap)
+            if time is not bound[v]:
+                continue  # superseded by a lower one
+            for w in succ[v]:
+                if time < arrival[w]:
+                    arrival[w], parent[w] = time, v
+                    cut.append(w)
+                    la = react[w]
+                    candidate = (time[0], time[1] + la) if la else time
+                    if candidate < bound[w]:
+                        bound[w] = candidate
+                        heappush(heap, (candidate, w))
+        readers = self._readers
+        evaluate: Iterable[int] = range(n) if full else chain(
+            cut, compress(range(n), map(ne, arriving, was_arriving)))
+        for lp_id in evaluate:
+            reader = readers[lp_id]
+            if reader is None:
                 continue
-            settled[lp_id] = time
-            for nxt, la in succ[lp_id]:
-                if nxt in settled:
-                    continue
-                candidate = VirtualTime(time[0], time[1] + la) if la \
-                    else time
-                if candidate < potential(nxt, INFINITY):
-                    potentials[nxt] = candidate
-                    heappush(heap, (candidate, nxt))
-
-        bound = settled.get
-        arriving = inflight_floor.get
-        for runtime, preds, proc in self._floor_readers:
-            lp_id = runtime.lp.lp_id
-            floor = arriving(lp_id, INFINITY)
-            for j in preds:
-                b = bound(j, INFINITY)
-                if b < floor:
-                    floor = b
+            runtime, proc = reader
+            floor = arrival[lp_id]
+            if arriving[lp_id] < floor:
+                floor = arriving[lp_id]
             if floor > runtime.release_floor:
-                runtime.release_floor = floor
+                runtime.release_floor = tuple.__new__(VirtualTime, floor)
                 # An idle runtime's floor rises too: a write no door
                 # of the engine sees (durable-checkpoint bookkeeping).
                 proc.touched.add(lp_id)
+        self._carried = (potential, arriving, bound, arrival, parent)
+
+    def drop_floors(self) -> None:
+        """Forget what the release-floor sweep carries: the next round is
+        a full one.  For every restore of a processor image, whose
+        floors may lie below what the sweep last wrote."""
+        self._carried = None
 
     def _pending_work(self) -> bool:
         """Any unprocessed event within the simulation horizon?"""
@@ -700,7 +752,6 @@ class ParallelMachine:
     def _finish(self) -> ParallelOutcome:
         # Commit everything that remains speculative: the run is over, no
         # event can arrive anymore, so all processed work is final.
-        self._note_speculative_peak()
         final_gvt = self.compute_gvt()  # INFINITY when fully drained
         for proc in self.procs:
             proc.commit_remaining()

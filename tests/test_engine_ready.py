@@ -3,12 +3,14 @@
 Three things are pinned here (ISSUE 13):
 
 (a) *Schedule entries vs polls.*  A ready-heap entry of a runtime that
-    can block (conservative or dynamic) is a poll and is left exactly as
-    it always was.  For a runtime that can never block an entry only
-    schedules, so its heap entries are exactly the keys in its ``armed``
-    stack: strictly decreasing, hence never duplicated, the lowest one
-    at or below the queue head.  A rollback storm therefore cannot
-    multiply entries.
+    can block (conservative or dynamic) is a poll, one per arm, exactly
+    as it always was — but *counted*: the heap holds each distinct
+    ``(key, lp id)`` once and ``Processor.copies`` how many polls it
+    stands for, never 0, and a durable image stores the multiset.  For
+    a runtime that can never block an entry only schedules, so its heap
+    entries are exactly the keys in its ``armed`` stack: strictly
+    decreasing, hence never duplicated, the lowest one at or below the
+    queue head.  A rollback storm therefore cannot multiply entries.
 (b) *The ``live`` set.*  Every runtime holding protocol state (queue,
     log, parked negatives, withheld sends) is in its processor's
     ``live`` set — the per-round services walk only that set — and the
@@ -63,7 +65,12 @@ ARTIFACTS = sorted((Path(__file__).parent / "artifacts").glob("*.json"))
 # The invariants
 # ----------------------------------------------------------------------
 def check_ready(proc):
-    """Invariant (a) on one processor; returns the poll-entry count."""
+    """Invariant (a) on one processor; returns the number of polls."""
+    assert len(set(proc.ready)) == len(proc.ready), "duplicate heap entry"
+    assert set(proc.copies) == {
+        entry for entry in proc.ready
+        if proc.runtimes[entry[1]].blockable}
+    assert all(count >= 1 for count in proc.copies.values())
     entries = {}
     for key, lp_id in proc.ready:
         entries.setdefault(lp_id, []).append(key)
@@ -72,7 +79,7 @@ def check_ready(proc):
         keys = entries.get(lp_id, [])
         if runtime.blockable:
             assert runtime.armed == []
-            polls += len(keys)
+            polls += sum(proc.copies[(key, lp_id)] for key in keys)
             continue
         assert runtime.armed == sorted(keys, reverse=True), (
             f"heap entries of lp {lp_id} are not its armed stack")
@@ -81,6 +88,13 @@ def check_ready(proc):
             # No lost wake-up: an entry surfaces at or before the head.
             assert runtime.armed and runtime.armed[-1] <= runtime.queue[0][0]
     return polls
+
+
+def multiset(proc):
+    """The ready heap with every poll spelled out, sorted — what a
+    durable image stores."""
+    return sorted(entry for entry in proc.ready
+                  for _ in range(proc.copies.get(entry, 1)))
 
 
 def check_live(proc):
@@ -119,13 +133,56 @@ def test_ready_and_live_invariants_under_any_interleaving(sequence, lazy):
         assert not beyond
         polls = check_ready(proc)
         check_live(proc)
-        assert len(proc.ready) == polls + sum(
+        assert len(multiset(proc)) == polls + sum(
             len(rt.armed) for rt in runtimes)
     # Drained: nothing schedulable is left behind in the heap.
     proc.window_end = None
     while proc.act():
         pass
     assert proc.ready == [] and all(rt.armed == [] for rt in runtimes)
+    assert proc.copies == {}
+
+
+@prop_settings(200)
+@given(ops, ops, st.booleans())
+def test_images_carry_the_ready_multiset(before, after, lazy):
+    """An image stores every poll; a restore rebuilds the heap and the
+    counts from it, whatever happened in between."""
+    ring = RingInterleaving(lazy)
+    proc = ring.proc
+    for op, a, b in before:
+        ring.step(op, a, b)
+    held = multiset(proc)
+    image = checkpoint_processor(proc)
+    assert image.ready == held
+    for op, a, b in after:
+        ring.step(op, a, b)
+    restore_processor(proc, image)
+    assert multiset(proc) == held
+    check_ready(proc)
+    assert checkpoint_processor(proc).ready == image.ready
+    proc.window_end = None
+    while proc.act():
+        pass
+    check_ready(proc)
+
+
+def test_polls_are_counted_not_copied():
+    """N deliveries to one blocked conservative runtime leave one heap
+    entry standing for N polls, and it surfaces as exactly N blocked
+    polls: the inflation docs/protocol.md §3.4 keeps (de-duplicating
+    it moves model time) stays, as one number."""
+    proc, _lps, (_sender, cons), _ = build(
+        [SyncMode.OPTIMISTIC, SyncMode.CONSERVATIVE], targets={0: 1})
+    n = 7
+    for i in range(n):
+        proc.deliver(ev(1, 5 + i, seq=i))
+    (entry,) = proc.ready
+    assert proc.copies == {entry: n}
+    assert checkpoint_processor(proc).ready == [entry] * n
+    assert not proc.act()
+    assert proc.stats.blocked_polls == cons.blocked_streak == n
+    assert proc.ready == [] and proc.copies == {} and proc.blocked == {1}
 
 
 def test_bound_window_declines_without_side_effects():
@@ -289,7 +346,7 @@ def test_restored_optimistic_processor_holds_invariants():
     assert len(set(image.ready)) == len(image.ready)
     step(150)
     restore_processor(proc, image)
-    assert sorted(proc.ready) == sorted(image.ready)
+    assert proc.ready == image.ready
     assert proc.live == held
     check_ready(proc)
     check_live(proc)
