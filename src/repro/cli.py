@@ -389,12 +389,12 @@ def cmd_fuzz(args) -> int:
     return 0 if summary.ok else 1
 
 
-def _parse_run_spec(text: str):
+def _parse_run_spec(text: str, exec_mode: str):
     """``"backend=procs,protocol=optimistic,p=2,exec=compiled"`` ->
-    RunSpec kwargs."""
+    RunSpec; ``exec_mode`` unless the text names one."""
     from .service import RunSpec
 
-    kwargs = {}
+    kwargs = {"exec_mode": exec_mode}
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -443,8 +443,7 @@ def _artifact_source(args):
     with open(args.file) as handle:
         source = handle.read()
     cache = None if args.no_cache else ElabCache(args.cache_dir)
-    return VhdlJob(source=source, top=args.top,
-                   exec_mode=args.exec or "interp"), cache
+    return VhdlJob(source=source, top=args.top), cache
 
 
 def cmd_elab(args) -> int:
@@ -475,10 +474,9 @@ def cmd_batch(args) -> int:
     from .service import BatchJob, RunService, RunSpec
 
     source, cache = _artifact_source(args)
-    specs = [_parse_run_spec(text) for text in (args.run or [])]
+    specs = [_parse_run_spec(text, args.exec) for text in (args.run or [])]
     if not specs:
-        specs = [RunSpec(backend="seq",
-                         exec_mode=args.exec or "interp")]
+        specs = [RunSpec(backend="seq", exec_mode=args.exec)]
     specs = [spec for spec in specs for _ in range(args.repeat)]
     service = RunService(cache=cache, max_workers=args.jobs)
     batch = service.run_batch([BatchJob(design=source, runs=specs)])
@@ -785,7 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
         "elab",
         help="elaborate once into a content-addressed artifact")
     _add_artifact_source_args(p_elab)
-    _add_exec_arg(p_elab)
     p_elab.add_argument("-o", "--output", default=None, metavar="PATH",
                         help="also write the framed artifact blob here")
     p_elab.set_defaults(handler=cmd_elab)
@@ -800,8 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="one run configuration, e.g. "
                               "'backend=procs,protocol=optimistic,p=2' "
                               "(keys: backend/protocol/p/exec/until/"
-                              "label; repeatable; default: one "
-                              "sequential run)")
+                              "label, exec defaulting to --exec; "
+                              "repeatable; default: one sequential run)")
     p_batch.add_argument("--repeat", type=int, default=1,
                          help="repeat every --run spec this many times")
     p_batch.add_argument("--jobs", type=int, default=4,

@@ -164,61 +164,18 @@ class RunStats:
         return self.events_committed / self.events_executed
 
     def merge(self, other: "RunStats") -> None:
-        """Fold another processor's counters into this one."""
-        self.events_committed += other.events_committed
-        self.events_executed += other.events_executed
-        self.rollbacks += other.rollbacks
-        self.events_rolled_back += other.events_rolled_back
-        self.antimessages += other.antimessages
-        self.annihilations += other.annihilations
-        self.null_messages += other.null_messages
-        self.blocked_polls += other.blocked_polls
-        self.deadlock_recoveries += other.deadlock_recoveries
-        self.gvt_rounds += other.gvt_rounds
-        self.snapshots += other.snapshots
-        self.fossils_collected += other.fossils_collected
-        self.mode_switches += other.mode_switches
-        self.lazy_reused += other.lazy_reused
-        self.coast_forward_events += other.coast_forward_events
-        self.peak_speculative = max(self.peak_speculative,
-                                    other.peak_speculative)
-        self.final_time = max(self.final_time, other.final_time)
+        """Fold another processor's counters into this one: every field
+        sums, but the peaks in :data:`_MAXED` take the maximum and
+        ``events_per_lp`` sums per LP."""
+        mine, theirs = self.__dict__, other.__dict__
+        for name in _SUMMED:
+            mine[name] += theirs[name]
+        for name in _MAXED:
+            if theirs[name] > mine[name]:
+                mine[name] = theirs[name]
+        per_lp = self.events_per_lp
         for lp_id, count in other.events_per_lp.items():
-            self.events_per_lp[lp_id] = (
-                self.events_per_lp.get(lp_id, 0) + count)
-        self.fabric_sent += other.fabric_sent
-        self.dropped += other.dropped
-        self.duplicated += other.duplicated
-        self.reordered += other.reordered
-        self.retransmitted += other.retransmitted
-        self.dedup_dropped += other.dedup_dropped
-        self.reorder_buffered += other.reorder_buffered
-        self.acks += other.acks
-        self.suppressed_resends += other.suppressed_resends
-        self.crashes += other.crashes
-        self.recoveries += other.recoveries
-        self.replayed += other.replayed
-        self.ipc_batches += other.ipc_batches
-        self.ipc_events += other.ipc_events
-        self.token_waves += other.token_waves
-        self.window_stalls += other.window_stalls
-        self.window_shrinks += other.window_shrinks
-        self.window_grows += other.window_grows
-        self.net_bytes_tx += other.net_bytes_tx
-        self.net_bytes_rx += other.net_bytes_rx
-        self.net_reconnects += other.net_reconnects
-        self.net_rtt_samples += other.net_rtt_samples
-        self.net_rtt_sum += other.net_rtt_sum
-        self.net_rtt_max = max(self.net_rtt_max, other.net_rtt_max)
-        self.net_ckpt_frames += other.net_ckpt_frames
-        self.net_ckpt_keyframes += other.net_ckpt_keyframes
-        self.net_ckpt_bytes += other.net_ckpt_bytes
-        self.vt_spread_samples += other.vt_spread_samples
-        self.vt_spread_width_sum += other.vt_spread_width_sum
-        self.vt_spread_width_max = max(self.vt_spread_width_max,
-                                       other.vt_spread_width_max)
-        self.watchdog_probes += other.watchdog_probes
-        self.watchdog_stalls += other.watchdog_stalls
+            per_lp[lp_id] = per_lp.get(lp_id, 0) + count
 
     def ipc_summary(self) -> str:
         """One-line digest of the multiprocess-backend IPC counters."""
@@ -274,3 +231,8 @@ class RunStats:
 
 #: What ``__getstate__`` leaves out: the fields of a fresh instance.
 _FRESH = RunStats().__dict__
+#: What ``merge`` folds by maximum, and what it sums.
+_MAXED = ("peak_speculative", "final_time", "net_rtt_max",
+          "vt_spread_width_max")
+_SUMMED = tuple(name for name in _FRESH
+                if name not in _MAXED and name != "events_per_lp")

@@ -14,8 +14,8 @@ latest checkpoint and then reconciles the survivor with the rest of the
 world.  The incoming half (journal replay from the checkpoint's
 delivery horizon) belongs to the driver — :mod:`repro.fabric.transport`
 re-queues packets in model time, ``WorkerCore._crash`` asks its peers
-with a ``recover`` notice.  The outgoing half is the same everywhere
-and lives here once: :func:`reconcile_outgoing`.
+with a ``recover`` notice.  The restore and the outgoing half are the
+same everywhere and live here once: :func:`recover_processor`.
 
 Non-checkpointable LPs (the paper's heavy-state processes) cannot be
 durably saved either; attempting to checkpoint a processor hosting one
@@ -229,9 +229,34 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
             runtime.armed.append(key)
 
 
-def reconcile_outgoing(
-        proc, links: Iterable[Tuple[List[Event], Callable[[Set[Any]], None]]],
-        ) -> None:
+#: Per outgoing link: the journalled sends since the checkpoint, and
+#: what marks antimessage ids as already on the wire.
+Links = Iterable[Tuple[List[Event], Callable[[Set[Any]], None]]]
+
+
+def recover_processor(proc, ckpt: ProcessorCheckpoint, gvt: VirtualTime,
+                      links: Links, restored: Callable[[], None]) -> None:
+    """The crash restore of every machine: overwrite ``proc`` with its
+    durable checkpoint ``ckpt``, resume at commit horizon ``gvt``, bump
+    every conservative epoch past the image's and the crash-time value
+    (stale promises held by receivers must never collide with
+    post-recovery ones) and reconcile the dead incarnation's output,
+    which may route antimessages.  ``restored`` runs right after the
+    restore: what the caller restarts from the image (the model's
+    release-floor sweep, a ring worker's execution window).
+    """
+    pre_epochs = {lp_id: runtime.cons_epoch
+                  for lp_id, runtime in proc.runtimes.items()}
+    restore_processor(proc, ckpt)
+    restored()
+    proc.gvt_bound = gvt
+    for lp_id, runtime in proc.runtimes.items():
+        runtime.cons_epoch = max(pre_epochs.get(lp_id, 0),
+                                 runtime.cons_epoch) + 1
+    reconcile_outgoing(proc, links)
+
+
+def reconcile_outgoing(proc, links: Links) -> None:
     """Feed the dead incarnation's journalled post-checkpoint output
     back into the restored processor ``proc``.
 
@@ -241,8 +266,7 @@ def reconcile_outgoing(
     are already on the wire.  The window feeds the lazy-cancellation
     machinery — regenerated messages are reused in place, abandoned
     ones are cancelled, and journalled antimessages suppress one
-    re-send.  Every crash site (the modelled fabric, the worker ring)
-    reconciles through here.
+    re-send.
     """
     cancelled_since: Set[Any] = set()
     for window, mark_spent in links:

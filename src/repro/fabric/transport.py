@@ -34,7 +34,7 @@ from ..core.vtime import VirtualTime
 from .link import InLink, OutLink, owed
 from .plan import FaultPlan, LinkFaults
 from .recovery import (ProcessorCheckpoint, checkpoint_processor,
-                       reconcile_outgoing, restore_processor)
+                       recover_processor)
 
 #: A directed processor pair.
 Link = Tuple[int, int]
@@ -432,19 +432,12 @@ class ReliableFabric:
                     self._inflight[key] = live
                 else:
                     self._inflight.pop(key, None)
-        pre_epochs = {lp_id: runtime.cons_epoch
-                      for lp_id, runtime in proc.runtimes.items()}
-        restore_processor(proc, ckpt)
-        machine.drop_floors()
-        proc.gvt_bound = machine.gvt
-        for lp_id, runtime in proc.runtimes.items():
-            runtime.cons_epoch = max(pre_epochs.get(lp_id, 0),
-                                     runtime.cons_epoch) + 1
         marks = self._ckpt_sender_next.get(index, {})
-        reconcile_outgoing(proc, [
+        recover_processor(proc, ckpt, machine.gvt, [
             (list(state.window(marks.get(link, 0)).values()),
              state.spent_anti.update)
-            for link, state in self._senders.items() if link[0] == index])
+            for link, state in self._senders.items() if link[0] == index],
+            restored=machine.drop_floors)
         self._replay_incoming(proc, index)
         self.stats.recoveries += 1
 

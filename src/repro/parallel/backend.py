@@ -1,27 +1,22 @@
-"""Shared plumbing for the parallel backends.
+"""The worker ring: one real worker per processor on a token ring.
 
-One per-processor engine (:mod:`.engine`) runs on two kinds of machine:
+One per-processor engine (:mod:`.engine`) runs on two kinds of machine,
+which build it with the same :func:`~.engine.build_engine` and commit,
+restore and cancel through the same engine and recovery calls — they
+supply only transport and clock:
 
 * the **modelled** machine (:mod:`.machine`) — deterministic
   co-simulation in model time, the benchmark instrument;
-* the **worker ring** (:class:`WorkerCore`) — one real worker per
-  processor on an asynchronous token ring, over three transports:
+* the **worker ring** (:class:`WorkerCore`, here) — one real worker
+  per processor on an asynchronous token ring, over three transports:
   in-process queues between OS threads (:mod:`.threads`, the
   concurrency demonstration), ``multiprocessing`` pipes between worker
   processes (:mod:`.procs`, the wall-clock-speedup backend), and
-  asyncio/TCP between hosts (:mod:`.dist`).
+  asyncio/TCP between hosts (:mod:`.dist`).  The ring never constructs
+  the modelled machine.
 
-They share protocol obligations that used to be duplicated:
+What lives here once for all three transports:
 
-* **Epoch stamping at send time** (:func:`stamp_epoch`): a message
-  leaving a currently-conservative LP is a promise its receiver may
-  build safety bounds on, and must carry the sender's conservative
-  epoch; everything else travels unstamped (``epoch = -1``).
-* **The per-processor work predicate** (:func:`proc_has_work`):
-  whether a processor still owes protocol work — queued events within
-  the horizon, undelivered local messages, or withheld lazy
-  cancellations.  Both machines evaluate it at their global
-  synchronization points (deadlock check / token visit).
 * **The whole worker loop** (:class:`WorkerCore`): act quanta, batched
   flushes, the pipelined Mattern token ring, the cancellation horizon,
   fabric pump/checkpoint cadence and crash recovery.  The threads,
@@ -31,9 +26,9 @@ They share protocol obligations that used to be duplicated:
   :meth:`WorkerCore._recv_envelope`, :meth:`WorkerCore._emit_result`).
 * **The description of a ring run** (:class:`RingSpec`) and what is
   done with one wherever the worker lives: validate it, build the
-  machine from it (``WorkerCore.__init__`` / ``_build_inner``), ship
-  the model beside it (:func:`pristine_payload`), and fold the
-  workers' reports or fail with their partial stats (:func:`harvest`).
+  engine from it (``WorkerCore.__init__``), ship the model beside it
+  (:func:`pristine_payload`), and fold the workers' reports or fail
+  with their partial stats (:func:`harvest`).
 
 :class:`BackendOutcome` is the common result shape; the per-backend
 outcome types extend it so callers can treat any backend's stats/GVT
@@ -49,82 +44,16 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.event import Event
-from ..core.model import SyncMode
 from ..core.stats import RunStats
 from ..core.vtime import INFINITY, MINUS_INFINITY, VirtualTime
 from ..fabric.batched import BatchedEndpoint
 from ..fabric.plan import FaultPlan
-from ..fabric.recovery import (checkpoint_processor, reconcile_outgoing,
-                               restore_processor)
+from ..fabric.recovery import checkpoint_processor, recover_processor
 from ..resilience import (DEFAULT_WALL_S, WallClockWatchdog, build_report,
                           resolve_watchdog)
-from .cost import SHARED_MEMORY
-from .engine import LPRuntime, Processor, ProtocolError
+from .engine import (Engine, LPRuntime, Processor, ProtocolError,
+                     build_engine, proc_has_work, stamp_epoch)
 from .partition import Partition
-
-
-def resolve_model(design_or_model):
-    """Accept a Model, a Design, or a DesignArtifact; return a Model.
-
-    Every backend entry point funnels through this, so callers can hand
-    any representation of an elaborated design to any machine:
-
-    * a :class:`~repro.vhdl.artifact.DesignArtifact` is instantiated
-      into a *fresh* runtime (``instantiate_model()``) — artifacts are
-      immutable and reusable, so this is the re-runnable path;
-    * a :class:`~repro.vhdl.design.Design` is elaborated (single-use:
-      a second run of the same Design raises — snapshot to an artifact
-      to re-run);
-    * a :class:`~repro.core.model.Model` passes through unchanged.
-
-    Duck-typed rather than isinstance-dispatched so the core parallel
-    layer keeps no import dependency on the VHDL front-end.
-    """
-    instantiate = getattr(design_or_model, "instantiate_model", None)
-    if instantiate is not None:
-        return instantiate()
-    elaborate = getattr(design_or_model, "elaborate", None)
-    if elaborate is not None and hasattr(design_or_model, "signals"):
-        return elaborate()
-    return design_or_model
-
-
-def stamp_epoch(runtimes: Dict[int, LPRuntime], event: Event) -> Event:
-    """Stamp a send with the sender's conservative-promise epoch.
-
-    Only a *positive* message leaving a (currently) conservative LP is a
-    promise; speculative sends and antimessages carry no epoch.  The
-    stamp is taken at send time — the one moment the sender's mode is
-    authoritative for this message.
-    """
-    src_rt = runtimes.get(event.src)
-    if (event.sign > 0 and src_rt is not None
-            and src_rt.mode is SyncMode.CONSERVATIVE):
-        return event.stamped(src_rt.cons_epoch)
-    return event
-
-
-def proc_has_work(proc, until: Optional[int]) -> bool:
-    """Does this processor still owe protocol work?
-
-    True when it holds undelivered local/remote messages, a withheld
-    lazy cancellation (which must eventually resolve to a reuse or an
-    antimessage), or any queued event within the simulation horizon.
-    Blocked conservative heads count: they are waiting for a safety
-    bound, not finished.
-    """
-    if proc.local_fifo or proc.inbox:
-        return True
-    for lp_id in proc.live:
-        runtime = proc.runtimes[lp_id]
-        if runtime.lazy_pending:
-            return True  # withheld cancellations must resolve
-        head = runtime.head()
-        if head is None:
-            continue
-        if until is None or head.time.pt <= until:
-            return True
-    return False
 
 
 @dataclass
@@ -193,9 +122,9 @@ class RingSpec:
 
 def pristine_payload(model, partition) -> bytes:
     """Pickle ``model`` for workers that cannot inherit it (spawned or
-    remote).  Taken *before* a machine build seeds init events, so a
+    remote).  Taken *before* an engine build seeds init events, so a
     worker's own build — same spec, same deterministic partitioner —
-    reproduces exactly the machine a forked worker inherits.  What
+    reproduces exactly the engine a forked worker inherits.  What
     cannot be shipped is said here, not by a worker that hangs."""
     try:
         pickle.dumps(partition, protocol=pickle.HIGHEST_PROTOCOL)
@@ -338,9 +267,6 @@ class WorkerCore:
     """
 
     def __init__(self, model, spec: RingSpec) -> None:
-        model = resolve_model(model)
-        model.validate()
-        self.model = model
         self.spec = spec
         self.plan = spec.fault_plan
         self.recovery = spec.recovers
@@ -349,18 +275,12 @@ class WorkerCore:
         self._crash_schedule = spec.crashes
         self.watchdog_bound = float(
             resolve_watchdog(spec.watchdog_s, DEFAULT_WALL_S))
-
-    def _build_inner(self) -> None:
-        """Build this machine's processors exactly like the modelled
-        backend does — partition, runtimes, seeded init events.  A
-        function of (model, spec) alone: every worker that runs it on
-        the pristine model gets the same machine."""
-        from .machine import ParallelMachine  # it imports this module
-
-        spec = self.spec
-        self._inner = ParallelMachine(
-            self.model, spec.processors, protocol=spec.protocol,
-            cost=SHARED_MEMORY, partition=spec.partition, until=spec.until)
+        # Every worker's engine, from (model, spec) alone: a worker that
+        # builds from the pristine model gets what a forked one inherits.
+        self.engine: Engine = build_engine(
+            model, spec.processors, spec.protocol, spec.partition,
+            until=spec.until)
+        self.model = self.engine.model
 
     # -- transport hooks (concrete backends override) -------------------
     def _send_envelope(self, target: int, envelope: tuple) -> None:
@@ -375,11 +295,11 @@ class WorkerCore:
 
     # ------------------------------------------------------------------
     def _setup_worker(self, index: int) -> None:
-        inner = self._inner
+        engine = self.engine
         self._index = index
-        self._proc: Processor = inner.procs[index]
-        self._runtimes: Dict[int, LPRuntime] = inner._runtimes
-        self._placement: Dict[int, int] = inner.placement
+        self._proc: Processor = engine.procs[index]
+        self._runtimes: Dict[int, LPRuntime] = engine.runtimes
+        self._placement: Dict[int, int] = engine.placement
         self._net = RunStats()        # transport counters (crash-durable)
         self._outbox: Dict[int, List[Event]] = {
             i: [] for i in range(self.spec.processors) if i != index}
@@ -476,11 +396,8 @@ class WorkerCore:
                 outbox[target].append(event)
 
         proc.route = route
-        # Override the hook the inner ParallelMachine installed at build
-        # time: in a worker only this processor is live, and its
-        # horizon must be maintained by the ring (which also *raises* it
-        # again) — the inherited machine-wide note would lower it
-        # forever and starve every conservative LP.
+        # In a worker only this processor is live, and its horizon is
+        # maintained by the ring, which also *raises* it again.
         proc.cancel_note = self._note_cancellation
         proc.cancel_floor = INFINITY
 
@@ -831,13 +748,7 @@ class WorkerCore:
         if gvt <= self._gvt:
             return
         self._gvt = gvt
-        proc = self._proc
-        proc.gvt_bound = gvt
-        proc.stats.gvt_rounds += 1
-        proc.flush_lazy_all(gvt)
-        proc.drain_local()
-        proc.fossil_collect(gvt)
-        proc.rearm_blocked()
+        self._proc.commit_gvt(gvt)
         self._move_window(gvt)
         if self.recovery:
             self._ckpt_owed = True
@@ -1118,26 +1029,20 @@ class WorkerCore:
             raise ProtocolError(
                 f"no durable checkpoint for worker {self._index}")
         endpoint.stats.crashes += 1
-        proc = self._proc
-        pre_epochs = {lp_id: runtime.cons_epoch
-                      for lp_id, runtime in proc.runtimes.items()}
-        restore_processor(proc, self._ckpt)
-        proc.gvt_bound = self._gvt
-        self._open_window()  # the new incarnation starts over
-        for lp_id, runtime in proc.runtimes.items():
-            runtime.cons_epoch = max(pre_epochs.get(lp_id, 0),
-                                     runtime.cons_epoch) + 1
         # The un-encoded outbox is volatile: nothing in it was ever
         # journalled or promised, and the restored replay regenerates
-        # (or abandons) each message on its own authority.
+        # (or abandons) each message on its own authority.  Emptied
+        # first: the reconciliation routes antimessages into it.
         for target in self._outbox:
             self._outbox[target] = []
         sender_marks, recv_floors = self._ckpt_marks
         live_sender, _live_recv = endpoint.checkpoint_marks()
-        reconcile_outgoing(proc, [
+        proc = self._proc
+        # The new incarnation starts its window over from the image.
+        recover_processor(proc, self._ckpt, self._gvt, [
             (endpoint.sender_window(dst, sender_marks.get(dst, 0)),
              partial(endpoint.mark_spent_anti, dst))
-            for dst in live_sender])
+            for dst in live_sender], restored=self._open_window)
         endpoint.rewind_receiver(recv_floors)
         endpoint.stats.recoveries += 1
         # Tell every peer: bump your replica epochs (stale conservative

@@ -87,8 +87,8 @@ from ..core.stats import RunStats
 from ..fabric.plan import FaultPlan
 from ..fabric.wire import WireError, recv_frame, send_frame
 from .backend import (BackendOutcome, RingSpec, WorkerCore, fold_images,
-                      harvest, pristine_payload, resolve_model)
-from .engine import ProtocolError
+                      harvest, pristine_payload)
+from .engine import ProtocolError, resolve_model
 
 #: Default TCP port for `repro serve`.
 DEFAULT_PORT = 7421
@@ -124,7 +124,6 @@ class _DistWorkerCore(WorkerCore):
         # needs the journal/ack machinery even under an empty plan.
         super().__init__(pickle.loads(payload), replace(
             ring, fault_plan=ring.fault_plan or FaultPlan(), recovery=True))
-        self._build_inner()
         # Upload bookkeeping (see _checkpoint_taken).
         self._uploads = 0
         self._keyframe_bytes = 0

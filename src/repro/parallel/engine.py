@@ -52,14 +52,18 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
-                    Tuple)
+                    Tuple, Union)
 
 from ..core.event import Event, EventId, EventKind
 from ..core.lp import LogicalProcess
 from ..core.model import Model, SyncMode
 from ..core.stats import RunStats
 from ..core.vtime import INFINITY, MINUS_INFINITY, VirtualTime
-from .cost import CostModel
+from .cost import SHARED_MEMORY, CostModel
+from .partition import PARTITIONERS, Partition
+
+#: Named protocol configurations (paper Sec. 4).
+PROTOCOLS = ("optimistic", "conservative", "mixed", "dynamic")
 
 
 class ProtocolError(RuntimeError):
@@ -160,7 +164,7 @@ class LPRuntime:
         self.last_null_promise: Dict[int, VirtualTime] = {}
         self.committed = 0
         #: Distance-based lower bound on future arrivals, refreshed by the
-        #: machine's global rounds (ParallelMachine._refresh_release_floors).
+        #: modelled machine's global rounds (its release-floor sweep).
         self.release_floor: VirtualTime = MINUS_INFINITY
         #: Executions since the last state snapshot (interval
         #: checkpointing; see Processor.checkpoint_interval).
@@ -913,7 +917,12 @@ class Processor:
         for message in to_route:
             self.route(message)
         if runtime.lazy_pending or runtime.reuse_pending:
-            self._lazy_cancel_passed(runtime)
+            # Once the LP's clock is strictly beyond a withheld send's
+            # send time, no future execution can regenerate it
+            # (emissions never predate the event that causes them).
+            now = lp.now
+            self._cancel_withheld(runtime, now, "lazy-passed")
+            self._cancel_withheld(runtime, now, "reuse-diverged", reuse=True)
         if self.use_lookahead and runtime.mode is SyncMode.CONSERVATIVE:
             self._send_nulls(runtime)
         self._maybe_go_conservative(runtime)
@@ -977,58 +986,45 @@ class Processor:
                 sent_record.append(message)
         return to_route, sent_record
 
-    def _lazy_cancel_passed(self, runtime: LPRuntime) -> None:
-        """Cancel withheld messages the LP has provably moved past.
+    def _cancel_withheld(self, runtime: LPRuntime, bound: VirtualTime,
+                         ctx: str, reuse: bool = False,
+                         inclusive: bool = False) -> bool:
+        """Route an antimessage for every withheld send of ``runtime``
+        that ``bound`` has passed, keep the rest; True if any went out.
 
-        Once the LP's virtual time is strictly beyond a withheld
-        message's send time, no future execution can regenerate it
-        (emissions never predate the event that causes them).
+        ``reuse`` sweeps the guaranteed-reuse (conservative crash)
+        entries instead — defensively: a deterministic replay always
+        regenerates and matches them first, and a diverged one gets the
+        orphaned original cancelled, not left a phantom.  A bound passes
+        a send made strictly below it; an ``inclusive`` one (a full
+        stall: no event at or below GVT can be generated again) also one
+        made or received *at* it — cancel-plus-resend is observably
+        equivalent to reuse, so only that one reuse is lost.
         """
-        now = runtime.lp.now
+        pool = runtime.reuse_pending if reuse else runtime.lazy_pending
+        if not pool:
+            return False
         keep: List[Event] = []
-        for pending in runtime.lazy_pending:
-            if pending.send_time < now:
-                self.stats.antimessages += 1
-                if self.tracer is not None:
-                    self.tracer.record("anti", self.index,
-                                       runtime.lp.lp_id, pending.time,
-                                       dst=pending.dst,
-                                       eid=(pending.eid.src,
-                                            pending.eid.seq),
-                                       ctx="lazy-passed")
-                self.route(pending.antimessage())
+        for pending in pool:
+            if inclusive:
+                passed = pending.send_time <= bound or pending.time <= bound
             else:
+                passed = pending.send_time < bound
+            if not passed:
                 keep.append(pending)
-        runtime.lazy_pending = keep
-        self._sweep_reuse(runtime, now, "reuse-diverged")
-
-    def _sweep_reuse(self, runtime: LPRuntime, bound: VirtualTime,
-                     ctx: str) -> None:
-        """Defensive sweep of guaranteed-reuse (conservative crash)
-        entries the replay provably skipped.
-
-        Unreachable while the conservative replay is deterministic — a
-        send below the LP's clock is always regenerated and matched
-        first.  If the trajectory somehow diverged, cancel the orphaned
-        original loudly rather than leave a phantom at the receiver.
-        """
-        if not runtime.reuse_pending:
-            return
-        keep: List[Event] = []
-        for pending in runtime.reuse_pending:
-            if pending.send_time < bound:
-                self.stats.antimessages += 1
-                if self.tracer is not None:
-                    self.tracer.record("anti", self.index,
-                                       runtime.lp.lp_id, pending.time,
-                                       dst=pending.dst,
-                                       eid=(pending.eid.src,
-                                            pending.eid.seq),
-                                       ctx=ctx)
-                self.route(pending.antimessage())
-            else:
-                keep.append(pending)
-        runtime.reuse_pending = keep
+                continue
+            self.stats.antimessages += 1
+            if self.tracer is not None:
+                self.tracer.record("anti", self.index, runtime.lp.lp_id,
+                                   pending.time, dst=pending.dst,
+                                   eid=(pending.eid.src, pending.eid.seq),
+                                   ctx=ctx)
+            self.route(pending.antimessage())
+        if reuse:
+            runtime.reuse_pending = keep
+        else:
+            runtime.lazy_pending = keep
+        return len(keep) < len(pool)
 
     def flush_lazy_all(self, bound: VirtualTime) -> None:
         """GVT flush of every runtime holding withheld sends, in lp-id
@@ -1046,61 +1042,21 @@ class Processor:
         Once GVT passes a withheld message's send time, the LP can never
         execute at or below it again, so regeneration is impossible.
         """
-        self._sweep_reuse(runtime, bound, "reuse-flush")
-        if not runtime.lazy_pending:
-            return
-        keep: List[Event] = []
-        for pending in runtime.lazy_pending:
-            if pending.send_time < bound:
-                self.stats.antimessages += 1
-                if self.tracer is not None:
-                    self.tracer.record("anti", self.index,
-                                       runtime.lp.lp_id, pending.time,
-                                       dst=pending.dst,
-                                       eid=(pending.eid.src,
-                                            pending.eid.seq),
-                                       ctx="lazy-flush")
-                self.route(pending.antimessage())
-            else:
-                keep.append(pending)
-        runtime.lazy_pending = keep
+        self._cancel_withheld(runtime, bound, "reuse-flush", reuse=True)
+        self._cancel_withheld(runtime, bound, "lazy-flush")
 
     def flush_lazy_stalled(self, gvt: VirtualTime) -> bool:
-        """Cancel withheld messages up to and *including* ``gvt``; True
-        if any went out.  For a backend that has established a full
-        stall (nothing executable, nothing in flight): no event at or
-        below GVT can then be generated again, so the strict bound of
-        :meth:`flush_lazy` only keeps GVT pinned at a withheld
+        """Cancel withheld lazy messages up to and *including* ``gvt``
+        (an inclusive bound, see :meth:`_cancel_withheld`), in lp-id
+        order; True if any went out.  The strict bound of
+        :meth:`flush_lazy` only keeps a stalled GVT pinned at a withheld
         message's own timestamp.
         """
         flushed = False
-        runtimes = self.runtimes
         for lp_id in sorted(self.live):
-            runtime = runtimes[lp_id]
-            if not runtime.lazy_pending:
-                continue
-            keep = []
-            for pending in runtime.lazy_pending:
-                # Either bound suffices at a full stall.  A message
-                # whose *receive* time pins GVT must be released
-                # even though its sender might re-emit an identical
-                # copy at exactly GVT later: cancel-plus-resend is
-                # observably equivalent to reuse, so correctness is
-                # unaffected — only the reuse optimization is lost
-                # for that one message.
-                if pending.send_time <= gvt or pending.time <= gvt:
-                    self.stats.antimessages += 1
-                    if self.tracer is not None:
-                        self.tracer.record(
-                            "anti", self.index, lp_id, pending.time,
-                            dst=pending.dst,
-                            eid=(pending.eid.src, pending.eid.seq),
-                            ctx="gvt-flush")
-                    self.route(pending.antimessage())
-                    flushed = True
-                else:
-                    keep.append(pending)
-            runtime.lazy_pending = keep
+            if self._cancel_withheld(self.runtimes[lp_id], gvt, "gvt-flush",
+                                     inclusive=True):
+                flushed = True
         return flushed
 
     # ------------------------------------------------------------------
@@ -1240,6 +1196,18 @@ class Processor:
     # ------------------------------------------------------------------
     # GVT support (driven by the machine)
     # ------------------------------------------------------------------
+    def commit_gvt(self, gvt: VirtualTime) -> None:
+        """Apply a GVT commit: raise the safety bound, flush the
+        withheld sends it passed, commit and drop the log below it, and
+        re-arm blocked LPs it may have released.  Both machines commit
+        through here — at each global round, at each token commit."""
+        self.gvt_bound = gvt
+        self.stats.gvt_rounds += 1
+        self.flush_lazy_all(gvt)
+        self.drain_local()
+        self.fossil_collect(gvt)
+        self.rearm_blocked()
+
     def local_min_time(self) -> VirtualTime:
         """min timestamp over queued events and parked negatives."""
         low = INFINITY
@@ -1305,3 +1273,168 @@ class Processor:
                 self.stats.fossils_collected += cut
             if not entries and runtime.idle():
                 live.discard(lp_id)
+
+
+# ----------------------------------------------------------------------
+# Building an engine: what every machine does before its first act()
+# ----------------------------------------------------------------------
+def resolve_model(design_or_model):
+    """Accept a Model, a Design, or a DesignArtifact; return a Model.
+
+    Every backend entry point funnels through this, so callers can hand
+    any representation of an elaborated design to any machine:
+
+    * a :class:`~repro.vhdl.artifact.DesignArtifact` is instantiated
+      into a *fresh* runtime (``instantiate_model()``) — artifacts are
+      immutable and reusable, so this is the re-runnable path;
+    * a :class:`~repro.vhdl.design.Design` is elaborated (single-use:
+      a second run of the same Design raises — snapshot to an artifact
+      to re-run);
+    * a :class:`~repro.core.model.Model` passes through unchanged.
+
+    Duck-typed rather than isinstance-dispatched so the core parallel
+    layer keeps no import dependency on the VHDL front-end.
+    """
+    instantiate = getattr(design_or_model, "instantiate_model", None)
+    if instantiate is not None:
+        return instantiate()
+    elaborate = getattr(design_or_model, "elaborate", None)
+    if elaborate is not None and hasattr(design_or_model, "signals"):
+        return elaborate()
+    return design_or_model
+
+
+def stamp_epoch(runtimes: Dict[int, LPRuntime], event: Event) -> Event:
+    """Stamp a send with the sender's conservative-promise epoch.
+
+    Only a *positive* message leaving a (currently) conservative LP is a
+    promise; speculative sends and antimessages carry no epoch.  The
+    stamp is taken at send time — the one moment the sender's mode is
+    authoritative for this message.  Every machine's route does it.
+    """
+    src_rt = runtimes.get(event.src)
+    if (event.sign > 0 and src_rt is not None
+            and src_rt.mode is SyncMode.CONSERVATIVE):
+        return event.stamped(src_rt.cons_epoch)
+    return event
+
+
+def proc_has_work(proc: Processor, until: Optional[int]) -> bool:
+    """Does this processor still owe protocol work?
+
+    True when it holds undelivered local/remote messages, a withheld
+    lazy cancellation (which must eventually resolve to a reuse or an
+    antimessage), or any queued event within the simulation horizon.
+    Blocked conservative heads count: they are waiting for a safety
+    bound, not finished.  Both machines evaluate it at their global
+    synchronization points (deadlock check / token visit).
+    """
+    if proc.local_fifo or proc.inbox:
+        return True
+    for lp_id in proc.live:
+        runtime = proc.runtimes[lp_id]
+        if runtime.lazy_pending:
+            return True  # withheld cancellations must resolve
+        head = runtime.head()
+        if head is None:
+            continue
+        if until is None or head.time.pt <= until:
+            return True
+    return False
+
+
+@dataclass
+class Engine:
+    """A built engine: the model's LPs placed on ``procs``, each with
+    its runtime, init events seeded.  The machine that drives it
+    installs every processor's ``route`` and ``cancel_note`` — its
+    transport and its cancellation horizon — and nothing else."""
+
+    model: Model
+    procs: List[Processor]
+    runtimes: Dict[int, LPRuntime]
+    placement: Partition
+
+
+def build_engine(model, processors: int, protocol: str,
+                 partition: Union[str, Partition, Callable] = "round_robin",
+                 cost: CostModel = SHARED_MEMORY,
+                 until: Optional[int] = None,
+                 user_consistent: bool = False,
+                 lookahead: Optional[str] = None,
+                 adapt: Optional[AdaptPolicy] = None,
+                 checkpoint_interval: int = 1,
+                 lazy_cancellation: bool = False,
+                 tracer=None, scheduler=None) -> Engine:
+    """Resolve and validate ``model``, place its LPs on ``processors``
+    processors, build every runtime in its protocol's mode and seed the
+    init events.  A function of its arguments alone: the modelled
+    machine and every ring worker (forked, spawned or remote) that
+    builds from the same ones gets the same engine."""
+    model = resolve_model(model)
+    model.validate()
+    if processors < 1:
+        raise ValueError("need at least one processor")
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; "
+                         f"choose from {PROTOCOLS}")
+    if isinstance(partition, str):
+        placement = PARTITIONERS[partition](model, processors)
+    elif callable(partition):
+        placement = partition(model, processors)
+    else:
+        placement = dict(partition)
+    procs = [Processor(i, cost, user_consistent=user_consistent,
+                       use_lookahead=lookahead is not None, adapt=adapt,
+                       checkpoint_interval=checkpoint_interval,
+                       lazy_cancellation=lazy_cancellation)
+             for i in range(processors)]
+    for proc in procs:
+        proc.tracer = tracer
+        proc.scheduler = scheduler
+    runtimes: Dict[int, LPRuntime] = {}
+    for lp in model.lps:
+        if protocol != "mixed":
+            mode = SyncMode(protocol)
+        else:
+            # The model's static per-LP assignment (the paper's
+            # heuristic: synchronous components conservative,
+            # asynchronous ones optimistic).
+            mode = model.sync_modes[lp.lp_id]
+            if mode is SyncMode.DYNAMIC:
+                mode = SyncMode.OPTIMISTIC
+        runtime = LPRuntime(lp, mode, model.predecessors(lp.lp_id),
+                            model.successors(lp.lp_id))
+        runtimes[lp.lp_id] = runtime
+        procs[placement[lp.lp_id]].adopt(runtime)
+        if tracer is not None:
+            tracer.register_lp(lp)
+            lp.tracer = tracer
+
+    def lookahead_of(src: int, dst: int) -> Optional[Tuple[int, int]]:
+        channel = model.channels.get((src, dst))
+        if channel is None:
+            return None
+        if lookahead == "vhdl":
+            # Every VHDL kernel channel advances the logical clock by at
+            # least one phase from cause to effect.
+            return (0, 1)
+        if lookahead == "delays":
+            if channel.lookahead is None:
+                return (0, 1)
+            la = channel.lookahead
+            return (la.pt, la.lt) if isinstance(la, VirtualTime) else la
+        raise ValueError(f"unknown lookahead policy {lookahead!r}")
+
+    for proc in procs:
+        proc.runtime_of = runtimes.__getitem__
+        proc.until = until
+        if lookahead is not None:
+            proc.lookahead_of = lookahead_of
+    for lp in model.lps:
+        runtime = runtimes[lp.lp_id]
+        for event in lp.init_events():
+            if runtime.mode is SyncMode.CONSERVATIVE:
+                event = event.stamped(runtime.cons_epoch)
+            procs[placement[event.dst]].seed(event)
+    return Engine(model, procs, runtimes, placement)

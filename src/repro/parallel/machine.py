@@ -34,20 +34,18 @@ from operator import ne
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.event import Event
-from ..core.model import Model, SyncMode
+from ..core.model import Model
 from ..core.stats import RunStats
 from ..core.vtime import INFINITY, MINUS_INFINITY, VirtualTime
 from ..fabric.plan import FaultPlan
 from ..fabric.transport import PerfectFabric, ReliableFabric
 from ..resilience import (DEFAULT_MODEL_STEPS, StepWatchdog, build_report,
                           resolve_watchdog, surface)
-from .backend import proc_has_work, resolve_model, stamp_epoch
 from .cost import SHARED_MEMORY, CostModel
-from .engine import AdaptPolicy, LPRuntime, Processor, ProtocolError
-from .partition import PARTITIONERS, Partition
-
-#: Named protocol configurations (paper Sec. 4).
-PROTOCOLS = ("optimistic", "conservative", "mixed", "dynamic")
+from .engine import (PROTOCOLS, AdaptPolicy, LPRuntime, Processor,
+                     ProtocolError, build_engine, proc_has_work,
+                     stamp_epoch)
+from .partition import Partition, cut_channels
 
 
 @dataclass
@@ -75,7 +73,6 @@ class ParallelMachine:
                  partition: Union[str, Partition, Callable] = "round_robin",
                  user_consistent: bool = False,
                  lookahead: Optional[str] = None,
-                 gvt_interval: int = 0,
                  adapt: Optional[AdaptPolicy] = None,
                  checkpoint_interval: int = 1,
                  lazy_cancellation: bool = False,
@@ -84,36 +81,26 @@ class ParallelMachine:
                  recovery: Optional[bool] = None,
                  watchdog: Optional[int] = None,
                  tracer=None, scheduler=None) -> None:
-        model = resolve_model(model)
-        model.validate()
-        if processors < 1:
-            raise ValueError("need at least one processor")
-        if protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {protocol!r}; "
-                             f"choose from {PROTOCOLS}")
-        self.model = model
+        engine = build_engine(
+            model, processors, protocol, partition, cost=cost, until=until,
+            user_consistent=user_consistent, lookahead=lookahead,
+            adapt=adapt, checkpoint_interval=checkpoint_interval,
+            lazy_cancellation=lazy_cancellation, tracer=tracer,
+            scheduler=scheduler)
+        self.model = engine.model
+        self.procs: List[Processor] = engine.procs
+        self._runtimes: Dict[int, LPRuntime] = engine.runtimes
+        self.placement = engine.placement
         self.cost = cost
-        self.protocol = protocol
-        self.user_consistent = user_consistent
-        self.lookahead = lookahead
         self.until = until
-        self.placement = self._resolve_partition(partition, processors)
-        self.procs: List[Processor] = [
-            Processor(i, cost, user_consistent=user_consistent,
-                      use_lookahead=lookahead is not None, adapt=adapt,
-                      checkpoint_interval=checkpoint_interval,
-                      lazy_cancellation=lazy_cancellation)
-            for i in range(processors)
-        ]
         self.gvt = MINUS_INFINITY
-        self._runtimes: Dict[int, LPRuntime] = {}
         #: Conformance hooks (repro.harness): both default to None and
         #: are propagated to every processor, LP and the fabric.
         self.tracer = tracer
         self.scheduler = scheduler
         for proc in self.procs:
-            proc.tracer = tracer
-            proc.scheduler = scheduler
+            proc.route = self._make_route(proc)
+            proc.cancel_note = self._note_cancellation
         # Delivery fabric: perfect FIFO links by default; a fault plan
         # switches to the reliable (ack/retransmit/dedup) layer so the
         # protocol still commits sequential-identical results.
@@ -124,11 +111,11 @@ class ParallelMachine:
         #: Crash schedule (executed-step, processor) pairs, soonest first.
         self._crash_schedule = sorted(
             fault_plan.crashes) if fault_plan is not None else []
-        # GVT cadence: every `gvt_interval` executed events (0 = auto).
-        # A second, blocking-driven trigger keeps conservative LPs fed in
-        # mixed populations: when blocked polls accumulate faster than
+        # GVT cadence: every `gvt_interval` executed events.  A second,
+        # blocking-driven trigger keeps conservative LPs fed in mixed
+        # populations: when blocked polls accumulate faster than
         # events, the commit horizon is what they are starving for.
-        self.gvt_interval = gvt_interval or max(64, 16 * processors)
+        self.gvt_interval = max(64, 16 * processors)
         self.blocked_poll_trigger = 8 * processors
         # The blocking-driven trigger is rate-limited: in an all-
         # conservative population every round re-arms hundreds of LPs
@@ -162,77 +149,6 @@ class ParallelMachine:
         self._liveness = RunStats()
         if tracer is not None:
             self.fabric.tracer = tracer
-        self._build()
-        self.fabric.bind(self)
-
-    def install_fabric(self, fabric) -> None:
-        """Swap the delivery fabric (must happen before :meth:`run`).
-
-        Used by :func:`repro.fabric.install_jitter` and tests to attach a
-        pre-built fabric to a machine constructed with default arguments.
-        """
-        if self.tracer is not None:
-            fabric.tracer = self.tracer
-        self.fabric = fabric
-        fabric.bind(self)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _resolve_partition(self, partition, processors: int) -> Partition:
-        if isinstance(partition, str):
-            return PARTITIONERS[partition](self.model, processors)
-        if callable(partition):
-            return partition(self.model, processors)
-        return dict(partition)
-
-    def _mode_for(self, lp_id: int) -> SyncMode:
-        if self.protocol == "optimistic":
-            return SyncMode.OPTIMISTIC
-        if self.protocol == "conservative":
-            return SyncMode.CONSERVATIVE
-        if self.protocol == "dynamic":
-            return SyncMode.DYNAMIC
-        # "mixed": the static per-LP assignment recorded in the model
-        # (the paper's heuristic: synchronous components conservative,
-        # asynchronous ones optimistic).
-        mode = self.model.sync_modes[lp_id]
-        return SyncMode.OPTIMISTIC if mode is SyncMode.DYNAMIC else mode
-
-    def _lookahead_for(self, src: int, dst: int) -> Optional[Tuple[int, int]]:
-        if self.lookahead is None:
-            return None
-        channel = self.model.channels.get((src, dst))
-        if channel is None:
-            return None
-        if self.lookahead == "vhdl":
-            # Every VHDL kernel channel advances the logical clock by at
-            # least one phase from cause to effect.
-            return (0, 1)
-        if self.lookahead == "delays":
-            if channel.lookahead is None:
-                return (0, 1)
-            la = channel.lookahead
-            return (la.pt, la.lt) if isinstance(la, VirtualTime) else la
-        raise ValueError(f"unknown lookahead policy {self.lookahead!r}")
-
-    def _build(self) -> None:
-        for lp in self.model.lps:
-            runtime = LPRuntime(lp, self._mode_for(lp.lp_id),
-                                self.model.predecessors(lp.lp_id),
-                                self.model.successors(lp.lp_id))
-            self._runtimes[lp.lp_id] = runtime
-            self.procs[self.placement[lp.lp_id]].adopt(runtime)
-            if self.tracer is not None:
-                self.tracer.register_lp(lp)
-                lp.tracer = self.tracer
-        for proc in self.procs:
-            proc.runtime_of = self._runtimes.__getitem__
-            proc.route = self._make_route(proc)
-            proc.until = self.until
-            proc.lookahead_of = self._lookahead_for
-            proc.gvt_bound = self.gvt
-            proc.cancel_note = self._note_cancellation
         # Release-floor sweep tables, fixed for the run and indexed by lp
         # id: who can ever read a floor (the safety test of a blockable
         # runtime is the only reader) and its processor, each LP's
@@ -254,17 +170,23 @@ class ParallelMachine:
         #: ``B``, ``A``, parents) — ``None`` means a full round.
         self._noted: Optional[Tuple[list, list]] = None
         self._carried: Optional[Tuple[list, ...]] = None
-        for lp in self.model.lps:
-            runtime = self._runtimes[lp.lp_id]
-            for event in lp.init_events():
-                if runtime.mode is SyncMode.CONSERVATIVE:
-                    event = event.stamped(runtime.cons_epoch)
-                self.procs[self.placement[event.dst]].seed(event)
+        self.fabric.bind(self)
+
+    def install_fabric(self, fabric) -> None:
+        """Swap the delivery fabric (must happen before :meth:`run`).
+
+        Used by :func:`repro.fabric.install_jitter` and tests to attach a
+        pre-built fabric to a machine constructed with default arguments.
+        """
+        if self.tracer is not None:
+            fabric.tracer = self.tracer
+        self.fabric = fabric
+        fabric.bind(self)
 
     def _make_route(self, sender: Processor) -> Callable[[Event], None]:
         def route(event: Event) -> None:
-            # Stamp the conservative-promise epoch at send time (shared
-            # backend obligation; see repro.parallel.backend).
+            # Stamp the conservative-promise epoch at send time (every
+            # machine's obligation; see repro.parallel.engine).
             event = stamp_epoch(self._runtimes, event)
             dst_proc = self.procs[self.placement[event.dst]]
             if dst_proc is sender:
@@ -357,12 +279,7 @@ class ParallelMachine:
                 barrier=barrier)
         self._refresh_release_floors()
         for proc in self.procs:
-            proc.gvt_bound = self.gvt
-            proc.stats.gvt_rounds += 1
-            proc.flush_lazy_all(self.gvt)
-            proc.drain_local()
-            proc.fossil_collect(self.gvt)
-            proc.rearm_blocked()
+            proc.commit_gvt(self.gvt)
         self.fabric.on_gvt_round(self)
         # Cancellation horizon: exact recompute now that flushes/drains
         # settled — the only point where the floor may *rise*.  (It is
@@ -756,7 +673,6 @@ class ParallelMachine:
         for proc in self.procs:
             proc.commit_remaining()
         stats = self._partial_stats()
-        from .partition import cut_channels
         return ParallelOutcome(
             stats=stats,
             makespan=max(proc.clock for proc in self.procs),
@@ -774,7 +690,6 @@ def run_parallel(model: Model, processors: int,
                  partition: Union[str, Partition, Callable] = "round_robin",
                  user_consistent: bool = False,
                  lookahead: Optional[str] = None,
-                 gvt_interval: int = 0,
                  adapt: Optional[AdaptPolicy] = None,
                  checkpoint_interval: int = 1,
                  lazy_cancellation: bool = False,
@@ -787,8 +702,7 @@ def run_parallel(model: Model, processors: int,
     machine = ParallelMachine(model, processors, protocol=protocol,
                               cost=cost, partition=partition,
                               user_consistent=user_consistent,
-                              lookahead=lookahead,
-                              gvt_interval=gvt_interval, adapt=adapt,
+                              lookahead=lookahead, adapt=adapt,
                               checkpoint_interval=checkpoint_interval,
                               lazy_cancellation=lazy_cancellation,
                               until=until, fault_plan=fault_plan,

@@ -95,6 +95,7 @@ from ..core.stats import RunStats
 from ..core.vtime import MINUS_INFINITY
 from .backend import (BackendOutcome, RingSpec, WorkerCore, harvest,
                       pristine_payload)
+from .engine import resolve_model
 
 
 @dataclass
@@ -129,7 +130,6 @@ def _rebuild(payload: bytes, spec: RingSpec) -> "ProcsMachine":
     pristine model, with none of the parent's start-method state."""
     machine = ProcsMachine.__new__(ProcsMachine)
     WorkerCore.__init__(machine, pickle.loads(payload), spec)
-    machine._build_inner()
     return machine
 
 
@@ -171,14 +171,14 @@ class ProcsMachine(WorkerCore):
     def __init__(self, model: Model, processors: int,
                  start_method: Optional[str] = None, **ring) -> None:
         # ``timeout_s`` is run()'s, not a constructor parameter.
-        super().__init__(model, RingSpec(processors, timeout_s=120.0,
-                                         **ring))
+        spec = RingSpec(processors, timeout_s=120.0, **ring)
         self.start_method = resolve_start_method(start_method)
+        model = resolve_model(model)
         #: What a worker that cannot inherit this machine rebuilds it
         #: from — taken before the build below seeds init events.
         self._payload = (None if self.start_method == "fork" else
-                         pristine_payload(self.model, self.spec.partition))
-        self._build_inner()
+                         pristine_payload(model, spec.partition))
+        super().__init__(model, spec)
 
     # ==================================================================
     # Parent side

@@ -81,7 +81,6 @@ class ThreadedMachine(ProcsMachine):
         # No start method to resolve, no payload to snapshot.
         WorkerCore.__init__(self, model, RingSpec(
             processors, timeout_s=120.0, **ring))
-        self._build_inner()
 
     def _context(self) -> _InProcess:
         return _InProcess()

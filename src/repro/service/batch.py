@@ -57,7 +57,6 @@ class VhdlJob:
     generics: Optional[Dict[str, Any]] = None
     traced: Union[bool, Tuple[str, ...]] = True
     name: Optional[str] = None
-    exec_mode: str = "interp"
 
 
 #: A job's design: an artifact, VHDL source, or a zero-argument
@@ -163,13 +162,12 @@ class RunService:
                 artifact, hit = cached_elaborate(
                     source.source, source.top, generics=source.generics,
                     traced=source.traced, name=source.name,
-                    exec_mode=source.exec_mode, cache=self.cache)
+                    cache=self.cache)
                 return artifact, "cache" if hit else "cold"
             from ..vhdl.artifact import build_artifact
             return build_artifact(
                 source.source, source.top, generics=source.generics,
-                traced=source.traced, name=source.name,
-                exec_mode=source.exec_mode), "cold"
+                traced=source.traced, name=source.name), "cold"
         if callable(source):
             built = source()
             design = getattr(built, "design", built)

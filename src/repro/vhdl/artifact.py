@@ -18,7 +18,7 @@ source, and the procs backend could only ship the graph to workers by
   artifact and build their own runtime locally — no fork inheritance);
 * it is **content-addressed**: :func:`artifact_key` derives a stable
   SHA-256 from the elaboration *inputs* (source text, top entity,
-  generics, trace selection, compile options), independent of
+  generics, trace selection), independent of
   ``PYTHONHASHSEED``, dict iteration order, object identity or
   ``repr()`` formatting — the key of the on-disk elaboration cache
   (:mod:`repro.vhdl.cache`);
@@ -131,14 +131,14 @@ def canonical_digest(obj: Any) -> str:
 
 def artifact_key(source: str, top: str,
                  generics: Optional[Dict[str, Any]] = None,
-                 traced: Union[bool, Tuple[str, ...]] = True,
-                 exec_mode: str = "interp") -> str:
+                 traced: Union[bool, Tuple[str, ...]] = True) -> str:
     """Content address of an elaboration: a pure function of its inputs.
 
     Two processes (any ``PYTHONHASHSEED``) elaborating the same source
-    with the same top entity, generic overrides, trace selection and
-    compile options compute the same key — so a cache hit soundly
-    skips parse + elaborate + lower.
+    with the same top entity, generic overrides and trace selection
+    compute the same key — so a cache hit soundly skips parse +
+    elaborate.  How process bodies execute is a run's choice, not the
+    artifact's (``exec_mode`` of :func:`~repro.vhdl.kernel.simulate`).
     """
     if isinstance(traced, (list, tuple)):
         traced = tuple(sorted(traced))
@@ -148,7 +148,6 @@ def artifact_key(source: str, top: str,
         "top": top,
         "generics": dict(generics or {}),
         "traced": traced,
-        "exec_mode": exec_mode,
     })
 
 
@@ -335,9 +334,8 @@ def snapshot_design(design, content_hash: Optional[str] = None,
 def build_artifact(source: str, top: str,
                    generics: Optional[Dict[str, Any]] = None,
                    traced: Union[bool, Tuple[str, ...]] = True,
-                   name: Optional[str] = None,
-                   exec_mode: str = "interp") -> DesignArtifact:
-    """Parse + elaborate (+ lower) VHDL source into an artifact.
+                   name: Optional[str] = None) -> DesignArtifact:
+    """Parse + elaborate VHDL source into an artifact.
 
     The content hash is computed from the *inputs* via
     :func:`artifact_key`, so it is available without elaborating —
@@ -345,19 +343,10 @@ def build_artifact(source: str, top: str,
     function entirely on a hit.
     """
     from .frontend import elaborate
-    from .kernel import EXEC_MODES
 
-    if exec_mode not in EXEC_MODES:
-        raise ValueError(f"unknown exec mode {exec_mode!r}; pick from "
-                         f"{EXEC_MODES}")
     design = elaborate(source, top=top, generics=generics,
                        traced=traced, name=name)
-    if exec_mode == "compiled":
-        from .compile import lower_design
-        lower_design(design)
-    key = artifact_key(source, top, generics=generics, traced=traced,
-                       exec_mode=exec_mode)
+    key = artifact_key(source, top, generics=generics, traced=traced)
     return DesignArtifact.from_design(
         design, content_hash=key,
-        meta={"top": top, "generics": dict(generics or {}),
-              "exec_mode": exec_mode})
+        meta={"top": top, "generics": dict(generics or {})})

@@ -1,10 +1,10 @@
 """Content-addressed on-disk elaboration cache.
 
-Elaborating + lowering a design is the expensive, run-independent half
+Elaborating a design is the expensive, run-independent half
 of a simulation.  The cache stores :class:`~repro.vhdl.artifact.
 DesignArtifact` blobs keyed by their content hash — a pure function of
 the elaboration inputs (:func:`~repro.vhdl.artifact.artifact_key`) —
-so a hit soundly skips parse, elaborate and compile and goes straight
+so a hit soundly skips parse and elaborate and goes straight
 to ``instantiate()``.
 
 Robustness properties (all under test):
@@ -158,7 +158,6 @@ def cached_elaborate(source: str, top: str,
                      generics: Optional[Dict[str, Any]] = None,
                      traced: Union[bool, Tuple[str, ...]] = True,
                      name: Optional[str] = None,
-                     exec_mode: str = "interp",
                      cache: Optional[ElabCache] = None,
                      ) -> Tuple[DesignArtifact, bool]:
     """Elaborate VHDL source through the cache.
@@ -171,13 +170,11 @@ def cached_elaborate(source: str, top: str,
     from .artifact import build_artifact
 
     cache = cache if cache is not None else ElabCache()
-    key = artifact_key(source, top, generics=generics, traced=traced,
-                      exec_mode=exec_mode)
+    key = artifact_key(source, top, generics=generics, traced=traced)
     cached = cache.get(key)
     if cached is not None:
         return cached, True
     artifact = build_artifact(source, top, generics=generics,
-                              traced=traced, name=name,
-                              exec_mode=exec_mode)
+                              traced=traced, name=name)
     cache.put(artifact)
     return artifact, False

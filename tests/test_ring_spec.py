@@ -3,9 +3,10 @@
 ``RingSpec`` is what every ring backend — threads, procs, dist — is
 built from, wherever the worker lives.  A configuration is rejected by
 the same code with the same words on all three, and a worker that
-rebuilds its machine from ``(pristine_payload(model), RingSpec)`` (a
-spawned procs worker, a dist daemon) gets the machine a forked worker
-inherits.  The CI spawn job runs this file under
+rebuilds its engine from ``(pristine_payload(model), RingSpec)`` (a
+spawned procs worker, a dist daemon) gets the engine a forked worker
+inherits — built by the engine builder alone, never by constructing
+the modelled machine.  The CI spawn job runs this file under
 ``REPRO_PROCS_START=spawn``.
 """
 
@@ -17,14 +18,20 @@ from repro.circuits import build_fsm, build_random
 from repro.fabric.plan import FaultPlan
 from repro.parallel.backend import RingSpec, pristine_payload
 from repro.parallel.dist import DistMachine, _DistWorkerCore
+from repro.parallel.machine import ParallelMachine
 from repro.parallel.procs import ProcsMachine, _rebuild
 from repro.parallel.threads import ThreadedMachine
+from repro.vhdl import simulate
 
 MACHINES = [ThreadedMachine, ProcsMachine, DistMachine]
 
 needs_spawn = pytest.mark.skipif(
     "spawn" not in multiprocessing.get_all_start_methods(),
     reason="platform does not offer the spawn start method")
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="platform does not offer the fork start method")
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +83,14 @@ def test_unshippable_partition_same_words_on_spawn_and_dist(model):
     assert len(messages) == 1
 
 
-def seeded(inner):
+def seeded(engine):
     """Placement and every LP's queue head, in comparable form."""
     heads = {}
-    for lp_id, runtime in inner._runtimes.items():
+    for lp_id, runtime in engine.runtimes.items():
         head = runtime.head()
         heads[lp_id] = head and (head.time, head.kind, head.dst, head.src,
                                  head.sign, head.eid)
-    return inner.placement, heads
+    return engine.placement, heads
 
 
 @pytest.mark.parametrize("partition", ["round_robin", "bfs"])
@@ -93,17 +100,47 @@ def test_a_rebuilt_worker_has_the_machine_a_forked_one_inherits(partition):
 
     ring = dict(protocol="mixed", partition=partition, until=10 ** 9)
     # What a fork child inherits (threads build it the same way).
-    inherited = seeded(ThreadedMachine(fresh(), 3, **ring)._inner)
+    inherited = seeded(ThreadedMachine(fresh(), 3, **ring).engine)
     assert any(head for head in inherited[1].values())
 
     spec = RingSpec(3, **ring)
     payload = pristine_payload(fresh(), spec.partition)
-    assert seeded(_rebuild(payload, spec)._inner) == inherited
-    assert seeded(_DistWorkerCore((payload, spec), None)._inner) == inherited
+    assert seeded(_rebuild(payload, spec).engine) == inherited
+    assert seeded(_DistWorkerCore((payload, spec), None).engine) == inherited
     # A procs parent that will not fork ships exactly that pair.
     parent = ProcsMachine(fresh(), 3, **ring)
     if parent.start_method != "fork":
         assert parent.spec == spec
-        assert seeded(_rebuild(parent._payload, parent.spec)._inner) \
+        assert seeded(_rebuild(parent._payload, parent.spec).engine) \
             == inherited
-    assert seeded(parent._inner) == inherited
+    assert seeded(parent.engine) == inherited
+
+
+@needs_fork
+def test_a_ring_run_never_constructs_the_modelled_machine(monkeypatch):
+    """Threads, forked and spawned procs workers and dist daemons build
+    their engines without ``ParallelMachine``: with its constructor
+    refusing, every one of them still builds, and the runs still commit
+    the sequential oracle's waves."""
+    def refused(*_args, **_kwargs):
+        raise AssertionError("a ring backend built the modelled machine")
+
+    monkeypatch.setattr(ParallelMachine, "__init__", refused)
+
+    def fresh():
+        return build_fsm(cells=4, cycles=4)
+
+    oracle = simulate(fresh().design)
+    for machine, start in ((ThreadedMachine, {}),
+                           (ProcsMachine, {"start_method": "fork"})):
+        circuit = fresh()
+        outcome = machine(circuit.design.elaborate(), 2, protocol="mixed",
+                          **start).run(timeout_s=60.0)
+        assert {s.name: s.trace() for s in circuit.design.signals
+                if s.traced} == oracle.traces
+        assert outcome.stats.events_committed \
+            == oracle.stats.events_committed
+    spec = RingSpec(2, protocol="mixed")
+    payload = pristine_payload(fresh().design.elaborate(), spec.partition)
+    assert seeded(_rebuild(payload, spec).engine) \
+        == seeded(_DistWorkerCore((payload, spec), None).engine)

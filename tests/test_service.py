@@ -8,6 +8,8 @@ algebra, per-run failure isolation, and the ``repro elab`` /
 ``repro batch`` commands end to end.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.circuits import build_fsm, fsm_vhdl
@@ -16,6 +18,8 @@ from repro.harness import wave_digest
 from repro.service import (BatchJob, RunService, RunSpec, VhdlJob,
                            run_fleet)
 from repro.vhdl import ElabCache
+from repro.vhdl.compile import CompiledBody
+from repro.vhdl.frontend.interp import InterpretedBody
 
 
 def fsm_builder():
@@ -171,6 +175,24 @@ class TestBatchCommand:
     def test_batch_circuit_default_run(self, capsys):
         assert main(["batch", "--circuit", "fsm"]) == 0
         assert "batch: 1 runs, 0 failed" in capsys.readouterr().out
+
+    def test_the_run_decides_the_exec_mode(self, vhd, monkeypatch):
+        """The artifact carries no exec mode: ``exec=interp`` interprets
+        although ``--exec compiled`` is the batch's default, and a run
+        that names no mode takes that default."""
+        calls = Counter()
+        for body in (InterpretedBody, CompiledBody):
+            def counted(self, api, _resume=body.resume, _name=body.__name__):
+                calls[_name] += 1
+                return _resume(self, api)
+            monkeypatch.setattr(body, "resume", counted)
+        batch = ["batch", vhd, "--top", "fsm_ring", "--no-cache",
+                 "--exec", "compiled"]
+        assert main(batch + ["--run", "exec=interp"]) == 0
+        assert calls["InterpretedBody"] and not calls["CompiledBody"]
+        calls.clear()
+        assert main(batch + ["--run", "backend=seq"]) == 0
+        assert calls["CompiledBody"] and not calls["InterpretedBody"]
 
     def test_bad_run_spec_rejected(self, vhd):
         with pytest.raises(SystemExit):
