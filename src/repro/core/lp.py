@@ -29,7 +29,7 @@ import copy
 from typing import Any, Iterable, List, Optional, Sequence
 
 from .event import Event, EventId, EventKind
-from .vtime import VirtualTime, ZERO
+from .vtime import VirtualTime, ZERO, _tuple_new
 
 
 class LogicalProcess:
@@ -110,9 +110,8 @@ class LogicalProcess:
             raise ValueError(
                 f"LP {self.name} at {self.now} tried to send into the past "
                 f"({time})")
-        event = Event(time=time, kind=kind, dst=dst, src=self.lp_id,
-                      payload=payload, eid=self._fresh_eid(),
-                      send_time=self.now)
+        event = Event(time, kind, dst, self.lp_id, payload, 1,
+                      self._fresh_eid(), self.now)
         if self.tracer is not None:
             self.tracer.record("send", lp=self.lp_id, time=time,
                                dst=dst, kind=int(kind),
@@ -130,7 +129,7 @@ class LogicalProcess:
         # after a rollback the re-executed sends must mint new ids so that
         # they can never be confused with the cancelled originals.
         self._seq += 1
-        return EventId(self.lp_id, self._seq)
+        return _tuple_new(EventId, (self.lp_id, self._seq))
 
     def drain_outbox(self) -> List[Event]:
         """Engine hook: collect and clear events emitted by simulate()."""

@@ -34,22 +34,22 @@ class SequentialSimulator:
         self._heap: List[Tuple[tuple, Event]] = []
         self.stats = RunStats()
         self._primed = False
-        self._shuffle = shuffle_ties
-        #: Custom ordering key — used by the tie-breaking ablation to
-        #: simulate a kernel WITHOUT the (pt, lt) scheme (ordering by
-        #: physical time only).  Overrides ``shuffle_ties``.
-        self._key_fn = key_fn
+        #: The heap key, chosen once.  ``key_fn`` is used by the
+        #: tie-breaking ablation to simulate a kernel WITHOUT the (pt, lt)
+        #: scheme (ordering by physical time only) and overrides
+        #: ``shuffle_ties``; the default is the deterministic event order.
+        if key_fn is not None:
+            self._key = key_fn
+        elif shuffle_ties is not None:
+            draw = shuffle_ties.random
+            self._key = lambda event: (event.time, draw())
+        else:
+            self._key = Event.sort_key
 
     # ------------------------------------------------------------------
     def inject(self, event: Event) -> None:
         """Insert an externally produced event (stimulus)."""
-        if self._key_fn is not None:
-            key = self._key_fn(event)
-        elif self._shuffle is not None:
-            key = (event.time, self._shuffle.random())
-        else:
-            key = event.sort_key()
-        heapq.heappush(self._heap, (key, event))
+        heapq.heappush(self._heap, (self._key(event), event))
 
     def _prime(self) -> None:
         for lp in self.model.lps:
@@ -77,8 +77,9 @@ class SequentialSimulator:
         # injected mid-sweep take part in the ordering immediately).
         heap = self._heap
         pop = heapq.heappop
-        model_lp = self.model.lp
-        inject = self.inject
+        push = heapq.heappush
+        key = self._key
+        lps = self.model.lps
         null_kind = EventKind.NULL
         stats = self.stats
         executed = 0
@@ -103,16 +104,16 @@ class SequentialSimulator:
                     executed += 1
                     if event.kind is null_kind:
                         continue
-                    lp = model_lp(event.dst)
+                    dst = event.dst
+                    lp = lps[dst]
                     lp.now = event.time
                     lp.simulate(event)
                     committed += 1
-                    dst = event.dst
                     per_lp[dst] = per_lp.get(dst, 0) + 1
                     if event.time > final_time:
                         final_time = event.time
                     for out in lp.drain_outbox():
-                        inject(out)
+                        push(heap, (key(out), out))
         finally:
             # Fold the sweep-local counters into the shared stats (also
             # on error, so partial stats stay as exact as before).
@@ -124,18 +125,6 @@ class SequentialSimulator:
             if final_time > stats.final_time:
                 stats.final_time = final_time
         return self.stats
-
-    def _dispatch(self, event: Event) -> None:
-        if event.kind is EventKind.NULL:
-            return
-        lp = self.model.lp(event.dst)
-        lp.now = event.time
-        lp.simulate(event)
-        self.stats.count_execution(event.dst)
-        self.stats.events_committed += 1
-        self.stats.final_time = max(self.stats.final_time, event.time)
-        for out in lp.drain_outbox():
-            self.inject(out)
 
     # ------------------------------------------------------------------
     def pending(self) -> int:

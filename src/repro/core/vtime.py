@@ -55,6 +55,11 @@ _PHASE_NAMES = {
 }
 
 
+#: Builds a named tuple from a field tuple at C level, skipping the
+#: Python-level ``__new__`` that a ``NamedTuple`` call goes through.
+_tuple_new = tuple.__new__
+
+
 class VirtualTime(NamedTuple):
     """A point in VHDL virtual time: ``(physical fs, logical phase count)``.
 
@@ -87,7 +92,7 @@ class VirtualTime(NamedTuple):
 
     def next_phase(self) -> "VirtualTime":
         """The immediately following phase at the same physical time."""
-        return VirtualTime(self.pt, self.lt + 1)
+        return _tuple_new(VirtualTime, (self[0], self[1] + 1))
 
     def plus_phases(self, n: int) -> "VirtualTime":
         """Advance ``n`` phases at constant physical time."""
@@ -97,7 +102,7 @@ class VirtualTime(NamedTuple):
 
     def next_delta(self) -> "VirtualTime":
         """The same phase, one full delta cycle later."""
-        return VirtualTime(self.pt, self.lt + PHASES_PER_CYCLE)
+        return _tuple_new(VirtualTime, (self[0], self[1] + PHASES_PER_CYCLE))
 
     def advance(self, dt: int, phase: int = PHASE_ASSIGN) -> "VirtualTime":
         """A future physical time ``pt + dt``, entering at ``phase``.
@@ -109,17 +114,18 @@ class VirtualTime(NamedTuple):
         if dt <= 0:
             raise ValueError("advance() needs a strictly positive delay; "
                              "use next_delta()/plus_phases() for delta steps")
-        lt = self.lt + 1
+        lt = self[1] + 1
         remainder = (phase - lt) % PHASES_PER_CYCLE
-        return VirtualTime(self.pt + dt, lt + remainder)
+        return _tuple_new(VirtualTime, (self[0] + dt, lt + remainder))
 
     def with_phase(self, phase: int) -> "VirtualTime":
         """The first time >= self whose phase is ``phase``.
 
         Stays at the current ``lt`` when the phase already matches.
         """
-        remainder = (phase - self.lt) % PHASES_PER_CYCLE
-        return VirtualTime(self.pt, self.lt + remainder)
+        lt = self[1]
+        return _tuple_new(VirtualTime,
+                          (self[0], lt + (phase - lt) % PHASES_PER_CYCLE))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.pt}fs@{self.lt}"

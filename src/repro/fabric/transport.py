@@ -25,10 +25,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.event import Event
+from ..core.record import Record
 from ..core.stats import RunStats
 from ..core.vtime import VirtualTime
 from .link import InLink, OutLink, owed
@@ -40,8 +40,7 @@ from .recovery import (ProcessorCheckpoint, checkpoint_processor,
 Link = Tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(Record):
     """One transmitted copy of a message on a processor link.
 
     Carries the link identity and the per-link sequence number the
@@ -50,9 +49,12 @@ class Packet:
     release-floor scans can treat inbox entries uniformly.
     """
 
-    link: Link
-    seq: int
-    event: Event
+    __slots__ = ("link", "seq", "event")
+
+    def __init__(self, link: Link, seq: int, event: Event) -> None:
+        self.link = link
+        self.seq = seq
+        self.event = event
 
     @property
     def time(self) -> VirtualTime:

@@ -53,6 +53,10 @@ class ArtifactError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Canonical serialization (the hash substrate)
 # ---------------------------------------------------------------------------
+#: Types :func:`canonical` returns as they are (exact types only).
+_LEAVES = frozenset({str, int, bool, type(None)})
+
+
 def canonical(obj: Any, _path: Optional[set] = None) -> Any:
     """Reduce ``obj`` to a JSON-able structure deterministically.
 
@@ -64,7 +68,15 @@ def canonical(obj: Any, _path: Optional[set] = None) -> Any:
     ``__getstate__`` when defined).  Reference cycles collapse to a
     marker instead of recursing forever.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
+    kind = type(obj)
+    # The common leaves and sequences first, by exact type; subclasses
+    # (IntEnum, named tuples) take the isinstance chain below.
+    if kind in _LEAVES:
+        return obj
+    if kind is list or kind is tuple:
+        return [x if type(x) in _LEAVES else canonical(x, _path)
+                for x in obj]
+    if isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         # repr() of a float is the shortest round-tripping literal —
@@ -78,12 +90,10 @@ def canonical(obj: Any, _path: Optional[set] = None) -> Any:
     if isinstance(obj, (list, tuple)):
         return [canonical(x, _path) for x in obj]
     if isinstance(obj, (set, frozenset)):
-        return ["set", sorted(
-            json.dumps(canonical(x, _path), sort_keys=True)
-            for x in obj)]
+        return ["set", sorted(_sort_key(x, _path) for x in obj)]
     if isinstance(obj, dict):
-        items = [(json.dumps(canonical(k, _path), sort_keys=True),
-                  canonical(v, _path)) for k, v in obj.items()]
+        items = [(_sort_key(k, _path), canonical(v, _path))
+                 for k, v in obj.items()]
         items.sort(key=lambda kv: kv[0])
         return ["map", [[k, v] for k, v in items]]
     if isinstance(obj, type):
@@ -120,6 +130,22 @@ def canonical(obj: Any, _path: Optional[set] = None) -> Any:
                 canonical(state, _path)]
     finally:
         _path.discard(marker)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_int = int.__repr__
+
+
+def _sort_key(obj: Any, _path: Optional[set]) -> str:
+    """``json.dumps(canonical(obj), sort_keys=True)``: how set members
+    and dict keys sort.  Plain ``str`` and ``int`` keys are encoded
+    directly, with the functions ``json.dumps`` itself uses for them."""
+    kind = type(obj)
+    if kind is str:
+        return _encode_str(obj)
+    if kind is int:
+        return _encode_int(obj)
+    return json.dumps(canonical(obj, _path), sort_keys=True)
 
 
 def canonical_digest(obj: Any) -> str:

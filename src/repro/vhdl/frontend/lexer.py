@@ -10,9 +10,9 @@ comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
+from ...core.record import Record
 from ...core.vtime import parse_time
 
 KEYWORDS = frozenset("""
@@ -40,13 +40,22 @@ class LexError(SyntaxError):
     """Bad character or malformed literal, with line information."""
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str       # 'id', 'kw', 'int', 'real', 'time', 'char', 'string',
-                    # 'bitstring', 'delim', 'eof'
-    value: object   # normalized value (lower-cased for id/kw)
-    line: int
-    column: int
+class Token(Record):
+    """One lexeme of VHDL source.
+
+    ``kind`` is 'id', 'kw', 'int', 'real', 'time', 'char', 'string',
+    'bitstring', 'delim' or 'eof'; ``value`` is the normalized value
+    (lower-cased for id/kw).
+    """
+
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(self, kind: str, value: object, line: int,
+                 column: int) -> None:
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.column = column
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind}, {self.value!r}, {self.line})"

@@ -28,18 +28,17 @@ conservative mode by the engines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, Optional,
                     Sequence, Tuple)
 
 from ..core.event import Event, EventKind
 from ..core.lp import LogicalProcess
+from ..core.record import Record
 from ..core.vtime import PHASE_ASSIGN, VirtualTime
 from .signal import Assignment
 
 
-@dataclass(frozen=True)
-class Wait:
+class Wait(Record):
     """The suspension condition returned by a process body.
 
     ``on`` is the set of signal LP ids whose events wake the process;
@@ -48,9 +47,14 @@ class Wait:
     delta cycle").  ``Wait.forever()`` suspends the process for good.
     """
 
-    on: FrozenSet[int] = frozenset()
-    until: Optional[Callable[["ProcessAPI"], bool]] = None
-    for_fs: Optional[int] = None
+    __slots__ = ("on", "until", "for_fs")
+
+    def __init__(self, on: FrozenSet[int] = frozenset(),
+                 until: Optional[Callable[["ProcessAPI"], bool]] = None,
+                 for_fs: Optional[int] = None) -> None:
+        self.on = on
+        self.until = until
+        self.for_fs = for_fs
 
     @staticmethod
     def forever() -> "Wait":
