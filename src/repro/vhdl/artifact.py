@@ -29,8 +29,9 @@ source, and the procs backend could only ship the graph to workers by
 
 Programmatic designs (the benchmark circuits) get the same treatment
 through :func:`snapshot_design` / ``Design.artifact()``: their content
-hash is a canonical *structural* manifest of the LP graph rather than a
-source digest.
+hash is the digest of a canonical *structural* manifest of the LP graph
+rather than a source digest.  Nothing on the run path reads it, so it
+is computed on first read of ``content_hash``, not at snapshot time.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import io
 import json
 import pickle
 from enum import Enum
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 #: Framing magic for the on-disk serialization (see :meth:`to_bytes`).
 MAGIC = b"repro-artifact\x001\n"
@@ -150,9 +151,25 @@ def _sort_key(obj: Any, _path: Optional[set]) -> str:
 
 def canonical_digest(obj: Any) -> str:
     """SHA-256 over the canonical JSON encoding of ``obj``."""
-    payload = json.dumps(canonical(obj), sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
+    return _digest(canonical(obj))
+
+
+def _digest(form: Any) -> str:
+    """SHA-256 over the JSON encoding of an already canonical ``form``.
+
+    :func:`canonical` is idempotent on its own output, so for such a
+    form this equals ``canonical_digest(form)`` without the second
+    walk.  A canonical form holds no dicts, so no key sorting either.
+    """
+    payload = json.dumps(form, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
+
+
+def _map(entries: Dict[str, Any]) -> List[Any]:
+    """:func:`canonical` of a dict whose keys are ``str`` and whose
+    values are already canonical."""
+    return ["map", sorted([_encode_str(key), value]
+                          for key, value in entries.items())]
 
 
 def artifact_key(source: str, top: str,
@@ -177,13 +194,15 @@ def artifact_key(source: str, top: str,
     })
 
 
-def design_manifest(design) -> Dict[str, Any]:
+def design_manifest(design) -> List[Any]:
     """Canonical structural manifest of an elaborated LP graph.
 
     Used to content-address *programmatic* designs (no source text to
     hash): LP inventory with configuration, channel wiring with
     lookahead, and per-LP sync modes — everything
-    :meth:`DesignArtifact.instantiate` reproduces.
+    :meth:`DesignArtifact.instantiate` reproduces.  It is built in
+    canonical form (what :func:`canonical` makes of the equivalent
+    dict), so digesting it takes no second walk.
     """
     model = design.model
     lps = []
@@ -201,8 +220,8 @@ def design_manifest(design) -> Dict[str, Any]:
             entry["traced"] = bool(getattr(lp, "traced", False))
             entry["readers"] = sorted(getattr(lp, "readers", ()))
             entry["drivers"] = sorted(getattr(lp, "drivers", ()))
-        lps.append(entry)
-    return {
+        lps.append(_map(entry))
+    return _map({
         "kind": "design-structure",
         "name": design.name,
         "lps": lps,
@@ -212,7 +231,7 @@ def design_manifest(design) -> Dict[str, Any]:
         "modes": sorted(
             [lp_id, mode.name]
             for lp_id, mode in model.sync_modes.items()),
-    }
+    })
 
 
 class _MISSING:  # sentinel ("initial" may legitimately be None)
@@ -231,14 +250,26 @@ class DesignArtifact:
     ``meta`` records the elaboration inputs and graph inventory.
     """
 
-    __slots__ = ("name", "content_hash", "meta", "payload")
+    __slots__ = ("name", "_content_hash", "meta", "payload")
 
-    def __init__(self, name: str, content_hash: str,
+    def __init__(self, name: str, content_hash: Optional[str],
                  payload: bytes, meta: Optional[Dict] = None) -> None:
         self.name = name
-        self.content_hash = content_hash
+        self._content_hash = content_hash
         self.payload = payload
         self.meta = dict(meta or {})
+
+    @property
+    def content_hash(self) -> str:
+        """The artifact's address; for a builder design, the digest of
+        its :func:`design_manifest`, computed on first read from a
+        fresh copy of the payload and then kept (a pickled artifact
+        carries it, or ``None`` if it was never read)."""
+        # Two threads racing here compute the same digest; no lock.
+        if self._content_hash is None:
+            self._content_hash = _digest(
+                design_manifest(pickle.loads(self.payload)))
+        return self._content_hash
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -259,8 +290,6 @@ class DesignArtifact:
                 f"process bodies must be module-level callables or "
                 f"plain-data objects to cross a process boundary"
             ) from failure
-        if content_hash is None:
-            content_hash = canonical_digest(design_manifest(design))
         full_meta = {
             "signals": len(design.signals),
             "processes": len(design.processes),
@@ -282,7 +311,6 @@ class DesignArtifact:
         # the fresh copy is a new single-use runtime either way.
         design._elaborated = False
         design._simulated = False
-        design._artifact_hash = self.content_hash
         return design
 
     def instantiate_model(self):

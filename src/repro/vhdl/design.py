@@ -159,7 +159,8 @@ class Design:
         :class:`~repro.vhdl.artifact.DesignArtifact`.
 
         The artifact content-addresses the LP graph (structural
-        manifest hash unless ``content_hash`` is given) and its
+        manifest hash, computed on first read, unless
+        ``content_hash`` is given) and its
         ``instantiate()`` yields a fresh mutable runtime per run —
         the supported way to simulate one design many times.
         """

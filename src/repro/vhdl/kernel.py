@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.sequential import SequentialSimulator
 from ..core.stats import RunStats
 from ..core.vtime import VirtualTime
+from .artifact import DesignArtifact
 from .design import Design
 
 
@@ -69,7 +70,7 @@ def _claim(design) -> Design:
     carries mutable LP state and is single-use — a second run raises
     (snapshot to an artifact via ``design.artifact()`` to re-run).
     """
-    if hasattr(design, "instantiate") and hasattr(design, "content_hash"):
+    if isinstance(design, DesignArtifact):
         design = design.instantiate()
     if getattr(design, "_simulated", False):
         raise RuntimeError(

@@ -28,7 +28,8 @@ from repro.circuits import (build_fsm, build_fsm_from_vhdl,
                             build_random, build_random_behavioral,
                             fsm_vhdl)
 from repro.harness import check_backend, wave_digest
-from repro.harness.check import circuit_artifact
+from repro.harness.check import Checker, circuit_artifact
+from repro.parallel.engine import PROTOCOLS
 from repro.vhdl import (ArtifactError, DesignArtifact, ElabCache,
                         artifact_key, build_artifact, cached_elaborate,
                         simulate, simulate_parallel, snapshot_design)
@@ -179,6 +180,28 @@ class TestHashing:
         assert artifact_key(source, "fsm_ring",
                             traced=("a", "b")) == \
             artifact_key(source, "fsm_ring", traced=("b", "a"))
+
+    def test_hash_is_never_computed_on_the_run_path(self, monkeypatch):
+        # Snapshotting, instantiating and running — sequentially, on
+        # every protocol of the model, and through a reusing harness
+        # exploration — never read the structural hash.
+        def refuse(design):
+            raise AssertionError("design_manifest on the run path")
+
+        monkeypatch.setattr("repro.vhdl.artifact.design_manifest", refuse)
+        monkeypatch.setattr("repro.harness.check._ARTIFACT_MEMO", {})
+        artifact = build_fsm(cells=3, cycles=3).design.artifact()
+        artifact.instantiate()
+        simulate(artifact)
+        for protocol in PROTOCOLS:
+            simulate_parallel(artifact, 4, protocol=protocol,
+                              backend="model")
+        report = Checker("fsm", circuit_params={"cells": 3, "cycles": 2},
+                         reuse_artifact=True).explore(schedules=3)
+        assert report.ok
+        monkeypatch.undo()
+        assert artifact.content_hash == canonical_digest(
+            design_manifest(build_fsm(cells=3, cycles=3).design))
 
     def test_canonical_digest_ignores_dict_order(self):
         assert canonical_digest({"a": 1, "b": {2, 3}}) == \

@@ -13,14 +13,10 @@ digests of hand-picked edge cases (nested sets, floats, bytes, enums,
 a reference cycle, the per-event records).  Every commit must reproduce
 them bit for bit.
 
-The digest of a ``__slots__`` object without its own ``__getstate__``
-(``StdLogic``, ``Driver``, ``Channel``) depends on the interpreter:
-from Python 3.11 on, ``canonical()`` reads ``object.__getstate__()``,
-which returns ``(None, {slot: value})``; before 3.11 that method does
-not exist and the state is the plain slot map.  Every design manifest
-holds such objects, so the golden pins the 3.11+ encoding and those
-cases only run there.  The per-event records define ``__getstate__``
-and hash alike on every version.
+A builder design's ``DesignArtifact.content_hash`` is computed on
+first read, from the pickled payload; each design case also checks that
+value, on the artifact itself and on an un-hashed artifact that crossed
+a pickle round-trip.
 
 Regenerate (only for a change that is *allowed* to move content
 hashes, which also orphans existing caches)::
@@ -29,7 +25,7 @@ hashes, which also orphans existing caches)::
 """
 
 import json
-import sys
+import pickle
 import types
 from pathlib import Path
 
@@ -49,11 +45,6 @@ from repro.vhdl.process import Wait
 from repro.vhdl.signal import Assignment, Driver, _Transaction
 
 GOLDEN = Path(__file__).parent / "data" / "canonical_digest_golden.json"
-
-#: On cases that hash a slots object through ``object.__getstate__``.
-SLOTS_STATE = pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="object.__getstate__ (the pinned slots encoding) is 3.11+")
 
 #: (label, builder) per design whose structural manifest is pinned.
 DESIGNS = (
@@ -146,12 +137,17 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@SLOTS_STATE
 @pytest.mark.parametrize("label,build", DESIGNS,
                          ids=[label for label, _ in DESIGNS])
 def test_design_manifest_digest(golden, label, build):
-    assert (canonical_digest(design_manifest(build()))
-            == golden["design_manifest"][label])
+    want = golden["design_manifest"][label]
+    assert canonical_digest(design_manifest(build())) == want
+    assert build().artifact().content_hash == want
+    unhashed = build().artifact()
+    assert unhashed._content_hash is None
+    shipped = pickle.loads(pickle.dumps(unhashed))
+    assert shipped._content_hash is None
+    assert shipped.content_hash == want
 
 
 @pytest.mark.parametrize("label,args,kwargs", SOURCES,
@@ -160,17 +156,15 @@ def test_artifact_key(golden, label, args, kwargs):
     assert artifact_key(*args, **kwargs) == golden["artifact_key"][label]
 
 
-@pytest.mark.parametrize("label,obj", [
-    pytest.param(label, obj, id=label,
-                 marks=SLOTS_STATE if label == "slots" else ())
-    for label, obj in EDGES])
+@pytest.mark.parametrize("label,obj", EDGES,
+                         ids=[label for label, _ in EDGES])
 def test_edge_case_digest(golden, label, obj):
     assert canonical_digest(obj) == golden["edge"][label]
 
 
 def test_records_define_their_own_state():
-    """A record's digest never reads ``object.__getstate__``, so its
-    pinned cases hold before 3.11 too."""
+    """A record's digest comes from its own ``__getstate__``, never
+    from ``object.__getstate__``."""
     for cls in (Event, Assignment, Wait, Packet, Token):
         assert issubclass(cls, Record)
         assert cls.__getstate__ is Record.__getstate__
