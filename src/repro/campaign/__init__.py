@@ -16,7 +16,7 @@ grown:
   with checkpoint recovery);
 * **schedules** — controlled seeded-random interleavings on the
   modelled machine (the OS picks for threads / procs);
-* **lazy** — lazy cancellation on/off (modelled machine);
+* **exec** — process execution mode, interpreted × compiled;
 
 crossed with **backends** {model, threads, procs} × **protocols**
 {optimistic, conservative, mixed, dynamic}.  Every scenario runs

@@ -1,8 +1,8 @@
 """Scenario axes: what the fuzzing campaign can vary, and how it samples.
 
 A :class:`Scenario` is one fully-specified configuration — circuit
-topology, fault plan, backend, protocol, schedule seed, lazy
-cancellation — everything needed to run it and to reproduce it.  It is
+topology, fault plan, backend, protocol, schedule seed, execution
+mode — everything needed to run it and to reproduce it.  It is
 frozen and hashable so the campaign can count *distinct* scenarios by
 value, not by object identity.
 
@@ -45,8 +45,7 @@ OPT_IN_BACKENDS: Tuple[str, ...] = ("dist",)
 #: the process-execution-mode axis (interp × compiled, see
 #: :data:`repro.vhdl.kernel.EXEC_MODES`): with it on, every
 #: ``backend × protocol`` coverage cell is emitted once per mode.
-ALL_AXES: Tuple[str, ...] = ("topology", "faults", "schedules", "lazy",
-                             "exec")
+ALL_AXES: Tuple[str, ...] = ("topology", "faults", "schedules", "exec")
 
 #: Sampling weight per backend: the modelled machine is ~10x cheaper
 #: per scenario and the only backend with controlled (shrinkable)
@@ -84,8 +83,6 @@ class Scenario:
     #: unhashable; :meth:`params` rebuilds it for the builders.
     circuit_params: Tuple[Tuple[str, Any], ...] = ()
     processors: int = 2
-    #: Modelled machine only: lazy cancellation on rollback.
-    lazy_cancellation: bool = False
     #: Modelled machine only: seed of the controlled random schedule;
     #: ``None`` runs the canonical (all-defaults) interleaving.
     schedule_seed: Optional[int] = None
@@ -102,8 +99,7 @@ class Scenario:
         """Identity of the scenario for distinct-coverage counting."""
         return (self.backend, self.protocol, self.circuit,
                 self.circuit_seed, self.circuit_params, self.processors,
-                self.lazy_cancellation, self.schedule_seed,
-                self.fault_plan, self.exec_mode)
+                self.schedule_seed, self.fault_plan, self.exec_mode)
 
     def describe(self) -> str:
         parts = [f"{self.backend}/{self.protocol}",
@@ -117,8 +113,6 @@ class Scenario:
                 if k != "delays"))
         if self.schedule_seed is not None:
             parts.append(f"sched={self.schedule_seed}")
-        if self.lazy_cancellation:
-            parts.append("lazy")
         if self.fault_plan is not None:
             parts.append(f"faults[{self.fault_plan.describe()}]")
         return " ".join(parts)
@@ -135,8 +129,6 @@ class Scenario:
             data["circuit_params"] = {
                 k: list(v) if isinstance(v, tuple) else v
                 for k, v in self.circuit_params}
-        if self.lazy_cancellation:
-            data["lazy_cancellation"] = True
         if self.schedule_seed is not None:
             data["schedule_seed"] = self.schedule_seed
         if self.fault_plan is not None:
@@ -219,10 +211,8 @@ class ScenarioSpace:
         if backend == "model" and "schedules" in self.axes \
                 and rng.random() < 0.7:
             schedule_seed = rng.randrange(1 << 20)
-        lazy = False
-        if backend == "model" and "lazy" in self.axes \
-                and protocol != "conservative":
-            lazy = rng.random() < 0.5
+        if backend == "model" and protocol != "conservative":
+            rng.random()  # the retired lazy draw: seeds keep their stream
         processors = rng.choice(self.processors)
         plan = None
         if "faults" in self.axes:
@@ -231,9 +221,8 @@ class ScenarioSpace:
             backend=backend, protocol=protocol, circuit=self.circuit,
             circuit_seed=rng.randrange(1 << 20),
             circuit_params=_freeze_params(params),
-            processors=processors, lazy_cancellation=lazy,
-            schedule_seed=schedule_seed, fault_plan=plan,
-            exec_mode=exec_mode)
+            processors=processors, schedule_seed=schedule_seed,
+            fault_plan=plan, exec_mode=exec_mode)
 
     # ------------------------------------------------------------------
     def cells(self) -> Tuple[Tuple[str, str, str], ...]:

@@ -47,7 +47,6 @@ def _make_checker(scenario: Scenario,
                    circuit_seed=scenario.circuit_seed,
                    processors=scenario.processors,
                    protocol=scenario.protocol, until=until,
-                   lazy_cancellation=scenario.lazy_cancellation,
                    max_steps=scenario.max_steps,
                    watchdog=scenario.max_steps,
                    circuit_params=scenario.params(),

@@ -42,7 +42,7 @@ CIRCUIT_CHOICES = ("fsm", "random", "random-full", "iir",
 
 #: Scenario axes of the fuzzing campaign (mirrors
 #: :data:`repro.campaign.axes.ALL_AXES`).
-AXIS_CHOICES = ("topology", "faults", "schedules", "lazy", "exec")
+AXIS_CHOICES = ("topology", "faults", "schedules", "exec")
 
 #: Process execution modes (mirrors
 #: :data:`repro.vhdl.kernel.EXEC_MODES`): tree-walking interpretation
@@ -312,7 +312,7 @@ def cmd_check(args) -> int:
         try:
             schedule = Schedule.load(args.replay)
         except (OSError, ValueError, KeyError) as failure:
-            print(f"cannot load schedule artifact {args.replay}: "
+            print(f"repro: cannot load schedule artifact {args.replay}: "
                   f"{failure}")
             return 1
         # --exec overrides the artifact's recorded mode (so a corpus
@@ -328,7 +328,7 @@ def cmd_check(args) -> int:
 
     checker = dict(
         circuit_seed=args.circuit_seed, processors=args.processors,
-        protocol=args.protocol, lazy_cancellation=args.lazy_cancellation,
+        protocol=args.protocol,
         watchdog=None if args.watchdog is None else int(args.watchdog),
         circuit_params=circuit_params, exec_mode=exec_mode)
 
@@ -700,10 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--artifact-dir", default=None,
                        help="write failing schedules here as replayable "
                             "JSON artifacts")
-    p_chk.add_argument("--lazy-cancellation", action="store_true",
-                       help="explore with lazy cancellation enabled "
-                            "(the configuration of the seed-360472 "
-                            "deadlock)")
     p_chk.add_argument("--watchdog", type=float, default=None,
                        metavar="STEPS",
                        help="step watchdog bound for explored runs "

@@ -44,9 +44,9 @@ class RunStats:
     fossils_collected: int = 0
     #: LP mode switches performed by the dynamic adaptation.
     mode_switches: int = 0
-    #: Messages a lazy-cancellation re-execution regenerated identically
-    #: (reused in place: neither resent nor cancelled).
-    lazy_reused: int = 0
+    #: Withheld sends (crash recovery) a re-execution regenerated
+    #: identically (reused in place: neither resent nor cancelled).
+    withheld_reused: int = 0
     #: Events re-executed during coast-forward (interval checkpointing:
     #: a rollback lands on the nearest earlier snapshot and silently
     #: replays forward to the target state).

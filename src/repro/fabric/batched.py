@@ -248,8 +248,8 @@ class BatchedEndpoint:
         """Journalled sends to ``dst`` from seq ``base`` onwards.
 
         This is the dead incarnation's post-checkpoint output: the
-        restored replay reconciles it through the lazy-cancellation
-        machinery (reuse what it regenerates, cancel what it abandons).
+        restored replay reconciles it through the withheld-send path
+        (reuse what it regenerates, cancel what it abandons).
         """
         return list(self._out_link(dst).window(base).values())
 

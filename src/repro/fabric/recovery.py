@@ -51,7 +51,7 @@ class RuntimeCheckpoint:
     processed: List[Tuple[Any, Any, VirtualTime, List[Any]]]
     channel_clocks: Dict[int, Tuple[int, VirtualTime]]
     last_null_promise: Dict[int, VirtualTime]
-    lazy_pending: List[Any]
+    withheld: List[Any]
     reuse_pending: List[Any]
     release_floor: VirtualTime
     executed: int
@@ -148,7 +148,7 @@ def _checkpoint_runtime(runtime) -> RuntimeCheckpoint:
                    for e in runtime.processed],
         channel_clocks=dict(runtime.channel_clocks),
         last_null_promise=dict(runtime.last_null_promise),
-        lazy_pending=list(runtime.lazy_pending),
+        withheld=list(runtime.withheld),
         reuse_pending=list(runtime.reuse_pending),
         release_floor=runtime.release_floor,
         executed=runtime.executed,
@@ -208,7 +208,7 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
             for event, snap, pre_now, sent in image.processed]
         runtime.channel_clocks = dict(image.channel_clocks)
         runtime.last_null_promise = dict(image.last_null_promise)
-        runtime.lazy_pending = list(image.lazy_pending)
+        runtime.withheld = list(image.withheld)
         runtime.reuse_pending = list(image.reuse_pending)
         runtime.release_floor = image.release_floor
         runtime.executed = image.executed
@@ -263,10 +263,10 @@ def reconcile_outgoing(proc, links: Links) -> None:
     ``links`` holds one ``(window, mark_spent)`` pair per outgoing link:
     the sends journalled on it since the restored checkpoint, in send
     order, and the callable that tells the link which antimessage ids
-    are already on the wire.  The window feeds the lazy-cancellation
-    machinery — regenerated messages are reused in place, abandoned
-    ones are cancelled, and journalled antimessages suppress one
-    re-send.
+    are already on the wire.  The window feeds the withheld-send path
+    (``Processor.withhold``): regenerated messages are reused in place,
+    abandoned ones are cancelled, and journalled antimessages suppress
+    one re-send.
     """
     cancelled_since: Set[Any] = set()
     for window, mark_spent in links:
@@ -304,7 +304,7 @@ def reconcile_outgoing(proc, links: Links) -> None:
                     # inputs and deterministically regenerates this
                     # send: the entry exists only to suppress the
                     # duplicate, it can never become an antimessage.
-                    # It therefore must NOT go through lazy_pending:
+                    # It therefore must NOT go through withheld:
                     # pinning the cancellation horizon at its own
                     # timestamp would block the very conservative
                     # execution whose re-send it is waiting to

@@ -399,7 +399,7 @@ class ReliableFabric:
           the crash destroyed and everything genuinely in flight.
         * **Outgoing links** — messages the dead incarnation sent after
           the checkpoint are injected into the owning LP's
-          ``lazy_pending`` list: the restored (deterministic)
+          ``withheld`` list: the restored (deterministic)
           re-execution *reuses* each one it regenerates — the receiver
           already holds it, or the retransmit machinery is still
           delivering it — and cancels, by original event id, any the

@@ -57,9 +57,10 @@ CIRCUITS: Dict[str, Callable[..., object]] = {
                         cycles=3), **p}).design,
     # Full-size random logic (the generator's defaults): the circuit
     # class in which schedule exploration found the orphaned-
-    # antimessage deadlock (seed 360472, dynamic protocol with lazy
-    # cancellation — see tests/artifacts/).  Expensive; meant for
-    # targeted checks and replay artifacts rather than exploration.
+    # antimessage deadlock (seed 360472, docs/protocol.md §3.2; its
+    # corpus artifact replays a crash recovery — see tests/artifacts/).
+    # Expensive; meant for targeted checks and replay artifacts rather
+    # than exploration.
     "random-full": lambda seed, **p: build_random(seed, **p).design,
     # The paper's gate-level lattice filter: ~1.5k LPs and the design on
     # which unbounded optimism stormed on real workers (docs/protocol.md
@@ -206,7 +207,6 @@ class Checker:
                  processors: int = 2, protocol: str = "dynamic",
                  until: Optional[int] = None,
                  artifact_dir: Optional[str] = None,
-                 lazy_cancellation: bool = False,
                  max_steps: int = MAX_STEPS,
                  watchdog: Optional[int] = None,
                  circuit_params: Optional[Dict] = None,
@@ -228,7 +228,6 @@ class Checker:
         self.protocol = protocol
         self.until = until
         self.artifact_dir = artifact_dir
-        self.lazy_cancellation = lazy_cancellation
         self.max_steps = max_steps
         self.watchdog = watchdog
         #: Amortize the circuit build: snapshot once, instantiate a
@@ -267,7 +266,6 @@ class Checker:
                 protocol=self.protocol, exec_mode=self.exec_mode,
                 tracer=tracer,
                 scheduler=scheduler, max_steps=self.max_steps,
-                lazy_cancellation=self.lazy_cancellation,
                 watchdog=self.watchdog, fault_plan=self.fault_plan)
         except ProtocolError as failure:
             violations.append(f"protocol-error: {failure}")
@@ -453,7 +451,6 @@ class Checker:
         return Schedule(
             circuit=self.circuit, circuit_seed=self.circuit_seed,
             processors=self.processors, protocol=self.protocol,
-            lazy_cancellation=self.lazy_cancellation,
             circuit_params=self.circuit_params,
             fault_plan=(self.fault_plan.to_dict()
                         if self.fault_plan is not None else None),
@@ -481,7 +478,6 @@ def replay_schedule(schedule: Schedule,
                       circuit_seed=schedule.circuit_seed,
                       processors=schedule.processors,
                       protocol=schedule.protocol, until=until,
-                      lazy_cancellation=schedule.lazy_cancellation,
                       circuit_params=schedule.circuit_params,
                       fault_plan=(plan_from_dict(schedule.fault_plan)
                                   if schedule.fault_plan else None),

@@ -24,7 +24,7 @@ The invariants encode the synchronization protocol's safety arguments:
   to a positive that was really sent, never to one already committed,
   and annihilates (queued / processed / parked) before termination.
   This is the invariant that pins the orphaned-antimessage deadlock
-  (PR 6): a withheld lazy cancellation whose positive commits can never
+  (PR 6): a withheld cancellation whose positive commits can never
   annihilate.
 * **Fabric retransmit = loss** — with the in-flight accounting of the
   reliable fabric, a retransmission happens exactly once per genuinely
@@ -195,7 +195,7 @@ def check_rollback_balance(tracer: Tracer, stats) -> List[str]:
 def check_anti_accounting(tracer: Tracer, stats) -> List[str]:
     """Every emitted antimessage has a matching positive and annihilates.
 
-    The safety argument behind lazy cancellation is an accounting one:
+    The safety argument behind cancellation is an accounting one:
     a negative may only exist for a positive that was actually sent, the
     positive must never have been irrevocably committed (cancelling
     committed work cannot be rolled back — this is exactly the shape of

@@ -193,11 +193,6 @@ class Schedule:
     label: str = "recorded"
     wave_digest: Optional[str] = None
     violations: List[str] = field(default_factory=list)
-    #: Whether the run used lazy cancellation (the seed-360472
-    #: deadlock reproduces only with it on).  Optional in the JSON —
-    #: artifacts recorded before PR 6 default to False, so the format
-    #: version is unchanged.
-    lazy_cancellation: bool = False
     #: Circuit-builder parameter overrides (the fuzzing campaign's
     #: topology axes: gates / registers / fanout / delays / ...).
     #: Optional in the JSON — empty means the builder's defaults, so
@@ -227,7 +222,6 @@ class Schedule:
             "label": self.label,
             "wave_digest": self.wave_digest,
             "violations": self.violations,
-            "lazy_cancellation": self.lazy_cancellation,
         }
         if self.circuit_params:
             data["circuit_params"] = {
@@ -253,6 +247,12 @@ class Schedule:
             raise ValueError(
                 f"unsupported schedule artifact version {version!r} "
                 f"(expected {ARTIFACT_VERSION})")
+        # Artifacts written before lazy cancellation was retired carry
+        # its flag: false loads, true cannot replay any more.
+        if data.get("lazy_cancellation", False):
+            raise ValueError(
+                "recorded with lazy cancellation, which was retired "
+                "(every rollback cancels eagerly); record it again")
         return cls(
             circuit=data["circuit"],
             circuit_seed=int(data.get("circuit_seed", 0)),
@@ -263,7 +263,6 @@ class Schedule:
             label=data.get("label", "recorded"),
             wave_digest=data.get("wave_digest"),
             violations=list(data.get("violations", [])),
-            lazy_cancellation=bool(data.get("lazy_cancellation", False)),
             circuit_params=normalize_params(
                 data.get("circuit_params", {})),
             fault_plan=data.get("fault_plan"),

@@ -18,7 +18,7 @@ Hook sites (all added by this subsystem):
   ``checkpoint`` (state snapshot), ``commit`` (conservative)
 * :meth:`repro.parallel.engine.Processor._rollback` — ``rollback``,
   ``anti``
-* lazy-cancellation flush paths                    — ``anti``
+* withheld-send flush paths (crash recovery)       — ``anti``
 * annihilation sites (``_deliver_positive`` /
   ``_deliver_negative``)                           — ``annihilate``
   (``ctx`` says where the match was found: ``"queued"``,

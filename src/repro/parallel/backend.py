@@ -419,7 +419,7 @@ class WorkerCore:
 
     def _local_anti_low(self) -> VirtualTime:
         """Min outstanding-cancellation time this worker knows about:
-        unpruned anti buckets, withheld lazy entries (crash-recovery
+        unpruned anti buckets, withheld entries (crash-recovery
         reconciliation), and negatives owed by the fabric endpoint."""
         low = self._proc.withheld_low()
         for value in self._anti_mins.values():
@@ -695,7 +695,7 @@ class WorkerCore:
         if floor != INFINITY or self._floor_committed != INFINITY:
             # The global horizon needs no two-cut validity: every
             # outstanding cancellation stays in its originator's
-            # bucket/lazy list until delivery is *proven*, so last
+            # bucket/withheld list until delivery is *proven*, so last
             # wave's anti_low covers everything that existed at the
             # cuts, and anything minted since is strictly above the
             # GVT that bounds conservative execution anyway.
@@ -729,13 +729,13 @@ class WorkerCore:
             token["moved"] = True
         self._progressed = False
         if token.get("stalled"):
-            self._proc.flush_lazy_stalled(self._gvt)
+            self._proc.flush_withheld_stalled(self._gvt)
             self._proc.drain_local()
         if self.endpoint is not None:
             self.endpoint.wave = token["wave"]
             for dst, items in self.endpoint.pump(token["wave"]).items():
                 self._post_batch(dst, items)
-        # Commit application may have produced antimessages (lazy flush)
+        # Commit application may have produced antimessages (withheld flush)
         # or released blocked LPs whose sends are already queued.
         self._flush()
 
@@ -890,7 +890,7 @@ class WorkerCore:
             # withheld cancellation at exactly GVT (a crash-recovery
             # injection the strict commit-time flush leaves in place),
             # and the inclusive flush the modelled machine performs in
-            # the same situation (``_flush_lazy_at_gvt``) is sound.
+            # the same situation (``_flush_withheld_at_gvt``) is sound.
             stalled = (valid and settled and commit is None
                        and not token.get("moved", True))
             self._prev_sent = dict(sent)

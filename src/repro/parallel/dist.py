@@ -54,7 +54,7 @@ coordinator-side state close the remaining holes:
   is spliced back into the fabric journal
   (``WorkerCore._restore_incarnation``), so the dead incarnation's
   post-checkpoint sends — which the world has seen — are reconciled
-  through the standard lazy-cancellation crash path instead of
+  through the standard withheld-send crash path instead of
   becoming phantom positives, and the tokens tell it which waves the
   dead incarnation cut past its image (``WorkerCore._rejoin``).
 

@@ -112,7 +112,7 @@ class LPRuntime:
         "negatives", "processed", "channel_clocks", "preds", "succs",
         "executed", "squashed", "window_executed", "window_squashed",
         "blocked_streak", "since_switch", "last_null_promise", "committed",
-        "release_floor", "since_snapshot", "lazy_pending",
+        "release_floor", "since_snapshot", "withheld",
         "reuse_pending", "blockable", "armed",
     )
 
@@ -169,19 +169,16 @@ class LPRuntime:
         #: Executions since the last state snapshot (interval
         #: checkpointing; see Processor.checkpoint_interval).
         self.since_snapshot = 0
-        #: Lazy cancellation: messages whose executions were rolled back
-        #: but whose antimessages are withheld until re-execution either
-        #: regenerates them (reuse) or provably cannot anymore (cancel).
-        #: Crash-recovery reuses the same list: the journaled sends of a
-        #: dead incarnation are injected here so the restored replay
-        #: reuses what it regenerates and cancels what it abandons.
-        self.lazy_pending: List[Event] = []
+        #: Withheld sends (crash recovery): the journaled sends of a dead
+        #: incarnation, injected so the restored replay reuses what it
+        #: regenerates and cancels what it provably cannot anymore.
+        self.withheld: List[Event] = []
         #: Guaranteed-reuse injections (crash recovery, conservative
         #: LPs only).  A conservative LP never rolls back, so its
         #: restored replay deterministically regenerates every windowed
         #: send — these entries exist purely to suppress the duplicate
         #: re-send and can never legitimately become antimessages.
-        #: Unlike ``lazy_pending`` they therefore do NOT pin the
+        #: Unlike ``withheld`` they therefore do NOT pin the
         #: cancellation horizon or hold GVT down; pinning the horizon at
         #: an entry's own timestamp would block the very conservative
         #: execution whose re-send the entry is waiting to match (the
@@ -231,7 +228,7 @@ class LPRuntime:
         them — and would merely keep the runtime live a little longer.
         """
         return not (self.queue or self.processed or self.negatives
-                    or self.lazy_pending or self.reuse_pending)
+                    or self.withheld or self.reuse_pending)
 
     # ------------------------------------------------------------------
     # Mode-dependent views
@@ -263,8 +260,7 @@ class Processor:
                  user_consistent: bool = False,
                  use_lookahead: bool = False,
                  adapt: Optional[AdaptPolicy] = None,
-                 checkpoint_interval: int = 1,
-                 lazy_cancellation: bool = False) -> None:
+                 checkpoint_interval: int = 1) -> None:
         if checkpoint_interval < 1:
             raise ValueError("checkpoint interval must be >= 1")
         self.index = index
@@ -277,12 +273,6 @@ class Processor:
         #: (coast-forward replay) for memory and snapshot time — the
         #: classic Time Warp checkpointing trade-off.
         self.checkpoint_interval = checkpoint_interval
-        #: Lazy cancellation (one of the "advanced optimistic
-        #: approaches" the paper cites): rollbacks withhold
-        #: antimessages; a re-execution that regenerates an identical
-        #: message reuses the original in place, and only messages the
-        #: new execution path provably cannot regenerate are cancelled.
-        self.lazy_cancellation = lazy_cancellation
         self.clock = 0.0
         self.runtimes: Dict[int, LPRuntime] = {}
         #: Ids of runtimes that hold protocol state (queue, log, parked
@@ -330,7 +320,7 @@ class Processor:
         self.ingress: Optional[Callable[[Any], Iterable[Event]]] = None
         self.gvt_bound: VirtualTime = MINUS_INFINITY
         #: Cancellation horizon: lower bound on the virtual time of any
-        #: withheld (lazy) or in-flight cancellation anywhere in the
+        #: withheld or in-flight cancellation anywhere in the
         #: system.  Maintained by the backend — lowered eagerly through
         #: ``cancel_note`` whenever a cancellation comes into existence,
         #: raised (recomputed exactly) only at global rounds (token
@@ -701,25 +691,15 @@ class Processor:
             runtime.window_squashed += 1
             self.stats.events_rolled_back += 1
             for sent in entry.sent:
-                # Lazy cancellation only withholds CROSS-LP messages —
-                # that is where the antimessage traffic it saves lives.
-                # Self-messages are cancelled eagerly: a withheld
-                # cancellation for an event in this LP's own queue/log,
-                # which the very rollbacks that withhold it keep
-                # rewriting, has no stable owner to reconcile against.
-                if self.lazy_cancellation and sent.dst != lp_id:
-                    self.withhold(runtime, sent)
-                else:
-                    self.stats.antimessages += 1
-                    if self.tracer is not None:
-                        self.tracer.record("anti", self.index, lp_id,
-                                           sent.time, dst=sent.dst,
-                                           eid=(sent.eid.src,
-                                                sent.eid.seq),
-                                           ctx="rollback")
-                    if self.cancel_note is not None:
-                        self.cancel_note(sent.time)
-                    self.route(sent.antimessage())
+                self.stats.antimessages += 1
+                if self.tracer is not None:
+                    self.tracer.record("anti", self.index, lp_id,
+                                       sent.time, dst=sent.dst,
+                                       eid=(sent.eid.src, sent.eid.seq),
+                                       ctx="rollback")
+                if self.cancel_note is not None:
+                    self.cancel_note(sent.time)
+                self.route(sent.antimessage())
         self._arm(runtime)
 
     def rollback_sends(self, eids: Set[EventId]) -> None:
@@ -834,7 +814,7 @@ class Processor:
         # annihilate.  A conservative execution commits irrevocably, so
         # it must additionally stay strictly below the cancellation
         # horizon — the earliest virtual time at which a withheld
-        # (lazy) or in-flight antimessage anywhere in the system could
+        # or in-flight antimessage anywhere in the system could
         # still arrive.  Without this clause a release floor pinned at
         # a withheld cancellation's own timestamp lets the receiver
         # commit the very event that cancellation targets (the
@@ -895,12 +875,12 @@ class Processor:
         runtime.window_executed += 1
         runtime.since_switch += 1
         runtime.blocked_streak = 0
-        # lazy_pending is non-empty under lazy cancellation OR after a
-        # crash-recovery injected the dead incarnation's journaled sends
-        # for reuse-matching; reuse_pending holds the guaranteed-reuse
-        # (conservative) flavour of the latter.  All want the same filter.
-        if runtime.lazy_pending or runtime.reuse_pending:
-            to_route, sent_record = self._lazy_filter(runtime, out)
+        # withheld is non-empty after a crash recovery injected the dead
+        # incarnation's journaled sends for reuse-matching; reuse_pending
+        # holds their guaranteed-reuse (conservative) flavour.  Both
+        # want the same filter.
+        if runtime.withheld or runtime.reuse_pending:
+            to_route, sent_record = self._match_withheld(runtime, out)
         else:
             to_route = sent_record = out
         if optimistic:
@@ -916,12 +896,12 @@ class Processor:
                                    eid=(event.eid.src, event.eid.seq))
         for message in to_route:
             self.route(message)
-        if runtime.lazy_pending or runtime.reuse_pending:
+        if runtime.withheld or runtime.reuse_pending:
             # Once the LP's clock is strictly beyond a withheld send's
             # send time, no future execution can regenerate it
             # (emissions never predate the event that causes them).
             now = lp.now
-            self._cancel_withheld(runtime, now, "lazy-passed")
+            self._cancel_withheld(runtime, now, "withheld-passed")
             self._cancel_withheld(runtime, now, "reuse-diverged", reuse=True)
         if self.use_lookahead and runtime.mode is SyncMode.CONSERVATIVE:
             self._send_nulls(runtime)
@@ -929,33 +909,33 @@ class Processor:
         self._arm(runtime)
 
     # ------------------------------------------------------------------
-    # Lazy cancellation
+    # Withheld sends (crash recovery)
     # ------------------------------------------------------------------
     def withhold(self, runtime: LPRuntime, sent: Event) -> None:
         """Park ``sent`` as a withheld cancellation of ``runtime``.
 
-        Used by lazy rollbacks and by crash recovery (the journalled
-        sends of a dead incarnation).  Every withheld entry is an
-        outstanding cancellation: the horizon is lowered at once.
+        Crash recovery feeds the journalled sends of a dead incarnation
+        through here.  Every withheld entry is an outstanding
+        cancellation: the horizon is lowered at once.
         """
-        runtime.lazy_pending.append(sent)
+        runtime.withheld.append(sent)
         self.live.add(runtime.lp.lp_id)
         self.touched.add(runtime.lp.lp_id)
         if self.cancel_note is not None:
             self.cancel_note(sent.time)
 
     def withheld_low(self) -> VirtualTime:
-        """Min timestamp over withheld (lazy) sends: this processor's
-        share of the cancellation horizon."""
+        """Min timestamp over withheld sends: this processor's share of
+        the cancellation horizon."""
         low = INFINITY
         runtimes = self.runtimes
         for lp_id in self.live:
-            for pending in runtimes[lp_id].lazy_pending:
+            for pending in runtimes[lp_id].withheld:
                 if pending.time < low:
                     low = pending.time
         return low
 
-    def _lazy_filter(self, runtime: LPRuntime, out: List[Event]):
+    def _match_withheld(self, runtime: LPRuntime, out: List[Event]):
         """Match regenerated messages against withheld cancellations.
 
         A re-execution that produces a message identical (destination,
@@ -968,7 +948,7 @@ class Processor:
         sent_record: List[Event] = []
         for message in out:
             match = None
-            for pool in (runtime.lazy_pending, runtime.reuse_pending):
+            for pool in (runtime.withheld, runtime.reuse_pending):
                 for i, pending in enumerate(pool):
                     if (pending.dst == message.dst
                             and pending.time == message.time
@@ -980,7 +960,7 @@ class Processor:
                     break
             if match is not None:
                 sent_record.append(match)
-                self.stats.lazy_reused += 1
+                self.stats.withheld_reused += 1
             else:
                 to_route.append(message)
                 sent_record.append(message)
@@ -1001,7 +981,7 @@ class Processor:
         made or received *at* it — cancel-plus-resend is observably
         equivalent to reuse, so only that one reuse is lost.
         """
-        pool = runtime.reuse_pending if reuse else runtime.lazy_pending
+        pool = runtime.reuse_pending if reuse else runtime.withheld
         if not pool:
             return False
         keep: List[Event] = []
@@ -1023,34 +1003,34 @@ class Processor:
         if reuse:
             runtime.reuse_pending = keep
         else:
-            runtime.lazy_pending = keep
+            runtime.withheld = keep
         return len(keep) < len(pool)
 
-    def flush_lazy_all(self, bound: VirtualTime) -> None:
+    def flush_withheld_all(self, bound: VirtualTime) -> None:
         """GVT flush of every runtime holding withheld sends, in lp-id
         order (the order fixes antimessage routing and trace records)."""
         runtimes = self.runtimes
         holders = [lp_id for lp_id in self.live
-                   if runtimes[lp_id].lazy_pending
+                   if runtimes[lp_id].withheld
                    or runtimes[lp_id].reuse_pending]
         for lp_id in sorted(holders):
-            self.flush_lazy(runtimes[lp_id], bound)
+            self.flush_withheld(runtimes[lp_id], bound)
 
-    def flush_lazy(self, runtime: LPRuntime, bound: VirtualTime) -> None:
+    def flush_withheld(self, runtime: LPRuntime, bound: VirtualTime) -> None:
         """Cancel withheld messages below ``bound`` (GVT flush).
 
         Once GVT passes a withheld message's send time, the LP can never
         execute at or below it again, so regeneration is impossible.
         """
         self._cancel_withheld(runtime, bound, "reuse-flush", reuse=True)
-        self._cancel_withheld(runtime, bound, "lazy-flush")
+        self._cancel_withheld(runtime, bound, "withheld-flush")
 
-    def flush_lazy_stalled(self, gvt: VirtualTime) -> bool:
-        """Cancel withheld lazy messages up to and *including* ``gvt``
-        (an inclusive bound, see :meth:`_cancel_withheld`), in lp-id
-        order; True if any went out.  The strict bound of
-        :meth:`flush_lazy` only keeps a stalled GVT pinned at a withheld
-        message's own timestamp.
+    def flush_withheld_stalled(self, gvt: VirtualTime) -> bool:
+        """Cancel withheld messages up to and *including* ``gvt`` (an
+        inclusive bound, see :meth:`_cancel_withheld`), in lp-id order;
+        True if any went out.  The strict bound of :meth:`flush_withheld`
+        only keeps a stalled GVT pinned at a withheld message's own
+        timestamp.
         """
         flushed = False
         for lp_id in sorted(self.live):
@@ -1203,7 +1183,7 @@ class Processor:
         through here — at each global round, at each token commit."""
         self.gvt_bound = gvt
         self.stats.gvt_rounds += 1
-        self.flush_lazy_all(gvt)
+        self.flush_withheld_all(gvt)
         self.drain_local()
         self.fossil_collect(gvt)
         self.rearm_blocked()
@@ -1221,9 +1201,9 @@ class Processor:
             for negative in runtime.negatives.values():
                 if negative.time < low:
                     low = negative.time
-            # A withheld (lazy) cancellation may still become an
-            # antimessage at its own timestamp: GVT must not pass it.
-            for pending in runtime.lazy_pending:
+            # A withheld cancellation may still become an antimessage
+            # at its own timestamp: GVT must not pass it.
+            for pending in runtime.withheld:
                 if pending.time < low:
                     low = pending.time
         for _at, _seq, event in self.inbox:
@@ -1323,8 +1303,8 @@ def proc_has_work(proc: Processor, until: Optional[int]) -> bool:
     """Does this processor still owe protocol work?
 
     True when it holds undelivered local/remote messages, a withheld
-    lazy cancellation (which must eventually resolve to a reuse or an
-    antimessage), or any queued event within the simulation horizon.
+    send (which must eventually resolve to a reuse or an antimessage),
+    or any queued event within the simulation horizon.
     Blocked conservative heads count: they are waiting for a safety
     bound, not finished.  Both machines evaluate it at their global
     synchronization points (deadlock check / token visit).
@@ -1333,7 +1313,7 @@ def proc_has_work(proc: Processor, until: Optional[int]) -> bool:
         return True
     for lp_id in proc.live:
         runtime = proc.runtimes[lp_id]
-        if runtime.lazy_pending:
+        if runtime.withheld:
             return True  # withheld cancellations must resolve
         head = runtime.head()
         if head is None:
@@ -1364,7 +1344,6 @@ def build_engine(model, processors: int, protocol: str,
                  lookahead: Optional[str] = None,
                  adapt: Optional[AdaptPolicy] = None,
                  checkpoint_interval: int = 1,
-                 lazy_cancellation: bool = False,
                  tracer=None, scheduler=None) -> Engine:
     """Resolve and validate ``model``, place its LPs on ``processors``
     processors, build every runtime in its protocol's mode and seed the
@@ -1386,8 +1365,7 @@ def build_engine(model, processors: int, protocol: str,
         placement = dict(partition)
     procs = [Processor(i, cost, user_consistent=user_consistent,
                        use_lookahead=lookahead is not None, adapt=adapt,
-                       checkpoint_interval=checkpoint_interval,
-                       lazy_cancellation=lazy_cancellation)
+                       checkpoint_interval=checkpoint_interval)
              for i in range(processors)]
     for proc in procs:
         proc.tracer = tracer

@@ -75,7 +75,6 @@ class ParallelMachine:
                  lookahead: Optional[str] = None,
                  adapt: Optional[AdaptPolicy] = None,
                  checkpoint_interval: int = 1,
-                 lazy_cancellation: bool = False,
                  until: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  recovery: Optional[bool] = None,
@@ -85,8 +84,7 @@ class ParallelMachine:
             model, processors, protocol, partition, cost=cost, until=until,
             user_consistent=user_consistent, lookahead=lookahead,
             adapt=adapt, checkpoint_interval=checkpoint_interval,
-            lazy_cancellation=lazy_cancellation, tracer=tracer,
-            scheduler=scheduler)
+            tracer=tracer, scheduler=scheduler)
         self.model = engine.model
         self.procs: List[Processor] = engine.procs
         self._runtimes: Dict[int, LPRuntime] = engine.runtimes
@@ -233,7 +231,7 @@ class ParallelMachine:
                     # still under way.
                     for negative in runtime.negatives.values():
                         arrive(lp_id, negative.time)
-                for pending in runtime.lazy_pending:
+                for pending in runtime.withheld:
                     # A withheld cancellation may yet arrive at its
                     # destination as an antimessage.
                     arrive(pending.dst, pending.time)
@@ -306,8 +304,8 @@ class ParallelMachine:
         """Eagerly lower every processor's cancellation horizon.
 
         Invoked by processors (``cancel_note``) the moment a cancellation
-        comes into existence — withheld under lazy cancellation or routed
-        as an antimessage.  Lowering is always sound; the horizon is
+        comes into existence — withheld by crash recovery or routed as an
+        antimessage.  Lowering is always sound; the horizon is
         raised (recomputed exactly) only at GVT rounds.
         """
         for proc in self.procs:
@@ -317,7 +315,7 @@ class ParallelMachine:
     def _cancellation_floor(self) -> VirtualTime:
         """Min virtual time over every outstanding cancellation.
 
-        Counts withheld lazy entries and in-flight antimessages (local
+        Counts withheld entries and in-flight antimessages (local
         FIFOs, processor inboxes, fabric backlog).  Negatives parked in
         ``runtime.negatives`` are excluded: their positive has not
         arrived, so the event they target cannot be executed —
@@ -564,7 +562,7 @@ class ParallelMachine:
                 # conservative runtimes *look* ready again, so checking
                 # _next_processor() alone never reaches the recovery
                 # ladder below: the machine spins barrier-round <->
-                # failed-poll forever (mixed protocol with lazy
+                # failed-poll forever (mixed protocol with a withheld
                 # cancellation pinning the safe bound — found by
                 # repro.campaign).  A barrier interval that executed no
                 # event with GVT frozen proves the readiness is a
@@ -585,12 +583,12 @@ class ParallelMachine:
                     if self.fabric.has_pending():
                         continue
                     # GVT alone did not unblock anything.  A withheld
-                    # lazy cancellation whose send time equals GVT can
+                    # cancellation whose send time equals GVT can
                     # pin it: with the whole machine stalled no event at
                     # or below GVT can ever be generated again, so an
                     # inclusive flush is sound, and its antimessages
                     # restart the machine.
-                    if self._flush_lazy_at_gvt():
+                    if self._flush_withheld_at_gvt():
                         continue
                     # Otherwise: the user-consistent strictness or a
                     # genuine stall.
@@ -620,8 +618,8 @@ class ParallelMachine:
                     self._gvt_round(barrier=False)
         return self._finish()
 
-    def _flush_lazy_at_gvt(self) -> bool:
-        """Cancel withheld lazy messages up to and including GVT.
+    def _flush_withheld_at_gvt(self) -> bool:
+        """Cancel withheld messages up to and including GVT.
 
         Only called when the machine is fully stalled (see run()); the
         inclusive bound is what makes progress when a withheld message's
@@ -629,7 +627,7 @@ class ParallelMachine:
         """
         flushed = False
         for proc in self.procs:
-            if proc.flush_lazy_stalled(self.gvt):
+            if proc.flush_withheld_stalled(self.gvt):
                 flushed = True
             proc.drain_local()
         return flushed
@@ -643,8 +641,8 @@ class ParallelMachine:
         ``recovery=True`` or a fault plan carrying a crash schedule).
         The crashed processor loses all volatile state; peers replay
         their per-link journals to rebuild its in-flight input, and its
-        own journaled output is reconciled through the lazy-cancellation
-        machinery so surviving receivers keep consistent queues.
+        own journaled output is reconciled through the withheld-send
+        path so surviving receivers keep consistent queues.
         """
         self.fabric.crash(index)
 
@@ -692,7 +690,6 @@ def run_parallel(model: Model, processors: int,
                  lookahead: Optional[str] = None,
                  adapt: Optional[AdaptPolicy] = None,
                  checkpoint_interval: int = 1,
-                 lazy_cancellation: bool = False,
                  max_steps: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  recovery: Optional[bool] = None,
@@ -704,7 +701,6 @@ def run_parallel(model: Model, processors: int,
                               user_consistent=user_consistent,
                               lookahead=lookahead, adapt=adapt,
                               checkpoint_interval=checkpoint_interval,
-                              lazy_cancellation=lazy_cancellation,
                               until=until, fault_plan=fault_plan,
                               recovery=recovery, watchdog=watchdog,
                               tracer=tracer, scheduler=scheduler)

@@ -40,7 +40,7 @@ Three design decisions carry the backend:
   received before this wave's cuts (per-channel ``recv_w >= sent_w-1``;
   the queues are per-producer FIFO) — and, if it holds, commits the
   wave's minimum as the new GVT.  The commit rides the next wave's
-  token; each worker applies it at its visit (fossil collection, lazy
+  token; each worker applies it at its visit (fossil collection, withheld
   flush, releasing blocked conservative LPs) without ever stopping the
   world.  Termination is the same machinery: a wave on which every
   worker was idle at its cut and every channel's send/receive counts
@@ -56,7 +56,7 @@ Three design decisions carry the backend:
   works on real processes: durable checkpoints are taken at commit
   application, a crash is delivered as a ``die`` envelope, and the
   victim restores its checkpoint, reconciles its journaled output
-  window through the lazy-cancellation machinery, rewinds its delivery
+  window through the withheld-send path, rewinds its delivery
   horizons and broadcasts a recovery notice that makes every peer
   replay its journal and distrust stale conservative promises (epoch
   bump) — all without a global barrier.

@@ -4,7 +4,7 @@ Watchdogs detect no-progress windows (:mod:`~repro.resilience.watchdog`);
 a tripped watchdog — or any diagnosed unrecoverable stall — raises
 ``ProtocolError`` carrying a :class:`~repro.resilience.report.StallReport`
 with the forensic protocol state (virtual-time surface, parked
-negatives, withheld-lazy counts, in-flight traffic) plus partial stats.
+negatives, withheld-send counts, in-flight traffic) plus partial stats.
 """
 
 from .report import StallReport, build_report, surface

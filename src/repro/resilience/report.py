@@ -11,7 +11,7 @@ root-causing a liveness failure:
 * parked negatives (antimessages waiting for a positive that never
   arrived) with their origin epoch — the exact artifact of the
   orphaned-antimessage bug fixed in this layer;
-* withheld lazy-cancellation counts per processor;
+* withheld-send counts per processor (crash recovery);
 * whatever the backend knows about in-flight traffic (token-ring
   channel counts for ``procs``, fabric backlog elsewhere).
 
@@ -50,8 +50,8 @@ class StallReport:
     #: Parked negatives: antimessages whose positive never arrived.
     #: Each entry: {"proc", "dst", "eid", "time", "origin_epoch"}.
     parked_negatives: List[Dict[str, Any]] = field(default_factory=list)
-    #: processor index -> number of withheld lazy cancellations.
-    withheld_lazy: Dict[int, int] = field(default_factory=dict)
+    #: processor index -> number of withheld sends.
+    withheld: Dict[int, int] = field(default_factory=dict)
     #: In-flight accounting (backend-specific), e.g. token-ring
     #: channel counts {"sent_to": {...}, "recv_from": {...}} for the
     #: worker ring or {"fabric_pending": n} for the modelled machine.
@@ -71,10 +71,10 @@ class StallReport:
                 f"  vt surface    : min={_fmt(self.vt_min)} "
                 f"max={_fmt(self.vt_max)} width={self.vt_width}fs "
                 f"over {len(self.lp_clocks)} LPs")
-        if self.withheld_lazy:
-            total = sum(self.withheld_lazy.values())
-            lines.append(f"  withheld lazy : {total} "
-                         f"(per proc {dict(sorted(self.withheld_lazy.items()))})")
+        if self.withheld:
+            total = sum(self.withheld.values())
+            lines.append(f"  withheld      : {total} "
+                         f"(per proc {dict(sorted(self.withheld.items()))})")
         if self.parked_negatives:
             lines.append(f"  parked negs   : {len(self.parked_negatives)}")
             for entry in self.parked_negatives[:8]:
@@ -128,7 +128,7 @@ def build_report(backend: str, reason: str, processors: Iterable[Any],
         for lp_id, runtime in proc.runtimes.items():
             now = runtime.lp.now
             report.lp_clocks[lp_id] = (now[0], now[1])
-            withheld += len(runtime.lazy_pending)
+            withheld += len(runtime.withheld)
             withheld += len(runtime.reuse_pending)
             for eid, negative in runtime.negatives.items():
                 report.parked_negatives.append({
@@ -139,7 +139,7 @@ def build_report(backend: str, reason: str, processors: Iterable[Any],
                     "origin_epoch": negative.epoch,
                 })
         if withheld:
-            report.withheld_lazy[proc.index] = withheld
+            report.withheld[proc.index] = withheld
     report.vt_min, report.vt_max, report.vt_width = \
         surface(report.lp_clocks.values())
     return report

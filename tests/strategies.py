@@ -94,6 +94,8 @@ ring_steps = st.one_of(
     # An antimessage that overtakes its positive, and the positive later.
     st.tuples(st.just("orphan"), st.integers(0, 1), st.integers(0, 12)),
     st.tuples(st.just("adopt"), st.just(0), st.just(0)),
+    # A crashed incarnation's journalled send, withheld on recovery.
+    st.tuples(st.just("withhold"), st.integers(0, 3), st.integers(0, 12)),
     st.tuples(st.just("null"), st.integers(0, 3), st.integers(0, 12)),
     st.tuples(st.just("act"), st.integers(1, 6), st.just(0)),
     st.tuples(st.just("gvt"), st.just(0), st.just(0)),
@@ -109,7 +111,7 @@ def gvt_round(proc):
         low = min(low, event.time)
     if low != INFINITY and low > proc.gvt_bound:
         proc.gvt_bound = low
-    proc.flush_lazy_all(proc.gvt_bound)
+    proc.flush_withheld_all(proc.gvt_bound)
     proc.drain_local()
     proc.fossil_collect(proc.gvt_bound)
     proc.rearm_blocked()
@@ -118,14 +120,14 @@ def gvt_round(proc):
 class RingInterleaving:
     """The :data:`RING` processor driven one ``ring_steps`` step at a
     time: deliveries, antimessages (rollbacks), overtaking
-    antimessages, NULLs, executions, GVT rounds and moves of the
-    execution window (what ``WorkerCore`` does at a commit)."""
+    antimessages, crash-recovery withheld sends, NULLs, executions, GVT
+    rounds and moves of the execution window (what ``WorkerCore`` does
+    at a commit)."""
 
-    def __init__(self, lazy):
+    def __init__(self):
         self.proc, _lps, self.runtimes, _sent = build(
             RING, targets={0: 1, 1: 2, 2: 3, 3: 0})
         self.proc.route = self.proc.local_fifo.append
-        self.proc.lazy_cancellation = lazy
         self.delivered = []  # positives sent to runtimes that can roll back
         self.overtaken = []  # positives whose antimessage went first
         self.seq = 0
@@ -153,6 +155,27 @@ class RingInterleaving:
             proc.deliver(event.antimessage())
         elif op == "adopt" and self.overtaken:
             proc.deliver(self.overtaken.pop(0))
+        elif op == "withhold":
+            # LP a crashed after executing an event and forwarding it:
+            # the receiver holds the forward, the restored LP has the
+            # event to run again, and recovery hands the journalled
+            # forward back the way fabric.recovery.reconcile_outgoing
+            # does — reused if regenerated, cancelled once passed.
+            self.seq += 1
+            event = ev(a, base + b, payload=self.seq, seq=self.seq)
+            forward = ev((a + 1) % 4, base + b + 1, payload=self.seq,
+                         src=a, seq=10**6 + self.seq, send_pt=base + b)
+            if a < 2:
+                self.delivered.append(event)
+            proc.deliver(forward)
+            proc.deliver(event)
+            proc.drain_local()
+            runtime = self.runtimes[a]
+            if runtime.mode is SyncMode.CONSERVATIVE:
+                runtime.reuse_pending.append(forward)
+                proc.live.add(a)
+            else:
+                proc.withhold(runtime, forward)
         elif op == "null":
             proc.deliver(Event(time=VirtualTime(base + b, 0),
                                kind=EventKind.NULL, dst=a, src=(a - 1) % 4,

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import json
 import os
 import re
 import subprocess
@@ -208,6 +209,53 @@ class TestCheckCommand:
     def test_bad_circuit_rejected(self):
         with pytest.raises(SystemExit):
             main(["check", "--circuit", "nonexistent"])
+
+
+class TestLazyCancellationRetired:
+    """Lazy cancellation is no longer a run mode: its flag and its
+    campaign axis are gone, and artifacts recorded with it fail loudly."""
+
+    def artifact(self, tmp_path, capsys, flag):
+        path = tmp_path / "schedule.json"
+        assert main(["check", "--circuit", "fsm",
+                     "--record", str(path)]) == 0
+        capsys.readouterr()
+        data = json.loads(path.read_text())
+        assert "lazy_cancellation" not in data  # no longer written
+        if flag is not None:
+            data["lazy_cancellation"] = flag
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("flag", [None, False], ids=["absent", "false"])
+    def test_old_artifact_without_it_replays(self, tmp_path, capsys, flag):
+        path = self.artifact(tmp_path, capsys, flag)
+        assert main(["check", "--replay", path]) == 0
+        assert "CLEAN" in capsys.readouterr().out
+
+    def test_artifact_recorded_with_it_is_refused(self, tmp_path, capsys):
+        path = self.artifact(tmp_path, capsys, True)
+        assert main(["check", "--replay", path]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: cannot load schedule artifact")
+        assert "lazy cancellation, which was retired" in lines[0]
+
+    def test_scenario_does_not_write_it(self):
+        from repro.campaign import Scenario
+        data = Scenario(backend="model", protocol="mixed").to_dict()
+        assert "lazy_cancellation" not in data
+
+    @pytest.mark.parametrize("argv,message", [
+        (["check", "--lazy-cancellation"],
+         "unrecognized arguments: --lazy-cancellation"),
+        (["fuzz", "--axes", "lazy"], "invalid choice: 'lazy'"),
+    ], ids=["check-flag", "fuzz-axis"])
+    def test_flag_and_axis_are_gone(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_serve_entry_point_imports_only_what_a_worker_needs():

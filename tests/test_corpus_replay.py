@@ -52,3 +52,26 @@ def test_artifact_replays_bit_identically(path, exec_mode):
     assert replayed == recorded, (
         f"{os.path.basename(path)}: recorded violation kinds "
         f"{sorted(recorded)} but replay produced {sorted(replayed)}")
+
+
+def test_crash_recovery_artifact_reaches_the_withheld_path(monkeypatch):
+    # The seed-360472 artifact replays a crash recovery: the journalled
+    # sends of the dead incarnation go back through Processor.withhold,
+    # the path the cancellation horizon (Processor.cancel_floor) guards.
+    from repro.parallel.engine import Processor
+
+    calls = []
+    withhold = Processor.withhold
+
+    def counted(proc, runtime, sent):
+        calls.append(sent)
+        withhold(proc, runtime, sent)
+
+    monkeypatch.setattr(Processor, "withhold", counted)
+    schedule = Schedule.load(
+        os.path.join(ARTIFACT_DIR, "seed-360472-crash-recovery.json"))
+    assert schedule.circuit_seed == 360472
+    report = replay_schedule(schedule)
+    assert report.ok, report.violations
+    assert report.stats.recoveries == 1
+    assert calls

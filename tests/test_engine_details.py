@@ -1,5 +1,5 @@
 """Fine-grained engine mechanics: epochs, null promises, release floors,
-lazy-cancellation plumbing."""
+withheld-send plumbing, the cancellation horizon."""
 
 import pytest
 
@@ -133,11 +133,13 @@ class TestReleaseFloors:
 
 
 class TestLazyHelpers:
+    """The withheld-send path crash recovery feeds (``withhold``)."""
+
     def make_proc(self):
         model = Model()
         a = FunctionLP("a", lambda lp, e: None)
         model.add_lp(a)
-        proc = Processor(0, CostModel(), lazy_cancellation=True)
+        proc = Processor(0, CostModel())
         rt = LPRuntime(a, SyncMode.OPTIMISTIC, set(), set())
         proc.adopt(rt)
         proc.runtime_of = {a.lp_id: rt}.__getitem__
@@ -148,30 +150,97 @@ class TestLazyHelpers:
     def test_filter_reuses_identical_message(self):
         proc, rt, sent = self.make_proc()
         original = ev(5, 10, payload="x", seq=1)
-        rt.lazy_pending = [original]
+        rt.withheld = [original]
         regenerated = ev(5, 10, payload="x", seq=2)
-        to_route, record = proc._lazy_filter(rt, [regenerated])
+        to_route, record = proc._match_withheld(rt, [regenerated])
         assert to_route == []            # nothing resent
         assert record == [original]      # entry records the original
-        assert rt.lazy_pending == []
-        assert proc.stats.lazy_reused == 1
+        assert rt.withheld == []
+        assert proc.stats.withheld_reused == 1
 
     def test_filter_routes_different_message(self):
         proc, rt, sent = self.make_proc()
         original = ev(5, 10, payload="x", seq=1)
-        rt.lazy_pending = [original]
+        rt.withheld = [original]
         different = ev(5, 10, payload="y", seq=2)
-        to_route, record = proc._lazy_filter(rt, [different])
+        to_route, record = proc._match_withheld(rt, [different])
         assert to_route == [different]
-        assert rt.lazy_pending == [original]  # still withheld
+        assert rt.withheld == [original]  # still withheld
 
     def test_flush_cancels_below_bound(self):
         proc, rt, sent = self.make_proc()
         early = ev(5, 10, seq=1, send=VirtualTime(10, 0))
         late = ev(5, 30, seq=2, send=VirtualTime(30, 0))
-        rt.lazy_pending = [early, late]
-        proc.flush_lazy(rt, VirtualTime(20, 0))
-        assert rt.lazy_pending == [late]
+        rt.withheld = [early, late]
+        proc.flush_withheld(rt, VirtualTime(20, 0))
+        assert rt.withheld == [late]
         assert len(sent) == 1
         assert sent[0].sign == -1
         assert sent[0].eid == early.eid
+
+
+class TestCancellationHorizon:
+    """Regression for the orphaned-antimessage deadlock (seed 360472,
+    fixed in PR 6; docs/protocol.md §3.2).
+
+    A conservative execution commits irrevocably, so it must stay
+    strictly below the cancellation horizon: an event whose own
+    cancellation is still withheld may be annulled at its very
+    timestamp.  Executing it *at* the horizon commits work the
+    cancellation can no longer annihilate, and the negative stays
+    parked forever.
+    """
+
+    T = VirtualTime(10, 0)
+
+    def make_proc(self):
+        model = Model()
+        executed = []
+        a = FunctionLP("a", lambda lp, e: None)
+        b = FunctionLP("b", lambda lp, e: executed.append(e.eid))
+        model.add_lp(a, SyncMode.CONSERVATIVE)
+        model.add_lp(b, SyncMode.CONSERVATIVE)
+        model.connect(a, b)
+        proc = Processor(0, CostModel())
+        runtimes = {}
+        for lp in (a, b):
+            rt = LPRuntime(lp, SyncMode.CONSERVATIVE,
+                           model.predecessors(lp.lp_id),
+                           model.successors(lp.lp_id))
+            runtimes[lp.lp_id] = rt
+            proc.adopt(rt)
+        proc.runtime_of = runtimes.__getitem__
+        proc.route = proc.local_fifo.append
+
+        def note(time):  # what both machines install: lower at once
+            proc.cancel_floor = min(proc.cancel_floor, time)
+
+        proc.cancel_note = note
+        return proc, runtimes[a.lp_id], runtimes[b.lp_id], executed
+
+    def test_no_commit_at_a_withheld_cancellation(self):
+        proc, rt_a, rt_b, executed = self.make_proc()
+        # a's positive at T, stamped with a's epoch: the channel promise
+        # lifts b's input bound to T, so only the horizon can hold it.
+        sent = ev(rt_b.lp.lp_id, 10, src=rt_a.lp.lp_id, seq=1, epoch=0)
+        proc.seed(sent)
+        assert proc._input_bound(rt_b) >= self.T
+        # Crash recovery withholds the journalled send, exactly as
+        # fabric.recovery.reconcile_outgoing does.
+        proc.withhold(rt_a, sent)
+        assert proc.cancel_floor == self.T
+        assert not proc.act()
+        assert executed == []
+        assert rt_b.committed == 0
+        # The replay abandons the send: the inclusive stall flush
+        # cancels it, the antimessage annihilates the queued positive,
+        # and nothing is left to commit or to park.
+        assert proc.flush_withheld_stalled(self.T)
+        proc.drain_local()
+        proc.cancel_floor = proc.withheld_low()
+        assert proc.cancel_floor == INFINITY
+        assert not proc.act()
+        assert executed == []
+        assert rt_b.head() is None
+        assert rt_b.negatives == {}
+        assert proc.stats.antimessages == 1

@@ -17,10 +17,9 @@ Three things are pinned here (ISSUE 13):
     set drains when the run is over.
 (c) *The controlled twin.*  ``_execute_one_controlled`` shares the
     bookkeeping; the executions it chooses (the ``exec`` records of the
-    trace, in order) are the parent commit's on the committed replay
-    artifact and on canonical-order runs of every protocol, and for
-    populations of blockable runtimes the choice-point signature is the
-    parent's too.  ``tests/data/controlled_trace_golden.json`` was
+    trace, in order) are the parent commit's on canonical-order runs of
+    every protocol, and for populations of blockable runtimes the
+    choice-point signature is the parent's too.  ``tests/data/controlled_trace_golden.json`` was
     generated from the parent commit; regenerate with
     ``PYTHONPATH=src python tests/test_engine_ready.py`` only for a
     change that is allowed to move traces.
@@ -44,7 +43,6 @@ from repro.core.model import SyncMode
 from repro.core.vtime import VirtualTime
 from repro.fabric import FaultPlan
 from repro.fabric.recovery import checkpoint_processor, restore_processor
-from repro.harness import Schedule
 from repro.harness.check import Checker
 from repro.harness.schedule import DefaultScheduler, RandomScheduler
 from repro.parallel.machine import ParallelMachine
@@ -58,7 +56,6 @@ from tests.test_parallel_engine import build, ev
 from tests.test_procs import needs_fork
 
 GOLDEN = Path(__file__).parent / "data" / "controlled_trace_golden.json"
-ARTIFACTS = sorted((Path(__file__).parent / "artifacts").glob("*.json"))
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +98,7 @@ def check_live(proc):
     """Invariant (b): whoever holds protocol state is in ``live``."""
     for lp_id, runtime in proc.runtimes.items():
         if (runtime.queue or runtime.processed or runtime.negatives
-                or runtime.lazy_pending or runtime.reuse_pending):
+                or runtime.withheld or runtime.reuse_pending):
             assert lp_id in proc.live, f"lp {lp_id} holds state, not live"
     assert proc.live <= set(proc.runtimes)
 
@@ -113,9 +110,9 @@ ops = st.lists(ring_steps, min_size=1, max_size=60)
 
 
 @prop_settings(400)
-@given(ops, st.booleans())
-def test_ready_and_live_invariants_under_any_interleaving(sequence, lazy):
-    ring = RingInterleaving(lazy)
+@given(ops)
+def test_ready_and_live_invariants_under_any_interleaving(sequence):
+    ring = RingInterleaving()
     proc, runtimes = ring.proc, ring.runtimes
     assert [rt.blockable for rt in runtimes] == [False, False, True, True]
     beyond = []  # executions past the window in force when they ran
@@ -144,11 +141,11 @@ def test_ready_and_live_invariants_under_any_interleaving(sequence, lazy):
 
 
 @prop_settings(200)
-@given(ops, ops, st.booleans())
-def test_images_carry_the_ready_multiset(before, after, lazy):
+@given(ops, ops)
+def test_images_carry_the_ready_multiset(before, after):
     """An image stores every poll; a restore rebuilds the heap and the
     counts from it, whatever happened in between."""
-    ring = RingInterleaving(lazy)
+    ring = RingInterleaving()
     proc = ring.proc
     for op, a, b in before:
         ring.step(op, a, b)
@@ -249,7 +246,7 @@ def test_withheld_send_enters_and_leaves_live():
     proc.withhold(rt, ev(1, 7, src=0, send_pt=3))
     assert proc.live == {0}
     assert proc.local_min_time() == VirtualTime(7, 0)
-    proc.flush_lazy_all(VirtualTime(5, 0))
+    proc.flush_withheld_all(VirtualTime(5, 0))
     assert [(e.sign, e.time) for e in sent] == [(-1, VirtualTime(7, 0))]
     proc.fossil_collect(VirtualTime(5, 0))
     assert proc.live == set()
@@ -302,12 +299,11 @@ def checked_machine(model, processors, **kwargs):
 
 
 @prop_settings(30)
-@given(small_seeds, protocols, st.booleans())
-def test_whole_runs_hold_invariants_and_live_drains(seed, protocol, lazy):
+@given(small_seeds, protocols)
+def test_whole_runs_hold_invariants_and_live_drains(seed, protocol):
     reference = simulate(small_random_design(seed))
     design = small_random_design(seed)
-    machine = checked_machine(design.elaborate(), 3, protocol=protocol,
-                              lazy_cancellation=lazy)
+    machine = checked_machine(design.elaborate(), 3, protocol=protocol)
     outcome = machine.run(max_steps=2_000_000)
     assert {s.name: s.trace() for s in design.signals if s.traced} \
         == reference.traces
@@ -410,29 +406,15 @@ def controlled_rows():
             row["signature"] = _signature_hash(report.signature)
         rows[label] = row
 
-    for path in ARTIFACTS:
-        schedule = Schedule.load(str(path))
-        checker = Checker(schedule.circuit,
-                          circuit_seed=schedule.circuit_seed,
-                          processors=schedule.processors,
-                          protocol=schedule.protocol,
-                          lazy_cancellation=schedule.lazy_cancellation)
-        name = f"artifact:{path.stem}"
-        blockable = schedule.protocol in ("dynamic", "conservative")
-        record(f"{name}/replay",
-               checker.run_schedule(schedule.replayer(), "replay"),
-               blockable)
-        if blockable:
-            record(f"{name}/random-5",
-                   checker.run_schedule(RandomScheduler(5), "r"), True)
-    for circuit, protocol, lazy in (("fsm", "optimistic", False),
-                                    ("fsm", "mixed", True),
-                                    ("random-full", "dynamic", False),
-                                    ("random-full", "conservative", False)):
+    for circuit, protocol in (("fsm", "optimistic"),
+                              ("random-full", "dynamic"),
+                              ("random-full", "conservative")):
         checker = Checker(circuit, circuit_seed=3, processors=3,
-                          protocol=protocol, lazy_cancellation=lazy)
+                          protocol=protocol)
         blockable = protocol in ("dynamic", "conservative")
-        label = f"{circuit}/{protocol}/lazy={int(lazy)}"
+        # The golden's labels predate the retirement of lazy
+        # cancellation; these runs always cancelled eagerly.
+        label = f"{circuit}/{protocol}/lazy=0"
         record(f"{label}/default",
                checker.run_schedule(DefaultScheduler(), "d"), blockable)
         if blockable:

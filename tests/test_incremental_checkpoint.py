@@ -96,17 +96,16 @@ MODEL_DESIGNS = {
 }
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("circuit", sorted(MODEL_DESIGNS))
 def test_model_machine_images_equal_at_every_checkpoint(
-        monkeypatch, circuit, protocol, lazy):
+        monkeypatch, circuit, protocol):
     checked = Checked()
     monkeypatch.setattr(transport, "checkpoint_processor", checked)
     reference = simulate(MODEL_DESIGNS[circuit]())
     design = MODEL_DESIGNS[circuit]()
     machine = ParallelMachine(
-        design.elaborate(), 3, protocol=protocol, lazy_cancellation=lazy,
+        design.elaborate(), 3, protocol=protocol,
         fault_plan=FaultPlan(seed=7, drop=0.03,
                              crashes=((60, 1), (140, 2))))
     outcome = machine.run(max_steps=5_000_000)
@@ -139,9 +138,9 @@ ckpt_ops = st.lists(st.one_of(
 
 
 @prop_settings(300)
-@given(ckpt_ops, st.booleans())
-def test_images_equal_under_any_interleaving(sequence, lazy):
-    ring = RingInterleaving(lazy)
+@given(ckpt_ops)
+def test_images_equal_under_any_interleaving(sequence):
+    ring = RingInterleaving()
     proc = ring.proc
     checked = Checked()
     image = checked(proc)
@@ -489,7 +488,7 @@ def cancel_after_the_image_then_crash(proc, source, flush, checkpoint,
     run()
     # E1 ran again and matched P', the copy the receiver holds.
     assert [e.eid for e in runtime.processed[-1].sent] == [second.eid]
-    assert proc.stats.lazy_reused == 1
+    assert proc.stats.withheld_reused == 1
 
 
 def test_crash_rolls_back_sends_the_dead_incarnation_cancelled():

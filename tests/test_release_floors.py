@@ -46,7 +46,7 @@ def full_sweep(machine):
                 note(lp_id, runtime.queue[0][0][0])
             for negative in runtime.negatives.values():
                 note(lp_id, negative.time, arriving=True)
-            for pending in runtime.lazy_pending:
+            for pending in runtime.withheld:
                 note(pending.dst, pending.time, arriving=True)
         for _at, _seq, event in proc.inbox:
             note(event.dst, event.time, arriving=True)
@@ -127,10 +127,10 @@ def test_golden_cells(rounds, label, design, protocol, exec_mode,
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_random_full_lazy_cancellation(rounds, protocol):
+def test_random_full_crash_recovery(rounds, protocol):
     simulate_parallel(build_circuit("random-full", 5), 4,
                       protocol=protocol, backend="model",
-                      lazy_cancellation=True)
+                      fault_plan=FaultPlan(seed=7, crashes=((500, 1),)))
     assert (rounds == []) == (protocol == "optimistic")
 
 
@@ -166,7 +166,8 @@ def test_restore_drops_the_carried_state(rounds):
 
 def test_controlled_scheduler(rounds):
     checker = Checker("random-full", circuit_seed=3, processors=3,
-                      protocol="dynamic", lazy_cancellation=True)
+                      protocol="dynamic",
+                      fault_plan=FaultPlan(seed=7, crashes=((500, 1),)))
     report = checker.run_schedule(RandomScheduler(1), "r")
     assert report.ok, report.violations
     assert rounds

@@ -13,6 +13,7 @@ Two families:
 import pytest
 
 from repro.circuits import build_fsm, build_random
+from repro.fabric import FaultPlan
 from repro.parallel import run_parallel
 from repro.parallel.engine import Processor, ProtocolError
 from repro.parallel.machine import ParallelMachine
@@ -149,14 +150,14 @@ class TestStallReport:
             vt_min=(100, 2), vt_max=(250, 4), vt_width=150,
             parked_negatives=[{"proc": 0, "dst": 1, "eid": (3, 7),
                                "time": (120, 3), "origin_epoch": 2}],
-            withheld_lazy={0: 2}, in_flight={"worker_pending": 5},
+            withheld={0: 2}, in_flight={"worker_pending": 5},
             origin=1)
         text = report.describe()
         assert "backend=threads" in text
         assert "no progress" in text
         assert "100fs@2" in text
         assert "width=150fs" in text
-        assert "withheld lazy : 2" in text
+        assert "withheld      : 2 (per proc {0: 2})" in text
         assert "eid=(3, 7)" in text
         assert "origin_epoch=2" in text
         assert "worker_pending" in text
@@ -194,15 +195,16 @@ class TestModelStalls:
         assert stats.watchdog_probes > 0
 
     def test_genuine_deadlock_is_diagnosed_with_forensics(self):
-        # Disable the machine's stall-recovery mechanisms: the
-        # seed-360472 configuration then runs into a genuine full stall
-        # (withheld lazy cancellations pinning GVT with their
-        # originators never re-executing) and must diagnose it — with
-        # the withheld entries in the report — instead of hanging.
+        # Disable the machine's stall-recovery mechanisms: this crash
+        # on the seed-360472 circuit then runs into a genuine full
+        # stall (sends of the dead incarnation, withheld by recovery,
+        # pinning GVT with their originators never re-executing) and
+        # must diagnose it — with the withheld entries in the report —
+        # instead of hanging.
         machine = ParallelMachine(
-            build_random(360472).design.elaborate(), 4,
-            protocol="dynamic", lazy_cancellation=True)
-        machine._flush_lazy_at_gvt = lambda: False
+            build_random(360472).design.elaborate(), 4, protocol="mixed",
+            fault_plan=FaultPlan(seed=7, crashes=((380, 1),)))
+        machine._flush_withheld_at_gvt = lambda: False
         machine._force_minimum = lambda: False
         with pytest.raises(ProtocolError) as caught:
             machine.run(max_steps=5_000_000)
@@ -210,7 +212,7 @@ class TestModelStalls:
         assert report.backend == "model"
         assert "deadlock recovery failed" in report.reason
         assert report.gvt is not None
-        assert sum(report.withheld_lazy.values()) > 0
+        assert sum(report.withheld.values()) > 0
         assert caught.value.partial_stats.events_committed > 0
 
     def test_max_steps_overrun_carries_a_report(self):
