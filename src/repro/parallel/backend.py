@@ -379,6 +379,10 @@ class WorkerCore:
                      partial, self._stall_report))
             except Exception:  # pragma: no cover - transport broken
                 pass
+        finally:
+            # The hooks point back at this worker; under threads the
+            # engine outlives the run, so drop them here.
+            self._proc.route = self._proc.cancel_note = None
 
     def _install_route(self) -> None:
         proc = self._proc

@@ -539,6 +539,17 @@ class ParallelMachine:
     # Main loop
     # ------------------------------------------------------------------
     def run(self, max_steps: Optional[int] = None) -> ParallelOutcome:
+        try:
+            return self._run(max_steps)
+        finally:
+            # The hooks are closures and bound methods over this
+            # machine: dropping them frees a finished run by reference
+            # count instead of leaving its cycles to the collector.
+            for proc in self.procs:
+                proc.route = proc.cancel_note = proc.ingress = None
+            self.fabric.machine = None
+
+    def _run(self, max_steps: Optional[int]) -> ParallelOutcome:
         steps = 0
         self.fabric.on_run_start(self)
         crashes = list(self._crash_schedule)
@@ -682,26 +693,7 @@ class ParallelMachine:
 
 
 def run_parallel(model: Model, processors: int,
-                 until: Optional[int] = None,
-                 protocol: str = "dynamic",
-                 cost: CostModel = SHARED_MEMORY,
-                 partition: Union[str, Partition, Callable] = "round_robin",
-                 user_consistent: bool = False,
-                 lookahead: Optional[str] = None,
-                 adapt: Optional[AdaptPolicy] = None,
-                 checkpoint_interval: int = 1,
                  max_steps: Optional[int] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 recovery: Optional[bool] = None,
-                 watchdog: Optional[int] = None,
-                 tracer=None, scheduler=None) -> ParallelOutcome:
-    """Convenience wrapper: build a machine and run it to completion."""
-    machine = ParallelMachine(model, processors, protocol=protocol,
-                              cost=cost, partition=partition,
-                              user_consistent=user_consistent,
-                              lookahead=lookahead, adapt=adapt,
-                              checkpoint_interval=checkpoint_interval,
-                              until=until, fault_plan=fault_plan,
-                              recovery=recovery, watchdog=watchdog,
-                              tracer=tracer, scheduler=scheduler)
-    return machine.run(max_steps=max_steps)
+                 **config) -> ParallelOutcome:
+    """``ParallelMachine(model, processors, **config).run(max_steps)``."""
+    return ParallelMachine(model, processors, **config).run(max_steps)

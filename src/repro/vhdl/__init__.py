@@ -8,7 +8,7 @@ from .design import Design
 from .kernel import (EXEC_MODES, SimulationResult, simulate,
                      simulate_parallel)
 from .process import (ClockedBody, ClockGeneratorBody, CombinationalBody,
-                      GeneratorBody, ProcessAPI, ProcessBody, ProcessLP,
+                      GeneratorBody, ProcessBody, ProcessLP,
                       Wait, sid, sids)
 from .signal import Assignment, Driver, SignalLP, resolve_values
 from .values import (SL_0, SL_1, SL_DASH, SL_H, SL_L, SL_U, SL_W, SL_X,
@@ -21,7 +21,7 @@ __all__ = [
     "snapshot_design", "ElabCache", "cached_elaborate",
     "CompiledBody", "Frame", "lower_design", "EXEC_MODES",
     "ClockedBody", "ClockGeneratorBody", "CombinationalBody",
-    "GeneratorBody", "ProcessAPI", "ProcessBody", "ProcessLP", "Wait",
+    "GeneratorBody", "ProcessBody", "ProcessLP", "Wait",
     "sid", "sids",
     "Assignment", "Driver", "SignalLP", "resolve_values",
     "StdLogic", "resolve", "sl", "slv", "vector_to_int", "vector_to_str",

@@ -44,7 +44,9 @@ from enum import Enum
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 #: Framing magic for the on-disk serialization (see :meth:`to_bytes`).
-MAGIC = b"repro-artifact\x001\n"
+#: The digit is the payload format: bumped whenever an entry written by
+#: an older package would no longer unpickle, so it reads as a miss.
+MAGIC = b"repro-artifact\x002\n"
 
 
 class ArtifactError(RuntimeError):
@@ -102,9 +104,9 @@ def canonical(obj: Any, _path: Optional[set] = None) -> Any:
     if callable(obj) and hasattr(obj, "__qualname__"):
         return ["fn", getattr(obj, "__module__", "?"), obj.__qualname__]
     # Generic object: class identity + canonical state.  A cycle on
-    # the current recursion path (e.g. ProcessLP <-> ProcessAPI)
-    # collapses to a marker — the enclosing structure still encodes
-    # which objects participate.
+    # the current recursion path (an object whose state reaches back
+    # to the object itself) collapses to a marker — the enclosing
+    # structure still encodes which objects participate.
     if _path is None:
         _path = set()
     marker = id(obj)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .process import ProcessAPI, ProcessBody, Wait
+from .process import ProcessBody, ProcessLP, Wait
 from .values import SL_Z, sl, slv
 from .frontend import ast
 from .frontend.interp import (
@@ -146,7 +146,7 @@ class _UntilThunk:
         self.body = body
         self.index = index
 
-    def __call__(self, api: ProcessAPI) -> bool:
+    def __call__(self, api: ProcessLP) -> bool:
         return self.body._until(self.index, api)
 
     def __getstate__(self):
@@ -1126,25 +1126,25 @@ class CompiledBody(ProcessBody):
                 self.regs.extend(
                     [None] * (self._nslots - len(self.regs)))
 
-    def _until(self, index: int, api: ProcessAPI) -> bool:
+    def _until(self, index: int, api: ProcessLP) -> bool:
         self._ensure_program()
         return _truthy(self._untils[index](api))
 
     # ------------------------------------------------------------------
     # ProcessBody interface
     # ------------------------------------------------------------------
-    def start(self, api: ProcessAPI) -> Wait:
+    def start(self, api: ProcessLP) -> Wait:
         self._ensure_program()
         self.regs[:] = [None] * self._nslots
         self.frame.pc = 0
         del self.frame.loops[:]
         return self._execute(api)
 
-    def resume(self, api: ProcessAPI) -> Wait:
+    def resume(self, api: ProcessLP) -> Wait:
         self._ensure_program()
         return self._execute(api)
 
-    def _execute(self, api: ProcessAPI) -> Wait:
+    def _execute(self, api: ProcessLP) -> Wait:
         ops = self._ops
         pc = self.frame.pc
         steps = 0

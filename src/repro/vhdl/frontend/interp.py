@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...core.vtime import NS
-from ..process import ProcessAPI, ProcessBody, Wait
+from ..process import ProcessBody, ProcessLP, Wait
 from ..values import SL_0, SL_U, StdLogic, sl, slv, vector_to_int
 from . import ast
 
@@ -182,7 +182,6 @@ class InterpretedBody(ProcessBody):
         self.reports: List[Tuple[str, str]] = []
         #: Per-signal driving-value cache for element-wise assignment.
         self.driving: Dict[str, Any] = {}
-        self._api: Optional[ProcessAPI] = None
 
     def _const(self, expr: ast.Expr) -> Any:
         """Evaluate a constant expression (no signals, no variables)."""
@@ -202,7 +201,7 @@ class InterpretedBody(ProcessBody):
     # ------------------------------------------------------------------
     # ProcessBody interface
     # ------------------------------------------------------------------
-    def start(self, api: ProcessAPI) -> Wait:
+    def start(self, api: ProcessLP) -> Wait:
         self.vars = {}
         for decl in self.process.declarations:
             if isinstance(decl, ast.VariableDecl):
@@ -223,7 +222,7 @@ class InterpretedBody(ProcessBody):
         self.frames = [["seq", self.process.body, 0]]
         return self._run(api)
 
-    def resume(self, api: ProcessAPI) -> Wait:
+    def resume(self, api: ProcessLP) -> Wait:
         if not self.frames:
             self.frames = [["seq", self.process.body, 0]]
         return self._run(api)
@@ -241,17 +240,20 @@ class InterpretedBody(ProcessBody):
         self.reports = list(reports)
         self.driving = dict(driving)
 
+    # Content hashes digest this state, and the pinned ones include an
+    # ``_api`` entry of None: it lives in the state, not on the body,
+    # so no design's hash moves.
+    def __getstate__(self) -> Dict[str, Any]:
+        return dict(self.__dict__, _api=None)
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        state.pop("_api", None)
+        self.__dict__.update(state)
+
     # ------------------------------------------------------------------
     # The statement machine
     # ------------------------------------------------------------------
-    def _run(self, api: ProcessAPI) -> Wait:
-        self._api = api
-        try:
-            return self._run_inner(api)
-        finally:
-            self._api = None
-
-    def _run_inner(self, api: ProcessAPI) -> Wait:
+    def _run(self, api: ProcessLP) -> Wait:
         frames = self.frames
         steps = 0
         while True:
@@ -273,7 +275,7 @@ class InterpretedBody(ProcessBody):
                 _tag, stmts, idx = top
                 if idx >= len(stmts):
                     frames.pop()
-                    self._loop_epilogue(frames)
+                    self._loop_epilogue(frames, api)
                     continue
                 top[2] = idx + 1
                 wait = self._exec(stmts[idx], api)
@@ -282,7 +284,7 @@ class InterpretedBody(ProcessBody):
                 continue
             raise VhdlRuntimeError(f"corrupt frame {top!r}")
 
-    def _loop_epilogue(self, frames: List[list]) -> None:
+    def _loop_epilogue(self, frames: List[list], api: ProcessLP) -> None:
         """After a body sequence finishes, advance the enclosing loop."""
         if not frames:
             return
@@ -299,7 +301,7 @@ class InterpretedBody(ProcessBody):
                 frames.append(["seq", stmt.body, 0])
         elif top[0] == "while":
             stmt = top[1]
-            if _truthy(self._eval(stmt.condition, self._api)):
+            if _truthy(self._eval(stmt.condition, api)):
                 frames.append(["seq", stmt.body, 0])
             else:
                 frames.pop()
@@ -320,7 +322,7 @@ class InterpretedBody(ProcessBody):
         return Wait(on=ids)
 
     # ------------------------------------------------------------------
-    def _exec(self, stmt: ast.Stmt, api: ProcessAPI) -> Optional[Wait]:
+    def _exec(self, stmt: ast.Stmt, api: ProcessLP) -> Optional[Wait]:
         if isinstance(stmt, ast.SignalAssign):
             self._do_signal_assign(stmt, api)
             return None
@@ -385,16 +387,16 @@ class InterpretedBody(ProcessBody):
         if isinstance(stmt, ast.ExitStmt):
             if stmt.condition is None or \
                     _truthy(self._eval(stmt.condition, api)):
-                self._unwind_loop(drop_loop=True)
+                self._unwind_loop(api, drop_loop=True)
             return None
         if isinstance(stmt, ast.NextStmt):
             if stmt.condition is None or \
                     _truthy(self._eval(stmt.condition, api)):
-                self._unwind_loop(drop_loop=False)
+                self._unwind_loop(api, drop_loop=False)
             return None
         raise VhdlRuntimeError(f"unsupported statement {type(stmt)}")
 
-    def _unwind_loop(self, drop_loop: bool) -> None:
+    def _unwind_loop(self, api: ProcessLP, drop_loop: bool) -> None:
         frames = self.frames
         while frames and frames[-1][0] == "seq":
             frames.pop()
@@ -405,10 +407,10 @@ class InterpretedBody(ProcessBody):
             if top[0] == "for":
                 self._unshadow(top[1].var, top[5])
         else:
-            self._loop_epilogue(frames)
+            self._loop_epilogue(frames, api)
 
     # ------------------------------------------------------------------
-    def _do_wait(self, stmt: ast.WaitStmt, api: ProcessAPI) -> Wait:
+    def _do_wait(self, stmt: ast.WaitStmt, api: ProcessLP) -> Wait:
         on = set()
         for name in stmt.on:
             on.add(self.env.signal(name).lp_id)
@@ -430,7 +432,7 @@ class InterpretedBody(ProcessBody):
         return Wait(on=frozenset(on), until=until, for_fs=for_fs)
 
     def _do_signal_assign(self, stmt: ast.SignalAssign,
-                          api: ProcessAPI) -> None:
+                          api: ProcessLP) -> None:
         name, index, slice_ = _target_parts(stmt.target)
         ref = self.env.signal(name)
         reject = None if stmt.reject is None \
@@ -481,7 +483,7 @@ class InterpretedBody(ProcessBody):
         api.assign_waveform(ref.lp_id, out_waveform, stmt.transport,
                             reject)
 
-    def _do_var_assign(self, stmt: ast.VarAssign, api: ProcessAPI) -> None:
+    def _do_var_assign(self, stmt: ast.VarAssign, api: ProcessLP) -> None:
         name, index, slice_ = _target_parts(stmt.target)
         if name not in self.vars:
             raise VhdlRuntimeError(f"unknown variable {name!r}")
@@ -509,7 +511,7 @@ class InterpretedBody(ProcessBody):
     # ------------------------------------------------------------------
     # Expression evaluation
     # ------------------------------------------------------------------
-    def _eval(self, expr: ast.Expr, api: ProcessAPI,
+    def _eval(self, expr: ast.Expr, api: ProcessLP,
               expected: Optional[VType] = None) -> Any:
         return evaluate(expr, self, api, expected)
 
@@ -734,7 +736,7 @@ def collect_signal_drives(stmts, env: Env) -> List[str]:
 # ---------------------------------------------------------------------------
 # The expression evaluator (shared by body and constant contexts)
 # ---------------------------------------------------------------------------
-def evaluate(expr: ast.Expr, ctx, api: Optional[ProcessAPI],
+def evaluate(expr: ast.Expr, ctx, api: Optional[ProcessLP],
              expected: Optional[VType]) -> Any:
     if isinstance(expr, ast.CharLiteral):
         return sl(expr.value)

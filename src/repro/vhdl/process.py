@@ -19,11 +19,16 @@ function reacts to
   monotonically increasing token: stale timeout events are ignored.
 
 The actual sequential behaviour is delegated to a :class:`ProcessBody`.
-Bodies with plain-data state (combinational functions, clocked state
-machines, the interpreted VHDL frontend) are checkpointable and may run
-optimistically; bodies wrapping a live Python generator cannot save their
-state — exactly the paper's "heavy-state processes" — and are pinned to
-conservative mode by the engines.
+A body is handed its own :class:`ProcessLP` and may use only ``now``,
+``now_fs``, ``read``, ``assign``, ``assign_waveform`` and ``event_on``:
+it reads signals through the LP-local copies and emits assignments, and
+never touches the event machinery, so the same body runs identically
+under every synchronization protocol.  Bodies with plain-data state
+(combinational functions, clocked state machines, the interpreted VHDL
+frontend) are checkpointable and may run optimistically; bodies wrapping
+a live Python generator cannot save their state — exactly the paper's
+"heavy-state processes" — and are pinned to conservative mode by the
+engines.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ class Wait(Record):
     """The suspension condition returned by a process body.
 
     ``on`` is the set of signal LP ids whose events wake the process;
-    ``until`` an optional predicate over the process API that must also
+    ``until`` an optional predicate over the process LP that must also
     hold; ``for_fs`` an optional timeout in femtoseconds (0 means "next
     delta cycle").  ``Wait.forever()`` suspends the process for good.
     """
@@ -50,7 +55,7 @@ class Wait(Record):
     __slots__ = ("on", "until", "for_fs")
 
     def __init__(self, on: FrozenSet[int] = frozenset(),
-                 until: Optional[Callable[["ProcessAPI"], bool]] = None,
+                 until: Optional[Callable[[ProcessLP], bool]] = None,
                  for_fs: Optional[int] = None) -> None:
         self.on = on
         self.until = until
@@ -63,51 +68,6 @@ class Wait(Record):
     @property
     def is_forever(self) -> bool:
         return not self.on and self.until is None and self.for_fs is None
-
-
-class ProcessAPI:
-    """The restricted view of the simulation a process body sees.
-
-    Bodies read signals through their LP-local copies and emit signal
-    assignments; they never touch the event machinery directly, so the
-    same body runs identically under every synchronization protocol.
-    """
-
-    def __init__(self, lp: "ProcessLP") -> None:
-        self._lp = lp
-
-    @property
-    def now(self) -> VirtualTime:
-        return self._lp.now
-
-    @property
-    def now_fs(self) -> int:
-        return self._lp.now.pt
-
-    def read(self, signal_id: int) -> Any:
-        """Current local copy of a signal's effective value."""
-        return self._lp.locals_[signal_id]
-
-    def assign(self, signal_id: int, value: Any, after: int = 0,
-               transport: bool = False, reject: Optional[int] = None) -> None:
-        """Schedule a signal assignment ``signal <= value after ...``."""
-        self.assign_waveform(signal_id, ((value, after),), transport, reject)
-
-    def assign_waveform(self, signal_id: int,
-                        waveform: Sequence[Tuple[Any, int]],
-                        transport: bool = False,
-                        reject: Optional[int] = None) -> None:
-        """Schedule a multi-element waveform assignment."""
-        lp = self._lp
-        lp.send(signal_id, lp.now, EventKind.SIGNAL_ASSIGN,
-                Assignment(tuple(waveform), transport, reject))
-
-    def event_on(self, signal_id: int) -> bool:
-        """VHDL ``sig'event``: did this signal change at the current time?
-
-        True while handling the run triggered by that signal's update.
-        """
-        return signal_id in self._lp.last_events
 
 
 def sid(signal: Any) -> int:
@@ -128,11 +88,11 @@ class ProcessBody:
     #: Whether the body state can be captured for Time Warp.
     checkpointable: bool = True
 
-    def start(self, api: ProcessAPI) -> Wait:
+    def start(self, api: ProcessLP) -> Wait:
         """Initial execution (VHDL runs every process once at time 0)."""
         raise NotImplementedError
 
-    def resume(self, api: ProcessAPI) -> Wait:
+    def resume(self, api: ProcessLP) -> Wait:
         """Continue after a wait was satisfied; run to the next wait."""
         raise NotImplementedError
 
@@ -153,7 +113,12 @@ class ProcessBody:
 
 
 class ProcessLP(LogicalProcess):
-    """The LP for one VHDL process statement."""
+    """The LP for one VHDL process statement.
+
+    Its body is called with the LP itself.  A body may use ``now``,
+    ``now_fs``, :meth:`read`, :meth:`assign`, :meth:`assign_waveform`
+    and :meth:`event_on`, and nothing else.
+    """
 
     state_attrs = ("locals_", "wait", "timeout_token", "wake_pending",
                    "last_events", "body_state", "halted")
@@ -164,7 +129,6 @@ class ProcessLP(LogicalProcess):
     def __init__(self, name: str, body: ProcessBody) -> None:
         super().__init__(name)
         self.body = body
-        self.api = ProcessAPI(self)
         #: signal LP id -> local copy of the effective value.
         self.locals_: Dict[int, Any] = {}
         #: Current suspension condition (None until first run).
@@ -181,6 +145,37 @@ class ProcessLP(LogicalProcess):
     @property
     def checkpointable(self) -> bool:  # type: ignore[override]
         return self.body.checkpointable
+
+    # ------------------------------------------------------------------
+    # What a body may use
+    # ------------------------------------------------------------------
+    @property
+    def now_fs(self) -> int:
+        return self.now.pt
+
+    def read(self, signal_id: int) -> Any:
+        """Current local copy of a signal's effective value."""
+        return self.locals_[signal_id]
+
+    def assign(self, signal_id: int, value: Any, after: int = 0,
+               transport: bool = False, reject: Optional[int] = None) -> None:
+        """Schedule a signal assignment ``signal <= value after ...``."""
+        self.assign_waveform(signal_id, ((value, after),), transport, reject)
+
+    def assign_waveform(self, signal_id: int,
+                        waveform: Sequence[Tuple[Any, int]],
+                        transport: bool = False,
+                        reject: Optional[int] = None) -> None:
+        """Schedule a multi-element waveform assignment."""
+        self.send(signal_id, self.now, EventKind.SIGNAL_ASSIGN,
+                  Assignment(tuple(waveform), transport, reject))
+
+    def event_on(self, signal_id: int) -> bool:
+        """VHDL ``sig'event``: did this signal change at the current time?
+
+        True while handling the run triggered by that signal's update.
+        """
+        return signal_id in self.last_events
 
     # ------------------------------------------------------------------
     # Wiring
@@ -224,7 +219,7 @@ class ProcessLP(LogicalProcess):
             return
         if self.wait.until is not None:
             self.last_events = frozenset({signal_id})
-            if not self.wait.until(self.api):
+            if not self.wait.until(self):
                 self.last_events = frozenset()
                 return
         self.last_events = frozenset({signal_id})
@@ -246,11 +241,11 @@ class ProcessLP(LogicalProcess):
         self.last_events = frozenset()
         self._run(self.body.resume, frozenset())
 
-    def _run(self, step: Callable[[ProcessAPI], Wait],
+    def _run(self, step: Callable[[ProcessLP], Wait],
              triggers: FrozenSet[int]) -> None:
         """Execute the body to its next wait and arm the suspension."""
         self.last_events = triggers
-        wait = step(self.api)
+        wait = step(self)
         self.body_state = self.body.snapshot()
         self.wait = wait
         self.last_events = frozenset()
@@ -316,7 +311,7 @@ class CombinationalBody(ProcessBody):
     def drives(self) -> Sequence[int]:
         return self.outputs
 
-    def _evaluate(self, api: ProcessAPI) -> None:
+    def _evaluate(self, api: ProcessLP) -> None:
         values = [api.read(s) for s in self.inputs]
         result = self.fn(*values)
         if len(self.outputs) == 1:
@@ -325,11 +320,11 @@ class CombinationalBody(ProcessBody):
             api.assign(out_sig, value, after=self.delay_fs,
                        transport=self.transport)
 
-    def start(self, api: ProcessAPI) -> Wait:
+    def start(self, api: ProcessLP) -> Wait:
         self._evaluate(api)
         return Wait(on=frozenset(self.inputs))
 
-    def resume(self, api: ProcessAPI) -> Wait:
+    def resume(self, api: ProcessLP) -> Wait:
         self._evaluate(api)
         return Wait(on=frozenset(self.inputs))
 
@@ -348,7 +343,7 @@ class ClockedBody(ProcessBody):
 
     def __init__(self, clock: Any, inputs: Sequence[Any],
                  outputs: Sequence[Any],
-                 fn: Callable[[Dict, Dict[int, Any], ProcessAPI],
+                 fn: Callable[[Dict, Dict[int, Any], ProcessLP],
                               Dict[int, Any]],
                  initial_state: Optional[Dict] = None,
                  rising: bool = True, delay_fs: int = 0) -> None:
@@ -366,7 +361,7 @@ class ClockedBody(ProcessBody):
     def drives(self) -> Sequence[int]:
         return self.outputs
 
-    def _edge(self, api: ProcessAPI) -> bool:
+    def _edge(self, api: ProcessLP) -> bool:
         if not api.event_on(self.clock):
             return False
         value = api.read(self.clock)
@@ -376,10 +371,10 @@ class ClockedBody(ProcessBody):
             return False
         return level if self.rising else not level
 
-    def start(self, api: ProcessAPI) -> Wait:
+    def start(self, api: ProcessLP) -> Wait:
         return Wait(on=frozenset({self.clock}))
 
-    def resume(self, api: ProcessAPI) -> Wait:
+    def resume(self, api: ProcessLP) -> Wait:
         if self._edge(api):
             inputs = {sig: api.read(sig) for sig in self.inputs}
             for out_sig, value in self.fn(self.state, inputs, api).items():
@@ -405,15 +400,15 @@ class GeneratorBody(ProcessBody):
 
     checkpointable = False
 
-    def __init__(self, gen_fn: Callable[[ProcessAPI], Iterable[Wait]]):
+    def __init__(self, gen_fn: Callable[[ProcessLP], Iterable[Wait]]):
         self.gen_fn = gen_fn
         self._gen = None
 
-    def start(self, api: ProcessAPI) -> Wait:
+    def start(self, api: ProcessLP) -> Wait:
         self._gen = iter(self.gen_fn(api))
         return self._advance()
 
-    def resume(self, api: ProcessAPI) -> Wait:
+    def resume(self, api: ProcessLP) -> Wait:
         return self._advance()
 
     def _advance(self) -> Wait:
@@ -451,11 +446,11 @@ class ClockGeneratorBody(ProcessBody):
     def drives(self) -> Sequence[int]:
         return (self.clock,)
 
-    def start(self, api: ProcessAPI) -> Wait:
+    def start(self, api: ProcessLP) -> Wait:
         api.assign(self.clock, self.low)
         return Wait(for_fs=self.half_period_fs)
 
-    def resume(self, api: ProcessAPI) -> Wait:
+    def resume(self, api: ProcessLP) -> Wait:
         if self.edges_left <= 0:
             return Wait.forever()
         self.edges_left -= 1

@@ -310,6 +310,31 @@ class TestElabCache:
         assert not hit
         assert cache.get(again.content_hash) is not None
 
+    def test_format_1_entry_is_a_miss_evicted_and_replaced(self, tmp_path):
+        # A format-1 entry pickles the per-process view object bodies
+        # were once handed; it reads as a miss instead of failing to
+        # instantiate, and the re-elaborated artifact takes its place.
+        cache = self.fresh(tmp_path)
+        source = fsm_vhdl(3, 4)
+        artifact, _ = cached_elaborate(source, "fsm_ring", cache=cache)
+        path = cache._path(artifact.content_hash)
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        format_1 = b"repro-artifact\x001\n"
+        assert MAGIC != format_1
+        with open(path, "wb") as handle:
+            handle.write(format_1 + blob[len(MAGIC):])
+        assert cache.get(artifact.content_hash) is None
+        assert cache.entries() == {}
+        again, hit = cached_elaborate(source, "fsm_ring", cache=cache)
+        assert not hit
+        with open(path, "rb") as handle:
+            assert handle.read().startswith(MAGIC)
+        warm, hit = cached_elaborate(source, "fsm_ring", cache=cache)
+        assert hit
+        assert_identical(simulate(again.instantiate()),
+                         simulate(warm.instantiate()))
+
     def test_misfiled_entry_is_a_miss(self, tmp_path):
         cache = self.fresh(tmp_path)
         artifact = BUILDERS["fsm"]().artifact()

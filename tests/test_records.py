@@ -7,8 +7,8 @@ transmitted copy and per lexeme.  They are slots records
 tests pin that nothing observable changed: equality, hashing, ``repr``
 and event ordering match a reference built from the field tuple the way
 the dataclasses built them, pickles round-trip and stay compact, and no
-pristine design artifact pickles one of them (so existing elaboration
-cache entries stay loadable under the same ``MAGIC``).  A frozen
+pristine design artifact pickles one of them (so the change to slots
+records needed no bump of the artifact format in ``MAGIC``).  A frozen
 dataclass refused field writes at run time; for the records a scan of
 the package source keeps that rule.
 """
@@ -205,14 +205,15 @@ PRISTINE = {
 
 @pytest.mark.parametrize("name", sorted(PRISTINE))
 def test_pristine_artifacts_pickle_no_record(name):
-    """Artifacts cached before records became slots classes stay
-    loadable under the same ``MAGIC``, because none holds a record."""
+    """No artifact holds a record, so records becoming slots classes
+    left the artifact format alone; ``MAGIC`` moved to format 2 only
+    when process bodies started to be handed their ``ProcessLP``."""
     unpickler = _GlobalsSeen(PRISTINE[name]().payload)
     unpickler.load()
     assert unpickler.seen  # the scan saw the payload's classes
     for record in RECORDS:
         assert (record.__module__, record.__qualname__) not in unpickler.seen
-    assert MAGIC == b"repro-artifact\x001\n"
+    assert MAGIC == b"repro-artifact\x002\n"
 
 
 # ---------------------------------------------------------------------------
