@@ -202,7 +202,7 @@ def cmd_parallel(args) -> int:
     extra = {}
     if backend != "model":
         # Every ring backend takes the same RingSpec.
-        extra.update(timeout_s=args.timeout, quantum=args.quantum)
+        extra["timeout_s"] = args.timeout
         if args.watchdog is not None:
             extra["watchdog_s"] = args.watchdog
     elif args.watchdog is not None:
@@ -277,7 +277,7 @@ def cmd_check(args) -> int:
     as replayable artifacts when ``--artifact-dir`` is set).
     """
     from .harness import (Checker, Schedule, check_backend,
-                          check_circuits, replay_schedule)
+                          replay_schedule)
 
     circuit_params = _parse_circuit_params(args.circuit_param)
 
@@ -342,11 +342,11 @@ def cmd_check(args) -> int:
             print(f"  VIOLATION: {violation}")
         return 0 if run.ok else 1
 
-    reports = check_circuits(args.circuit, schedules=args.schedules,
-                             seed=args.seed,
-                             artifact_dir=args.artifact_dir, **checker)
     failed = False
-    for report in reports:
+    for circuit in args.circuit:
+        report = Checker(circuit, artifact_dir=args.artifact_dir,
+                         **checker).explore(schedules=args.schedules,
+                                            seed=args.seed)
         print(report.summary())
         for run in report.failures:
             failed = True
@@ -597,9 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "over asyncio; see 'repro serve')")
         p_par.add_argument("--partition", default="round_robin",
                            choices=["round_robin", "block", "bfs"])
-        p_par.add_argument("--quantum", type=int, default=64,
-                           help="events per act-quantum between IPC "
-                                "flushes (threads/procs/dist backends)")
         p_par.add_argument("--hosts", nargs="+", default=None,
                            metavar="HOST:PORT",
                            help="dist backend: pre-started 'repro "

@@ -85,7 +85,6 @@ class SequentialSimulator:
         executed = 0
         committed = 0
         final_time = stats.final_time
-        per_lp: dict = {}
         try:
             while heap:
                 pt = heap[0][1].time.pt
@@ -104,12 +103,10 @@ class SequentialSimulator:
                     executed += 1
                     if event.kind is null_kind:
                         continue
-                    dst = event.dst
-                    lp = lps[dst]
+                    lp = lps[event.dst]
                     lp.now = event.time
                     lp.simulate(event)
                     committed += 1
-                    per_lp[dst] = per_lp.get(dst, 0) + 1
                     if event.time > final_time:
                         final_time = event.time
                     for out in lp.drain_outbox():
@@ -119,9 +116,6 @@ class SequentialSimulator:
             # on error, so partial stats stay as exact as before).
             stats.events_committed += committed
             stats.events_executed += committed
-            totals = stats.events_per_lp
-            for lp_id, count in per_lp.items():
-                totals[lp_id] = totals.get(lp_id, 0) + count
             if final_time > stats.final_time:
                 stats.final_time = final_time
         return self.stats

@@ -8,15 +8,18 @@ same quantities uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 from .vtime import VirtualTime, ZERO
 
 
 @dataclass
 class RunStats:
-    """Counters accumulated over one simulation run."""
+    """Counters accumulated over one simulation run.
+
+    Every field holds an immutable value, so a shallow copy
+    (``dataclasses.replace``) is an independent image of the counters.
+    """
 
     #: Committed (i.e. never rolled back) event executions.
     events_committed: int = 0
@@ -56,8 +59,6 @@ class RunStats:
     peak_speculative: int = 0
     #: Final GVT / furthest committed virtual time.
     final_time: VirtualTime = ZERO
-    #: Executed events per LP id (load observation for partitioning).
-    events_per_lp: Dict[int, int] = field(default_factory=dict)
 
     # -- delivery-fabric counters (repro.fabric) -----------------------
     #: Remote messages handed to the fabric (unique sends, not copies).
@@ -152,10 +153,6 @@ class RunStats:
         self.__init__()
         self.__dict__.update(state)
 
-    def count_execution(self, lp_id: int) -> None:
-        self.events_executed += 1
-        self.events_per_lp[lp_id] = self.events_per_lp.get(lp_id, 0) + 1
-
     @property
     def efficiency(self) -> float:
         """Fraction of executed events that were ultimately useful."""
@@ -165,17 +162,13 @@ class RunStats:
 
     def merge(self, other: "RunStats") -> None:
         """Fold another processor's counters into this one: every field
-        sums, but the peaks in :data:`_MAXED` take the maximum and
-        ``events_per_lp`` sums per LP."""
+        sums, but the peaks in :data:`_MAXED` take the maximum."""
         mine, theirs = self.__dict__, other.__dict__
         for name in _SUMMED:
             mine[name] += theirs[name]
         for name in _MAXED:
             if theirs[name] > mine[name]:
                 mine[name] = theirs[name]
-        per_lp = self.events_per_lp
-        for lp_id, count in other.events_per_lp.items():
-            per_lp[lp_id] = per_lp.get(lp_id, 0) + count
 
     def ipc_summary(self) -> str:
         """One-line digest of the multiprocess-backend IPC counters."""
@@ -234,5 +227,4 @@ _FRESH = RunStats().__dict__
 #: What ``merge`` folds by maximum, and what it sums.
 _MAXED = ("peak_speculative", "final_time", "net_rtt_max",
           "vt_spread_width_max")
-_SUMMED = tuple(name for name in _FRESH
-                if name not in _MAXED and name != "events_per_lp")
+_SUMMED = tuple(name for name in _FRESH if name not in _MAXED)

@@ -22,8 +22,8 @@ Public surface:
 
 from .plan import (FaultPlan, LinkFaults, parse_fault_plan,
                    plan_from_dict)
-from .recovery import (ProcessorCheckpoint, RuntimeCheckpoint,
-                       checkpoint_processor, restore_processor)
+from .recovery import (ProcessorCheckpoint, checkpoint_processor,
+                       restore_processor)
 from .transport import (Packet, PerfectFabric, ReliableFabric,
                         install_jitter)
 
@@ -37,7 +37,6 @@ __all__ = [
     "ReliableFabric",
     "install_jitter",
     "ProcessorCheckpoint",
-    "RuntimeCheckpoint",
     "checkpoint_processor",
     "restore_processor",
 ]

@@ -25,7 +25,6 @@ checkpointable placement, exactly as in real PDES deployments.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
@@ -38,33 +37,6 @@ from ..core.vtime import VirtualTime
 
 
 @dataclass
-class RuntimeCheckpoint:
-    """Durable image of one :class:`~repro.parallel.engine.LPRuntime`."""
-
-    mode: Any
-    cons_epoch: int
-    lp_state: Any
-    lp_now: VirtualTime
-    queue: List[tuple]
-    cancelled: Set[Any]
-    negatives: Dict[Any, Any]
-    processed: List[Tuple[Any, Any, VirtualTime, List[Any]]]
-    channel_clocks: Dict[int, Tuple[int, VirtualTime]]
-    last_null_promise: Dict[int, VirtualTime]
-    withheld: List[Any]
-    reuse_pending: List[Any]
-    release_floor: VirtualTime
-    executed: int
-    squashed: int
-    window_executed: int
-    window_squashed: int
-    blocked_streak: int
-    since_switch: int
-    since_snapshot: int
-    committed: int
-
-
-@dataclass
 class ProcessorCheckpoint:
     """Durable image of one processor's volatile state."""
 
@@ -74,7 +46,8 @@ class ProcessorCheckpoint:
     ready: List[tuple]
     blocked: Set[int]
     stats: RunStats
-    runtimes: Dict[int, RuntimeCheckpoint] = field(default_factory=dict)
+    #: lp id -> that runtime's ``LPRuntime.image()``.
+    runtimes: Dict[int, tuple] = field(default_factory=dict)
     #: Ids whose runtime image was captured for *this* checkpoint; the
     #: rest are the previous checkpoint's objects.  ``None``: all of
     #: them (a full image).  Bookkeeping about how the image was built,
@@ -95,9 +68,9 @@ def checkpoint_processor(proc, previous: Optional[ProcessorCheckpoint] = None,
     ``proc`` (anything else is ignored) — only the runtimes in
     ``proc.touched``, everything that can have changed since, are
     captured again; the others' images are *shared* with ``previous``
-    (a :class:`RuntimeCheckpoint` is never mutated:
-    :func:`restore_processor` copies every container out).  Without
-    it, or after a restore, every runtime is captured.
+    (a runtime image is never mutated: ``LPRuntime.restore`` copies
+    every container out).  Without it, or after a restore, every
+    runtime is captured.
     """
     copies = proc.copies
     ckpt = ProcessorCheckpoint(
@@ -107,8 +80,7 @@ def checkpoint_processor(proc, previous: Optional[ProcessorCheckpoint] = None,
         ready=sorted(entry for entry in proc.ready
                      for _ in range(copies.get(entry, 1))),
         blocked=set(proc.blocked),
-        stats=replace(proc.stats,
-                      events_per_lp=dict(proc.stats.events_per_lp)),
+        stats=replace(proc.stats),
     )
     if previous is None or previous is not proc.imaged:
         ids: Iterable[int] = proc.runtimes
@@ -116,50 +88,10 @@ def checkpoint_processor(proc, previous: Optional[ProcessorCheckpoint] = None,
         ids = ckpt.changed = proc.touched
         ckpt.runtimes = dict(previous.runtimes)
     for lp_id in ids:
-        ckpt.runtimes[lp_id] = _checkpoint_runtime(proc.runtimes[lp_id])
+        ckpt.runtimes[lp_id] = proc.runtimes[lp_id].image()
     proc.imaged = ckpt
     proc.touched = set(proc.live)
     return ckpt
-
-
-def _checkpoint_runtime(runtime) -> RuntimeCheckpoint:
-    from ..parallel.engine import ProtocolError
-
-    lp = runtime.lp
-    if not lp.checkpointable:
-        raise ProtocolError(
-            f"crash-recovery needs every LP durably checkpointable, "
-            f"but {lp.name!r} is not (heavy-state process); disable "
-            f"the crash schedule or re-partition")
-    return RuntimeCheckpoint(
-        mode=runtime.mode,
-        cons_epoch=runtime.cons_epoch,
-        # The *durable* image, not the cheap rollback snapshot: a
-        # checkpoint may be restored in a fresh process (dist
-        # kill-recovery) where process-relative state — SignalLP's
-        # history length, the live eid counter — has no live object
-        # to lean on.
-        lp_state=lp.durable_state(),
-        lp_now=lp.now,
-        queue=list(runtime.queue),
-        cancelled=set(runtime.cancelled),
-        negatives=dict(runtime.negatives),
-        processed=[(e.event, e.pre_snapshot, e.pre_now, list(e.sent))
-                   for e in runtime.processed],
-        channel_clocks=dict(runtime.channel_clocks),
-        last_null_promise=dict(runtime.last_null_promise),
-        withheld=list(runtime.withheld),
-        reuse_pending=list(runtime.reuse_pending),
-        release_floor=runtime.release_floor,
-        executed=runtime.executed,
-        squashed=runtime.squashed,
-        window_executed=runtime.window_executed,
-        window_squashed=runtime.window_squashed,
-        blocked_streak=runtime.blocked_streak,
-        since_switch=runtime.since_switch,
-        since_snapshot=runtime.since_snapshot,
-        committed=runtime.committed,
-    )
 
 
 def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
@@ -179,8 +111,6 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
     dropped: the caller goes on to bump every epoch, so the next
     checkpoint is a full one.
     """
-    from ..parallel.engine import _Entry
-
     proc.clock = ckpt.clock
     proc.gvt_bound = ckpt.gvt_bound
     proc.local_fifo = deque(ckpt.local_fifo)
@@ -191,34 +121,10 @@ def restore_processor(proc, ckpt: ProcessorCheckpoint) -> None:
         if proc.runtimes[entry[1]].blockable:
             proc.copies[entry] = proc.copies.get(entry, 0) + 1
     proc.blocked = set(ckpt.blocked)
-    proc.stats = copy.deepcopy(ckpt.stats)
+    proc.stats = replace(ckpt.stats)
     for lp_id, image in ckpt.runtimes.items():
         runtime = proc.runtimes[lp_id]
-        lp = runtime.lp
-        lp.restore_durable(image.lp_state)
-        lp.now = image.lp_now
-        lp._outbox = []
-        runtime.mode = image.mode
-        runtime.cons_epoch = image.cons_epoch
-        runtime.queue = list(image.queue)
-        runtime.cancelled = set(image.cancelled)
-        runtime.negatives = dict(image.negatives)
-        runtime.processed = [
-            _Entry(event, snap, pre_now, list(sent))
-            for event, snap, pre_now, sent in image.processed]
-        runtime.channel_clocks = dict(image.channel_clocks)
-        runtime.last_null_promise = dict(image.last_null_promise)
-        runtime.withheld = list(image.withheld)
-        runtime.reuse_pending = list(image.reuse_pending)
-        runtime.release_floor = image.release_floor
-        runtime.executed = image.executed
-        runtime.squashed = image.squashed
-        runtime.window_executed = image.window_executed
-        runtime.window_squashed = image.window_squashed
-        runtime.blocked_streak = image.blocked_streak
-        runtime.since_switch = image.since_switch
-        runtime.since_snapshot = image.since_snapshot
-        runtime.committed = image.committed
+        runtime.restore(image)
         runtime.armed = []
     proc.live = {lp_id for lp_id, runtime in proc.runtimes.items()
                  if not runtime.idle()}

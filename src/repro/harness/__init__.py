@@ -17,8 +17,8 @@ execute.  This subsystem makes the claim *checkable*:
 """
 
 from .check import (CIRCUITS, Checker, CheckReport, RunReport,
-                    build_circuit, check_backend, check_circuits,
-                    replay_schedule, wave_digest)
+                    build_circuit, check_backend, replay_schedule,
+                    wave_digest)
 from .invariants import VIOLATION_KINDS, check_all
 from .schedule import (DefaultScheduler, RandomScheduler, ReplayScheduler,
                        Schedule, Scheduler, normalize_params,
@@ -27,7 +27,7 @@ from .trace import TraceRecord, Tracer
 
 __all__ = [
     "CIRCUITS", "Checker", "CheckReport", "RunReport", "build_circuit",
-    "check_backend", "check_circuits", "replay_schedule", "wave_digest",
+    "check_backend", "replay_schedule", "wave_digest",
     "VIOLATION_KINDS", "check_all",
     "DefaultScheduler", "RandomScheduler", "ReplayScheduler", "Schedule",
     "Scheduler", "normalize_params", "swap_schedule",

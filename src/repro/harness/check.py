@@ -492,15 +492,6 @@ def replay_schedule(schedule: Schedule,
     return run
 
 
-def check_circuits(circuits: List[str], schedules: int = 25,
-                   seed: int = 0, **checker) -> List[CheckReport]:
-    """Explore every named circuit, each under ``Checker(circuit,
-    **checker)``; the CLI entry point's core."""
-    return [Checker(circuit, **checker).explore(schedules=schedules,
-                                                seed=seed)
-            for circuit in circuits]
-
-
 def check_backend(circuit: str, backend: str, protocol: str,
                   processors: int = 2, circuit_seed: int = 0,
                   until: Optional[int] = None,

@@ -30,9 +30,8 @@ What lives here once for all three transports:
   (:func:`pristine_payload`), and fold the workers' reports or fail
   with their partial stats (:func:`harvest`).
 
-:class:`BackendOutcome` is the common result shape; the per-backend
-outcome types extend it so callers can treat any backend's stats/GVT
-uniformly.
+:class:`BackendOutcome` is the one result shape of all three, so
+callers treat any backend's stats/GVT uniformly.
 """
 
 from __future__ import annotations
@@ -54,6 +53,9 @@ from ..resilience import (DEFAULT_WALL_S, WallClockWatchdog, build_report,
 from .engine import (Engine, LPRuntime, Processor, ProtocolError,
                      build_engine, proc_has_work, stamp_epoch)
 from .partition import Partition
+
+#: Event executions per act quantum, between flushes.
+QUANTUM = 64
 
 
 @dataclass
@@ -85,8 +87,6 @@ class RingSpec:
     protocol: str = "optimistic"
     partition: Union[str, Partition, Callable] = "round_robin"
     until: Optional[int] = None
-    #: Event executions per act quantum, between flushes.
-    quantum: int = 64
     fault_plan: Optional[FaultPlan] = None
     #: Durable checkpoints; ``None`` = when the plan schedules a crash.
     recovery: Optional[bool] = None
@@ -100,8 +100,6 @@ class RingSpec:
                 "the worker ring (threads / procs / dist) supports "
                 "static protocols only; use the modelled machine for "
                 "the dynamic configuration")
-        if self.quantum < 1:
-            raise ValueError("quantum must be >= 1")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if self.crashes and not self.recovers:
@@ -188,7 +186,7 @@ def harvest(machine, results: Dict[int, tuple], error: Optional[tuple],
             lp.now = now
             for attr, value in attrs.items():
                 setattr(lp, attr, value)
-    return machine.outcome_type(
+    return BackendOutcome(
         stats=stats, gvt=gvt, processors=spec.processors,
         gvt_rounds=commits, waves=waves, wall_time_s=wall_time_s)
 
@@ -467,10 +465,9 @@ class WorkerCore:
     def _worker_loop(self) -> None:
         deadline = time.monotonic() + self.spec.timeout_s
         proc = self._proc
-        quantum = self.spec.quantum
         while self._stop_info is None:
             progressed = self._drain(0.0)
-            for _ in range(quantum):
+            for _ in range(QUANTUM):
                 if self._stop_info is not None:
                     return
                 if not proc.act():

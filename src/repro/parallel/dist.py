@@ -79,7 +79,7 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.model import Model
@@ -100,11 +100,6 @@ PORT_BANNER = "REPRO-DIST-WORKER PORT="
 #: First line on the stdin pipe of a daemon a coordinator spawns: the
 #: daemon exits at that pipe's EOF, i.e. however its owner dies.
 OWNER_BANNER = "REPRO-DIST-OWNER\n"
-
-
-@dataclass
-class DistOutcome(BackendOutcome):
-    """Result of one distributed run (the shared backend shape)."""
 
 
 # ======================================================================
@@ -478,7 +473,6 @@ class DistMachine:
     """Coordinate a model run across TCP worker daemons."""
 
     backend_name = "dist"
-    outcome_type = DistOutcome
 
     def __init__(self, model: Model, processors: int,
                  hosts: Optional[List[str]] = None,
@@ -518,12 +512,12 @@ class DistMachine:
         self._payload = pristine_payload(model, self.spec.partition)
 
     # ------------------------------------------------------------------
-    def run(self, timeout_s: float = 120.0) -> DistOutcome:
+    def run(self, timeout_s: float = 120.0) -> BackendOutcome:
         self.spec = replace(self.spec, timeout_s=timeout_s)
         return asyncio.run(self._run_async(timeout_s))
 
     # ------------------------------------------------------------------
-    async def _run_async(self, timeout_s: float) -> DistOutcome:
+    async def _run_async(self, timeout_s: float) -> BackendOutcome:
         start = time.monotonic()
         self._deadline = start + timeout_s
         self._run_id = os.urandom(8).hex()
@@ -913,6 +907,6 @@ class DistMachine:
 
 
 def run_dist(model: Model, processors: int, timeout_s: float = 120.0,
-             **config) -> DistOutcome:
+             **config) -> BackendOutcome:
     """``DistMachine(model, processors, **config).run(timeout_s)``."""
     return DistMachine(model, processors, **config).run(timeout_s)

@@ -110,10 +110,9 @@ class LPRuntime:
     __slots__ = (
         "lp", "mode", "dynamic", "cons_epoch", "queue", "cancelled",
         "negatives", "processed", "channel_clocks", "preds", "succs",
-        "executed", "squashed", "window_executed", "window_squashed",
-        "blocked_streak", "since_switch", "last_null_promise", "committed",
-        "release_floor", "since_snapshot", "withheld",
-        "reuse_pending", "blockable", "armed",
+        "window_executed", "window_squashed", "blocked_streak",
+        "since_switch", "last_null_promise", "release_floor",
+        "since_snapshot", "withheld", "reuse_pending", "blockable", "armed",
     )
 
     def __init__(self, lp: LogicalProcess, mode: SyncMode,
@@ -155,14 +154,11 @@ class LPRuntime:
         self.channel_clocks: Dict[int, Tuple[int, VirtualTime]] = {}
         self.preds = preds
         self.succs = succs
-        self.executed = 0
-        self.squashed = 0
         self.window_executed = 0
         self.window_squashed = 0
         self.blocked_streak = 0
         self.since_switch = 0
         self.last_null_promise: Dict[int, VirtualTime] = {}
-        self.committed = 0
         #: Distance-based lower bound on future arrivals, refreshed by the
         #: modelled machine's global rounds (its release-floor sweep).
         self.release_floor: VirtualTime = MINUS_INFINITY
@@ -246,6 +242,60 @@ class LPRuntime:
         self.window_executed = 0
         self.window_squashed = 0
         self.blocked_streak = 0
+
+    # ------------------------------------------------------------------
+    # Durable image (crash recovery)
+    # ------------------------------------------------------------------
+    def image(self) -> tuple:
+        """What of this runtime survives a crash: the LP's *durable*
+        state and clock, then every slot but the wiring (``lp``,
+        ``dynamic``, ``preds``, ``succs``, ``blockable``) and ``armed``,
+        which the restoring processor rebuilds from its ready heap.
+
+        The durable state, not the cheap rollback snapshot: an image may
+        be restored in a fresh process (dist kill-recovery) where
+        process-relative state — SignalLP's history length, the live eid
+        counter — has no live object to lean on.  Containers are copied
+        here and again by :meth:`restore`, so an image is never aliased
+        by a live runtime and may be shared between checkpoints.
+        """
+        lp = self.lp
+        if not lp.checkpointable:
+            raise ProtocolError(
+                f"crash-recovery needs every LP durably checkpointable, "
+                f"but {lp.name!r} is not (heavy-state process); disable "
+                f"the crash schedule or re-partition")
+        return (lp.durable_state(), lp.now, self.mode, self.cons_epoch,
+                list(self.queue), set(self.cancelled), dict(self.negatives),
+                [(e.event, e.pre_snapshot, e.pre_now, list(e.sent))
+                 for e in self.processed],
+                dict(self.channel_clocks), dict(self.last_null_promise),
+                list(self.withheld), list(self.reuse_pending),
+                self.release_floor, self.window_executed,
+                self.window_squashed, self.blocked_streak, self.since_switch,
+                self.since_snapshot)
+
+    def restore(self, image: tuple) -> None:
+        """Overwrite this runtime (and its LP) with an :meth:`image`."""
+        (state, now, self.mode, self.cons_epoch, queue, cancelled,
+         negatives, processed, channel_clocks, last_null_promise, withheld,
+         reuse_pending, self.release_floor, self.window_executed,
+         self.window_squashed, self.blocked_streak, self.since_switch,
+         self.since_snapshot) = image
+        lp = self.lp
+        lp.restore_durable(state)
+        lp.now = now
+        lp._outbox = []
+        self.queue = list(queue)
+        self.cancelled = set(cancelled)
+        self.negatives = dict(negatives)
+        self.processed = [_Entry(event, snap, pre_now, list(sent))
+                          for event, snap, pre_now, sent in processed]
+        self.channel_clocks = dict(channel_clocks)
+        self.last_null_promise = dict(last_null_promise)
+        self.withheld = list(withheld)
+        self.reuse_pending = list(reuse_pending)
+
 
 class Processor:
     """One modelled processor: owns LP runtimes and executes the protocol.
@@ -687,7 +737,6 @@ class Processor:
                                first.event.time, squashed=len(squashed))
         for entry in squashed:
             runtime.push(entry.event)
-            runtime.squashed += 1
             runtime.window_squashed += 1
             self.stats.events_rolled_back += 1
             for sent in entry.sent:
@@ -870,8 +919,7 @@ class Processor:
         lp.simulate(event)
         out = lp.drain_outbox()
         self.clock += self.cost.event
-        self.stats.count_execution(lp.lp_id)
-        runtime.executed += 1
+        self.stats.events_executed += 1
         runtime.window_executed += 1
         runtime.since_switch += 1
         runtime.blocked_streak = 0
@@ -887,7 +935,6 @@ class Processor:
             entry.sent = sent_record
             runtime.processed.append(entry)
         else:
-            runtime.committed += 1
             self.stats.events_committed += 1
             self.stats.final_time = max(self.stats.final_time, event.time)
             if self.tracer is not None:
@@ -1150,7 +1197,6 @@ class Processor:
     def _commit_log(self, runtime: LPRuntime, ctx: str = "final") -> None:
         """Finalize all remaining processed entries (now irrevocable)."""
         for entry in runtime.processed:
-            runtime.committed += 1
             self.stats.events_committed += 1
             self.stats.final_time = max(self.stats.final_time,
                                         entry.event.time)
@@ -1238,7 +1284,6 @@ class Processor:
                 cut -= 1
             if cut:
                 for entry in entries[:cut]:
-                    runtime.committed += 1
                     self.stats.events_committed += 1
                     self.stats.final_time = max(self.stats.final_time,
                                                 entry.event.time)
@@ -1357,6 +1402,9 @@ def build_engine(model, processors: int, protocol: str,
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; "
                          f"choose from {PROTOCOLS}")
+    if lookahead not in (None, "vhdl"):
+        raise ValueError(f"unknown lookahead policy {lookahead!r}; "
+                         f"choose None or 'vhdl'")
     if isinstance(partition, str):
         placement = PARTITIONERS[partition](model, processors)
     elif callable(partition):
@@ -1390,19 +1438,9 @@ def build_engine(model, processors: int, protocol: str,
             lp.tracer = tracer
 
     def lookahead_of(src: int, dst: int) -> Optional[Tuple[int, int]]:
-        channel = model.channels.get((src, dst))
-        if channel is None:
-            return None
-        if lookahead == "vhdl":
-            # Every VHDL kernel channel advances the logical clock by at
-            # least one phase from cause to effect.
-            return (0, 1)
-        if lookahead == "delays":
-            if channel.lookahead is None:
-                return (0, 1)
-            la = channel.lookahead
-            return (la.pt, la.lt) if isinstance(la, VirtualTime) else la
-        raise ValueError(f"unknown lookahead policy {lookahead!r}")
+        # Every VHDL kernel channel advances the logical clock by at
+        # least one phase from cause to effect.
+        return (0, 1) if (src, dst) in model.channels else None
 
     for proc in procs:
         proc.runtime_of = runtimes.__getitem__

@@ -131,13 +131,12 @@ class ParallelMachine:
         self.watchdog_bound = int(
             resolve_watchdog(watchdog, DEFAULT_MODEL_STEPS))
         self._watchdog = StepWatchdog(self.watchdog_bound)
-        self._steps = 0
         #: Monotone main-loop iteration counter — the watchdog's
-        #: *position*.  Ticking on ``_steps`` (productive executions
-        #: only) starves the watchdog exactly when it is needed most:
-        #: a machine spinning through barrier GVT rounds or idle act()
-        #: iterations freezes ``_steps``, so a step-denominated probe
-        #: can never observe enough elapsed distance to trip.  Work
+        #: *position*.  Ticking on productive executions only would
+        #: starve the watchdog exactly when it is needed most: a
+        #: machine spinning through barrier GVT rounds or idle act()
+        #: iterations executes nothing, so a step-denominated probe
+        #: could never observe enough elapsed distance to trip.  Work
         #: units advance on every iteration, productive or not.
         self._work = 0
         #: Progress marker of the previous barrier GVT round — see run().
@@ -613,13 +612,11 @@ class ParallelMachine:
                     # bounded by max_steps, or a slow livelock cycle
                     # evades both guards (found by repro.campaign).
                     steps += 1
-                    self._steps = steps
                 continue
             if proc.act():
                 self.fabric.poll(proc)
                 self._since_gvt += 1
                 steps += 1
-                self._steps = steps
                 due = self._since_gvt >= self.gvt_interval
                 blocked_due = (
                     self._since_gvt >= self.blocked_gvt_min_interval

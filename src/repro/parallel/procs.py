@@ -24,9 +24,9 @@ Three design decisions carry the backend:
 
 * **Batched IPC.**  Serialization is the dominant cost of process
   isolation, so events are never shipped one at a time.  Workers run an
-  *act quantum* (up to ``quantum`` event executions), collecting remote
-  sends per destination, then flush each destination's collected events
-  as one pickled envelope.  ``RunStats.ipc_summary()`` reports the
+  *act quantum* (up to ``backend.QUANTUM`` event executions), collecting
+  remote sends per destination, then flush each destination's collected
+  events as one pickled envelope.  ``RunStats.ipc_summary()`` reports the
   achieved amortization (events per envelope).
 
 * **Asynchronous token-ring GVT (Mattern-style).**  There is no
@@ -87,7 +87,7 @@ import os
 import pickle
 import queue as queue_module
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Dict, Optional, Tuple
 
 from ..core.model import Model
@@ -96,11 +96,6 @@ from ..core.vtime import MINUS_INFINITY
 from .backend import (BackendOutcome, RingSpec, WorkerCore, harvest,
                       pristine_payload)
 from .engine import resolve_model
-
-
-@dataclass
-class ProcsOutcome(BackendOutcome):
-    """Result of one multiprocess run (the shared backend shape)."""
 
 
 #: Environment override for the worker start method.
@@ -161,12 +156,11 @@ class ProcsMachine(WorkerCore):
     """Run a Model on real worker processes; commits identical results.
 
     ``ring`` is the run itself — ``protocol``, ``partition``, ``until``,
-    ``quantum``, ``fault_plan``, ``recovery``, ``watchdog_s``: the
+    ``fault_plan``, ``recovery``, ``watchdog_s``: the
     fields of :class:`~repro.parallel.backend.RingSpec`.
     """
 
     backend_name = "procs"
-    outcome_type = ProcsOutcome
 
     def __init__(self, model: Model, processors: int,
                  start_method: Optional[str] = None, **ring) -> None:
@@ -196,7 +190,7 @@ class ProcsMachine(WorkerCore):
         return _spawn_worker, (self._payload, self.spec, index,
                                self._queues, self._result_queue)
 
-    def run(self, timeout_s: float = 120.0) -> ProcsOutcome:
+    def run(self, timeout_s: float = 120.0) -> BackendOutcome:
         self.spec = replace(self.spec, timeout_s=timeout_s)
         start = time.monotonic()
         grace = max(0.5, min(5.0, timeout_s / 10.0))
@@ -277,6 +271,6 @@ class ProcsMachine(WorkerCore):
 
 
 def run_procs(model: Model, processors: int, timeout_s: float = 120.0,
-              **config) -> ProcsOutcome:
+              **config) -> BackendOutcome:
     """``ProcsMachine(model, processors, **config).run(timeout_s)``."""
     return ProcsMachine(model, processors, **config).run(timeout_s)

@@ -38,17 +38,11 @@ from __future__ import annotations
 import copy
 import queue
 import threading
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from ..core.model import Model
-from .backend import RingSpec, WorkerCore
-from .procs import ProcsMachine, ProcsOutcome
-
-
-@dataclass
-class ThreadedOutcome(ProcsOutcome):
-    """Result of one threaded run (the shared backend shape)."""
+from .backend import BackendOutcome, RingSpec, WorkerCore
+from .procs import ProcsMachine
 
 
 class _Queue(queue.SimpleQueue):
@@ -75,7 +69,6 @@ class ThreadedMachine(ProcsMachine):
     """Run a Model on real threads; commits identical results."""
 
     backend_name = "threads"
-    outcome_type = ThreadedOutcome
 
     def __init__(self, model: Model, processors: int, **ring) -> None:
         # No start method to resolve, no payload to snapshot.
@@ -95,6 +88,6 @@ class ThreadedMachine(ProcsMachine):
 
 
 def run_threaded(model: Model, processors: int, timeout_s: float = 120.0,
-                 **config) -> ThreadedOutcome:
+                 **config) -> BackendOutcome:
     """``ThreadedMachine(model, processors, **config).run(timeout_s)``."""
     return ThreadedMachine(model, processors, **config).run(timeout_s)

@@ -44,7 +44,7 @@ class RunSpec:
     processors: int = 1
     until: Optional[int] = None
     exec_mode: str = "interp"
-    #: Extra machine kwargs (partition, quantum, start_method, ...).
+    #: Extra machine kwargs (partition, start_method, ...).
     options: Dict[str, Any] = field(default_factory=dict)
 
 

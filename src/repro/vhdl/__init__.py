@@ -1,7 +1,7 @@
 """The distributed VHDL kernel: values, signals, processes, designs."""
 
 from .artifact import (ArtifactError, DesignArtifact, artifact_key,
-                       build_artifact, snapshot_design)
+                       build_artifact)
 from .cache import ElabCache, cached_elaborate
 from .compile import CompiledBody, Frame, lower_design
 from .design import Design
@@ -18,7 +18,7 @@ from .values import (SL_0, SL_1, SL_DASH, SL_H, SL_L, SL_U, SL_W, SL_X,
 __all__ = [
     "Design", "SimulationResult", "simulate", "simulate_parallel",
     "ArtifactError", "DesignArtifact", "artifact_key", "build_artifact",
-    "snapshot_design", "ElabCache", "cached_elaborate",
+    "ElabCache", "cached_elaborate",
     "CompiledBody", "Frame", "lower_design", "EXEC_MODES",
     "ClockedBody", "ClockGeneratorBody", "CombinationalBody",
     "GeneratorBody", "ProcessBody", "ProcessLP", "Wait",

@@ -28,9 +28,9 @@ source, and the procs backend could only ship the graph to workers by
   number of concurrent runs on any backend.
 
 Programmatic designs (the benchmark circuits) get the same treatment
-through :func:`snapshot_design` / ``Design.artifact()``: their content
-hash is the digest of a canonical *structural* manifest of the LP graph
-rather than a source digest.  Nothing on the run path reads it, so it
+through :meth:`DesignArtifact.from_design` / ``Design.artifact()``:
+their content hash is the digest of a canonical *structural* manifest
+of the LP graph rather than a source digest.  Nothing on the run path reads it, so it
 is computed on first read of ``content_hash``, not at snapshot time.
 """
 
@@ -378,13 +378,6 @@ class DesignArtifact:
                 "artifact payload digest mismatch (corrupt entry)")
         return cls(header["name"], header["content_hash"], payload,
                    header.get("meta"))
-
-
-def snapshot_design(design, content_hash: Optional[str] = None,
-                    meta: Optional[Dict] = None) -> DesignArtifact:
-    """Convenience alias for :meth:`DesignArtifact.from_design`."""
-    return DesignArtifact.from_design(design, content_hash=content_hash,
-                                      meta=meta)
 
 
 def build_artifact(source: str, top: str,

@@ -32,7 +32,7 @@ from repro.harness.check import Checker, circuit_artifact
 from repro.parallel.engine import PROTOCOLS
 from repro.vhdl import (ArtifactError, DesignArtifact, ElabCache,
                         artifact_key, build_artifact, cached_elaborate,
-                        simulate, simulate_parallel, snapshot_design)
+                        simulate, simulate_parallel)
 from repro.vhdl.artifact import MAGIC, canonical_digest, design_manifest
 
 #: Fresh-design builders across the circuit families: programmatic
@@ -141,7 +141,7 @@ class TestSingleUse:
         design = BUILDERS["fsm"]()
         simulate(design)
         with pytest.raises(ArtifactError, match="already simulated"):
-            snapshot_design(design)
+            DesignArtifact.from_design(design)
 
     def test_snapshot_then_run_original_still_allowed(self):
         # Snapshot first, run later: the supported order.

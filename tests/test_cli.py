@@ -139,16 +139,6 @@ class TestRingCommandLine:
         out = capsys.readouterr().out
         assert "clk :" in out and "ns/column" in out
 
-    def test_quantum_reaches_the_threads_backend(self, capsys):
-        def events_per_envelope(quantum):
-            assert main(["run", "--circuit", "fsm", "-p", "2",
-                         "--backend", "threads", "--protocol",
-                         "optimistic", "--quantum", quantum]) == 0
-            return float(re.search(r"avg ([0-9.]+)/envelope",
-                                   capsys.readouterr().out).group(1))
-
-        assert events_per_envelope("1") < events_per_envelope("64")
-
 
 class TestCheckCommand:
     """`repro check`: conformance exploration, record/replay, exit codes."""

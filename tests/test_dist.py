@@ -134,10 +134,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="static protocols only"):
             DistMachine(model, 2, protocol="dynamic")
 
-    def test_rejects_bad_quantum(self, model):
-        with pytest.raises(ValueError, match="quantum"):
-            DistMachine(model, 2, quantum=0)
-
     def test_rejects_recovery_off(self, model):
         with pytest.raises(ValueError, match="recovery"):
             DistMachine(model, 2, recovery=False)

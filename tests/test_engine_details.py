@@ -231,7 +231,7 @@ class TestCancellationHorizon:
         assert proc.cancel_floor == self.T
         assert not proc.act()
         assert executed == []
-        assert rt_b.committed == 0
+        assert proc.stats.events_committed == 0
         # The replay abandons the send: the inclusive stall flush
         # cancels it, the antimessage annihilates the queued positive,
         # and nothing is left to commit or to park.

@@ -66,6 +66,16 @@ class TestEquivalence:
         assert res.stats.null_messages > 0
         # Null messages substitute for (most) global deadlock recovery.
 
+    @pytest.mark.parametrize("protocol", ["optimistic", "conservative"])
+    @pytest.mark.parametrize("lookahead", ["bogus", "delays"])
+    def test_unknown_lookahead_policy_is_refused_at_construction(
+            self, protocol, lookahead):
+        # Not at the first null message, and not ignored by a protocol
+        # that sends none.
+        with pytest.raises(ValueError, match="unknown lookahead policy"):
+            ParallelMachine(toggle_design(), 2, protocol=protocol,
+                            lookahead=lookahead)
+
     def test_distributed_cost_model_changes_time_not_results(
             self, toggle_reference):
         cheap = simulate_parallel(toggle_design(), processors=2,

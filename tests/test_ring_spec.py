@@ -42,9 +42,8 @@ def model():
 @pytest.mark.parametrize("machine", MACHINES)
 @pytest.mark.parametrize("bad", [
     dict(protocol="dynamic"),
-    dict(quantum=0),
     dict(fault_plan=FaultPlan(seed=1).with_crashes((1, 0)), recovery=False),
-], ids=["dynamic", "quantum", "crash-without-recovery"])
+], ids=["dynamic", "crash-without-recovery"])
 def test_every_backend_rejects_it_in_the_spec_s_words(model, machine, bad):
     with pytest.raises(ValueError) as at_the_site:
         RingSpec(2, **bad)
@@ -63,7 +62,7 @@ def test_the_deadline_is_the_spec_s_too(model, machine):
 
 
 def test_threads_takes_the_whole_spec_and_no_start_method(model):
-    assert ThreadedMachine(model, 2, quantum=3).spec.quantum == 3
+    assert ThreadedMachine(model, 2, until=3).spec.until == 3
     with pytest.raises(TypeError, match="start_method"):
         ThreadedMachine(model, 2, start_method="fork")
 

@@ -109,7 +109,6 @@ class TestStats:
         assert stats.events_executed == 2
         assert stats.efficiency == 1.0
         assert stats.final_time == VirtualTime(2, 0)
-        assert stats.events_per_lp[0] == 2
 
     def test_null_events_skipped(self):
         model = Model()

@@ -4,8 +4,7 @@
 every worker ships its own counters back to the parent, which folds
 them into one report.  The property tests below pin down the algebra
 that makes this correct regardless of worker count or merge order —
-additivity for event/IPC counters, ``max`` for peaks and final time,
-and dict-union-with-sum for the per-LP load map.
+additivity for event/IPC counters, ``max`` for peaks and final time.
 """
 
 import copy
@@ -25,7 +24,7 @@ from repro.parallel.cost import DISTRIBUTED, SHARED_MEMORY, CostModel
 _MAX_FOLDED = ("peak_speculative", "vt_spread_width_max")
 
 #: Counter fields folded additively by ``merge`` (everything except the
-#: max-folded peaks/final_time and the per-LP dict).
+#: max-folded peaks/final_time).
 _ADDITIVE = [f.name for f in dataclasses.fields(RunStats)
              if f.type == "int" and f.name not in _MAX_FOLDED]
 
@@ -50,8 +49,6 @@ def _random_stats(rng: random.Random) -> RunStats:
         setattr(stats, name, rng.randrange(0, 200) / 4.0)
     stats.final_time = VirtualTime(rng.randrange(0, 1000),
                                    rng.randrange(0, 5))
-    stats.events_per_lp = {lp: rng.randrange(1, 20)
-                           for lp in rng.sample(range(8), rng.randrange(4))}
     return stats
 
 
@@ -63,27 +60,16 @@ class TestRunStats:
         stats.events_committed = 8
         assert stats.efficiency == pytest.approx(0.8)
 
-    def test_count_execution_tracks_per_lp(self):
-        stats = RunStats()
-        stats.count_execution(3)
-        stats.count_execution(3)
-        stats.count_execution(5)
-        assert stats.events_executed == 3
-        assert stats.events_per_lp == {3: 2, 5: 1}
-
     def test_merge(self):
         a = RunStats(events_committed=5, rollbacks=1,
                      final_time=VirtualTime(10, 0), peak_speculative=7)
-        a.events_per_lp = {1: 5}
         b = RunStats(events_committed=3, rollbacks=2,
                      final_time=VirtualTime(20, 0), peak_speculative=4)
-        b.events_per_lp = {1: 1, 2: 2}
         a.merge(b)
         assert a.events_committed == 8
         assert a.rollbacks == 3
         assert a.final_time == VirtualTime(20, 0)
         assert a.peak_speculative == 7  # max, not sum
-        assert a.events_per_lp == {1: 6, 2: 2}
 
     def test_pickles_only_what_moved_and_comes_back_whole(self):
         """``__getstate__`` drops default-valued fields (two of these
@@ -92,8 +78,7 @@ class TestRunStats:
         for field in dataclasses.fields(RunStats):
             if getattr(full, field.name) == getattr(RunStats(), field.name):
                 # Fully populated: no field left at its default.
-                setattr(full, field.name, {3: 1} if field.name ==
-                        "events_per_lp" else 1)
+                setattr(full, field.name, 1)
         for stats in (full, RunStats(), RunStats(rollbacks=2)):
             for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
                 back = pickle.loads(pickle.dumps(stats, protocol))
@@ -104,10 +89,19 @@ class TestRunStats:
         assert RunStats(rollbacks=2).__getstate__() == {"rollbacks": 2}
         sparse = len(pickle.dumps(RunStats(rollbacks=2), -1))
         assert sparse < len(pickle.dumps(full, -1)) / 5
-        # A restored instance owns its per-LP map.
-        back = pickle.loads(pickle.dumps(RunStats(), -1))
-        back.count_execution(1)
-        assert RunStats().events_per_lp == {}
+
+    def test_a_shallow_copy_is_an_independent_image(self):
+        """Durable checkpoints copy a processor's stats with one
+        ``dataclasses.replace`` on each side: sound only while every
+        field holds an immutable value."""
+        stats = _random_stats(random.Random(11))
+        for field in dataclasses.fields(RunStats):
+            assert isinstance(getattr(stats, field.name),
+                              (int, float, VirtualTime)), field.name
+        image = dataclasses.replace(stats)
+        before = copy.deepcopy(image)
+        stats.merge(_random_stats(random.Random(12)))
+        assert stats != image and image == before
 
     def test_summary_mentions_key_counters(self):
         stats = RunStats(rollbacks=4, null_messages=2)
@@ -165,11 +159,6 @@ class TestMergeAlgebra:
             assert getattr(merged, name) \
                 == max(getattr(w, name) for w in workers), name
         assert merged.final_time == max(w.final_time for w in workers)
-        totals = {}
-        for worker in workers:
-            for lp, count in worker.events_per_lp.items():
-                totals[lp] = totals.get(lp, 0) + count
-        assert merged.events_per_lp == totals
 
     @given(st.integers(0, 2**32 - 1))
     def test_merge_is_order_independent(self, seed):
@@ -186,8 +175,7 @@ class TestMergeAlgebra:
     def test_merge_identity(self):
         rng = random.Random(7)
         stats = _random_stats(rng)
-        snapshot = dataclasses.replace(
-            stats, events_per_lp=dict(stats.events_per_lp))
+        snapshot = dataclasses.replace(stats)
         stats.merge(RunStats())
         # Merging an empty RunStats changes nothing (ZERO/empty are
         # the identity for every fold).
