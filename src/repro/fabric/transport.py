@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import weakref
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.event import Event
@@ -89,7 +90,8 @@ class PerfectFabric:
 
     # -- lifecycle -----------------------------------------------------
     def bind(self, machine) -> None:
-        self.machine = machine
+        # Weak: the machine holds this fabric (see ParallelMachine).
+        self.machine = weakref.proxy(machine)
         for proc in machine.procs:
             proc.ingress = None
 
@@ -164,7 +166,7 @@ class ReliableFabric:
     # Lifecycle
     # ------------------------------------------------------------------
     def bind(self, machine) -> None:
-        self.machine = machine
+        self.machine = weakref.proxy(machine)
         cost = machine.cost
         plan = self.plan
         # The base timeout must comfortably exceed the worst plausible
@@ -176,16 +178,11 @@ class ReliableFabric:
         self.rto_base = 4.0 * max(worst, cost.remote_latency, 0.25)
         self.rto_max = 16.0 * self.rto_base
         for proc in machine.procs:
-            proc.ingress = self._make_ingress(proc)
+            proc.ingress = self._ingress
 
     def on_run_start(self, machine) -> None:
         if self.recovery and not self._checkpoints:
             self._take_checkpoints()
-
-    def _make_ingress(self, proc):
-        def ingress(item):
-            return self._ingress(proc, item)
-        return ingress
 
     def _sender(self, link: Link) -> OutLink:
         state = self._senders.get(link)
@@ -312,7 +309,7 @@ class ReliableFabric:
     # ------------------------------------------------------------------
     # Receive side
     # ------------------------------------------------------------------
-    def _ingress(self, proc, item) -> Tuple[Event, ...]:
+    def _ingress(self, item) -> Tuple[Event, ...]:
         if isinstance(item, Event):  # pragma: no cover - defensive
             return (item,)
         link, seq, event = item.link, item.seq, item.event

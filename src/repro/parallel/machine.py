@@ -28,6 +28,7 @@ Global services implemented here:
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import ne
@@ -96,9 +97,17 @@ class ParallelMachine:
         #: are propagated to every processor, LP and the fabric.
         self.tracer = tracer
         self.scheduler = scheduler
+        # The hooks reach this machine weakly: a processor that held it
+        # would make a cycle, and a dropped machine, run or not, would
+        # wait for the collector instead of dying by reference count.
+        ref = weakref.ref(self)
+
+        def cancel_note(time: VirtualTime) -> None:
+            ref()._note_cancellation(time)
+
         for proc in self.procs:
-            proc.route = self._make_route(proc)
-            proc.cancel_note = self._note_cancellation
+            proc.route = self._make_route(ref, proc.index)
+            proc.cancel_note = cancel_note
         # Delivery fabric: perfect FIFO links by default; a fault plan
         # switches to the reliable (ack/retransmit/dedup) layer so the
         # protocol still commits sequential-identical results.
@@ -180,17 +189,21 @@ class ParallelMachine:
         self.fabric = fabric
         fabric.bind(self)
 
-    def _make_route(self, sender: Processor) -> Callable[[Event], None]:
+    @staticmethod
+    def _make_route(ref: "weakref.ref[ParallelMachine]",
+                    index: int) -> Callable[[Event], None]:
         def route(event: Event) -> None:
+            machine = ref()
             # Stamp the conservative-promise epoch at send time (every
             # machine's obligation; see repro.parallel.engine).
-            event = stamp_epoch(self._runtimes, event)
-            dst_proc = self.procs[self.placement[event.dst]]
-            if dst_proc is sender:
-                sender.clock += self.cost.local_msg
+            event = stamp_epoch(machine._runtimes, event)
+            sender = machine.procs[index]
+            target = machine.placement[event.dst]
+            if target == index:
+                sender.clock += machine.cost.local_msg
                 sender.local_fifo.append(event)
             else:
-                self.fabric.send(sender, dst_proc, event)
+                machine.fabric.send(sender, machine.procs[target], event)
         return route
 
     # ------------------------------------------------------------------
@@ -538,17 +551,6 @@ class ParallelMachine:
     # Main loop
     # ------------------------------------------------------------------
     def run(self, max_steps: Optional[int] = None) -> ParallelOutcome:
-        try:
-            return self._run(max_steps)
-        finally:
-            # The hooks are closures and bound methods over this
-            # machine: dropping them frees a finished run by reference
-            # count instead of leaving its cycles to the collector.
-            for proc in self.procs:
-                proc.route = proc.cancel_note = proc.ingress = None
-            self.fabric.machine = None
-
-    def _run(self, max_steps: Optional[int]) -> ParallelOutcome:
         steps = 0
         self.fabric.on_run_start(self)
         crashes = list(self._crash_schedule)

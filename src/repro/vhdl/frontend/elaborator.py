@@ -246,49 +246,49 @@ class _Elaborator:
 
 def _is_synchronous(process: ast.ProcessStmt) -> bool:
     """Paper's mixed heuristic: edge-triggered processes -> conservative."""
-    found = []
+    return _edge_in_stmts(process.body)
 
-    def walk_expr(node):
-        if isinstance(node, ast.Call) and node.func in (
-                "rising_edge", "falling_edge"):
-            found.append(True)
-        elif isinstance(node, ast.Indexed):
-            if isinstance(node.base, ast.Name) and node.base.ident in (
-                    "rising_edge", "falling_edge"):
-                found.append(True)
-            walk_expr(node.base)
-            walk_expr(node.index)
-        elif isinstance(node, ast.Attribute):
-            if node.attr == "event":
-                found.append(True)
-            walk_expr(node.base)
-        elif isinstance(node, ast.Unary):
-            walk_expr(node.operand)
-        elif isinstance(node, ast.Binary):
-            walk_expr(node.left)
-            walk_expr(node.right)
-        elif isinstance(node, ast.Call):
-            for arg in node.args:
-                walk_expr(arg)
 
-    def walk_stmts(stmts):
-        for stmt in stmts:
-            if isinstance(stmt, ast.IfStmt):
-                for condition, body in stmt.arms:
-                    walk_expr(condition)
-                    walk_stmts(body)
-                walk_stmts(stmt.orelse)
-            elif isinstance(stmt, ast.CaseStmt):
-                for _choices, body in stmt.arms:
-                    walk_stmts(body)
-            elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt)):
-                walk_stmts(stmt.body)
-            elif isinstance(stmt, ast.WaitStmt):
-                if stmt.until is not None:
-                    walk_expr(stmt.until)
+_EDGES = ("rising_edge", "falling_edge")
 
-    walk_stmts(process.body)
-    return bool(found)
+
+# Module-level, like the walkers of interp.py: a nested recursive
+# function would reach itself through its own closure cell, a cycle.
+def _edge_in_expr(node) -> bool:
+    if isinstance(node, ast.Call) and node.func in _EDGES:
+        return True
+    if isinstance(node, ast.Indexed):
+        return (isinstance(node.base, ast.Name)
+                and node.base.ident in _EDGES) \
+            or _edge_in_expr(node.base) or _edge_in_expr(node.index)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "event" or _edge_in_expr(node.base)
+    if isinstance(node, ast.Unary):
+        return _edge_in_expr(node.operand)
+    if isinstance(node, ast.Binary):
+        return _edge_in_expr(node.left) or _edge_in_expr(node.right)
+    if isinstance(node, ast.Call):
+        return any(map(_edge_in_expr, node.args))
+    return False
+
+
+def _edge_in_stmts(stmts) -> bool:
+    for stmt in stmts:
+        if isinstance(stmt, ast.IfStmt):
+            if any(_edge_in_expr(condition) or _edge_in_stmts(body)
+                   for condition, body in stmt.arms) \
+                    or _edge_in_stmts(stmt.orelse):
+                return True
+        elif isinstance(stmt, ast.CaseStmt):
+            if any(_edge_in_stmts(body) for _choices, body in stmt.arms):
+                return True
+        elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt)):
+            if _edge_in_stmts(stmt.body):
+                return True
+        elif isinstance(stmt, ast.WaitStmt):
+            if stmt.until is not None and _edge_in_expr(stmt.until):
+                return True
+    return False
 
 
 def _assign_to_process(stmt: ast.ConcurrentAssign) -> ast.ProcessStmt:

@@ -637,100 +637,100 @@ def _eval_const(expr: ast.Expr, constants: Dict[str, Any],
 
 def _expr_signal_names(expr: ast.Expr, env: Env) -> List[str]:
     names: List[str] = []
-
-    def walk(node):
-        if isinstance(node, ast.Name):
-            if node.ident in env.signals:
-                names.append(node.ident)
-        elif isinstance(node, ast.Indexed):
-            walk(node.base)
-            walk(node.index)
-        elif isinstance(node, ast.Sliced):
-            walk(node.base)
-        elif isinstance(node, ast.Attribute):
-            walk(node.base)
-        elif isinstance(node, ast.Unary):
-            walk(node.operand)
-        elif isinstance(node, ast.Binary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, ast.Call):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, ast.Aggregate):
-            for item in node.positional:
-                walk(item)
-            if node.others is not None:
-                walk(node.others)
-
-    walk(expr)
+    _walk_expr_names(expr, env, names)
     return names
+
+
+# The walkers are module-level: a nested recursive function reaches
+# itself through its own closure cell, a cycle that would hold the
+# process's ``Env`` until the collector runs.
+def _walk_expr_names(node, env: Env, names: List[str]) -> None:
+    if isinstance(node, ast.Name):
+        if node.ident in env.signals:
+            names.append(node.ident)
+    elif isinstance(node, ast.Indexed):
+        _walk_expr_names(node.base, env, names)
+        _walk_expr_names(node.index, env, names)
+    elif isinstance(node, (ast.Sliced, ast.Attribute)):
+        _walk_expr_names(node.base, env, names)
+    elif isinstance(node, ast.Unary):
+        _walk_expr_names(node.operand, env, names)
+    elif isinstance(node, ast.Binary):
+        _walk_expr_names(node.left, env, names)
+        _walk_expr_names(node.right, env, names)
+    elif isinstance(node, ast.Call):
+        for arg in node.args:
+            _walk_expr_names(arg, env, names)
+    elif isinstance(node, ast.Aggregate):
+        for item in node.positional:
+            _walk_expr_names(item, env, names)
+        if node.others is not None:
+            _walk_expr_names(node.others, env, names)
 
 
 def collect_signal_reads(process: ast.ProcessStmt, env: Env) -> List[str]:
     names = set(process.sensitivity)
-
-    def walk_stmts(stmts):
-        for stmt in stmts:
-            if isinstance(stmt, ast.SignalAssign):
-                for value, delay in stmt.waveform:
-                    names.update(_expr_signal_names(value, env))
-                    if delay is not None:
-                        names.update(_expr_signal_names(delay, env))
-                # An element-assignment target is also read (rmw).
-                if not isinstance(stmt.target, ast.Name):
-                    names.update(_expr_signal_names(stmt.target, env))
-            elif isinstance(stmt, ast.VarAssign):
-                names.update(_expr_signal_names(stmt.value, env))
-                if not isinstance(stmt.target, ast.Name):
-                    names.update(_expr_signal_names(stmt.target, env))
-            elif isinstance(stmt, ast.IfStmt):
-                for condition, body in stmt.arms:
-                    names.update(_expr_signal_names(condition, env))
-                    walk_stmts(body)
-                walk_stmts(stmt.orelse)
-            elif isinstance(stmt, ast.CaseStmt):
-                names.update(_expr_signal_names(stmt.selector, env))
-                for choices, body in stmt.arms:
-                    walk_stmts(body)
-            elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt)):
-                if isinstance(stmt, ast.WhileStmt):
-                    names.update(
-                        _expr_signal_names(stmt.condition, env))
-                walk_stmts(stmt.body)
-            elif isinstance(stmt, ast.WaitStmt):
-                names.update(stmt.on)
-                if stmt.until is not None:
-                    names.update(_expr_signal_names(stmt.until, env))
-            elif isinstance(stmt, (ast.ReportStmt,)):
-                names.update(_expr_signal_names(stmt.message, env))
-            elif isinstance(stmt, ast.AssertStmt):
-                names.update(_expr_signal_names(stmt.condition, env))
-
-    walk_stmts(process.body)
+    _walk_reads(process.body, env, names)
     return sorted(n for n in names if n in env.signals)
+
+
+def _walk_reads(stmts, env: Env, names: set) -> None:
+    for stmt in stmts:
+        if isinstance(stmt, ast.SignalAssign):
+            for value, delay in stmt.waveform:
+                names.update(_expr_signal_names(value, env))
+                if delay is not None:
+                    names.update(_expr_signal_names(delay, env))
+            # An element-assignment target is also read (rmw).
+            if not isinstance(stmt.target, ast.Name):
+                names.update(_expr_signal_names(stmt.target, env))
+        elif isinstance(stmt, ast.VarAssign):
+            names.update(_expr_signal_names(stmt.value, env))
+            if not isinstance(stmt.target, ast.Name):
+                names.update(_expr_signal_names(stmt.target, env))
+        elif isinstance(stmt, ast.IfStmt):
+            for condition, body in stmt.arms:
+                names.update(_expr_signal_names(condition, env))
+                _walk_reads(body, env, names)
+            _walk_reads(stmt.orelse, env, names)
+        elif isinstance(stmt, ast.CaseStmt):
+            names.update(_expr_signal_names(stmt.selector, env))
+            for choices, body in stmt.arms:
+                _walk_reads(body, env, names)
+        elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt)):
+            if isinstance(stmt, ast.WhileStmt):
+                names.update(_expr_signal_names(stmt.condition, env))
+            _walk_reads(stmt.body, env, names)
+        elif isinstance(stmt, ast.WaitStmt):
+            names.update(stmt.on)
+            if stmt.until is not None:
+                names.update(_expr_signal_names(stmt.until, env))
+        elif isinstance(stmt, (ast.ReportStmt,)):
+            names.update(_expr_signal_names(stmt.message, env))
+        elif isinstance(stmt, ast.AssertStmt):
+            names.update(_expr_signal_names(stmt.condition, env))
 
 
 def collect_signal_drives(stmts, env: Env) -> List[str]:
     names = set()
-
-    def walk_stmts(body):
-        for stmt in body:
-            if isinstance(stmt, ast.SignalAssign):
-                name, _i, _s = _target_parts(stmt.target)
-                names.add(name)
-            elif isinstance(stmt, ast.IfStmt):
-                for _c, arm_body in stmt.arms:
-                    walk_stmts(arm_body)
-                walk_stmts(stmt.orelse)
-            elif isinstance(stmt, ast.CaseStmt):
-                for _choices, arm_body in stmt.arms:
-                    walk_stmts(arm_body)
-            elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt)):
-                walk_stmts(stmt.body)
-
-    walk_stmts(stmts)
+    _walk_drives(stmts, names)
     return sorted(n for n in names if n in env.signals)
+
+
+def _walk_drives(body, names: set) -> None:
+    for stmt in body:
+        if isinstance(stmt, ast.SignalAssign):
+            name, _i, _s = _target_parts(stmt.target)
+            names.add(name)
+        elif isinstance(stmt, ast.IfStmt):
+            for _c, arm_body in stmt.arms:
+                _walk_drives(arm_body, names)
+            _walk_drives(stmt.orelse, names)
+        elif isinstance(stmt, ast.CaseStmt):
+            for _choices, arm_body in stmt.arms:
+                _walk_drives(arm_body, names)
+        elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt)):
+            _walk_drives(stmt.body, names)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,31 @@
-"""A dropped run leaves nothing for the cycle collector.
+"""A dropped machine or run leaves nothing for the cycle collector.
 
 An elaborated design holds no reference cycle: a process body is handed
-its own ``ProcessLP``, and the hooks a machine installs on its
-processors (``route``, ``cancel_note``, ``ingress``, the fabric's
-``machine``) are cleared when the run ends.  So dropping the result and
-the design frees every LP by reference count, with the collector off —
-for an elaboration alone, the sequential engine, the modelled machine
-under every protocol and with a crash plan, and the threads ring.
+its own ``ProcessLP``, and the front end's recursive walkers are
+module-level functions, not closures that reach themselves.  The hooks a
+modelled machine installs on its processors (``route``, ``cancel_note``,
+``ingress``, the fabric's ``machine``) reach it weakly.  So dropping the
+result and the design frees every LP by reference count, with the
+collector off, and leaves ``gc.collect()`` nothing to find — for an
+elaboration alone, the sequential engine, the modelled machine under
+every protocol and with a crash plan, and the threads ring; and for a
+modelled machine that is constructed and dropped without ``run()``,
+under every protocol, with a fault plan and after ``install_jitter``.
 """
 
 import gc
+import random
 import weakref
+from functools import partial
 
 import pytest
 
 from repro.circuits import (build_dct, build_fsm, build_fsm_from_vhdl,
                             build_iir, build_iir_from_vhdl)
+from repro.fabric import install_jitter
 from repro.fabric.plan import FaultPlan
 from repro.parallel.engine import PROTOCOLS
+from repro.parallel.machine import ParallelMachine
 from repro.vhdl import EXEC_MODES, lower_design, simulate, \
     simulate_parallel
 
@@ -35,6 +43,16 @@ def _elaborate(design, exec_mode):
         lower_design(design)
 
 
+def _constructed(design, exec_mode, processors=4, jitter=False, **kwargs):
+    """A machine constructed and never run; it holds the model, so the
+    model's weakref dies only with the machine."""
+    _elaborate(design, exec_mode)
+    machine = ParallelMachine(design.elaborate(), processors, **kwargs)
+    if jitter:
+        install_jitter(machine, random.Random(1))
+    return machine
+
+
 RUNS = {
     "elaborate": _elaborate,
     "simulate": lambda design, exec_mode: simulate(
@@ -49,6 +67,12 @@ RUNS = {
     "threads-p2": lambda design, exec_mode: simulate_parallel(
         design, 2, protocol="optimistic", backend="threads",
         exec_mode=exec_mode),
+    **{f"never-run-{protocol}": partial(_constructed, protocol=protocol)
+       for protocol in PROTOCOLS},
+    "never-run-faults": partial(
+        _constructed, processors=3, protocol="mixed",
+        fault_plan=FaultPlan(seed=3, drop=0.1), recovery=True),
+    "never-run-jitter": partial(_constructed, jitter=True),
 }
 
 
@@ -83,3 +107,4 @@ def test_dropped_run_is_freed_by_reference_count(name, exec_mode, case,
     del design, result
     assert model() is None
     assert process() is None
+    assert gc.collect() == 0
