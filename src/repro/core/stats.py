@@ -104,6 +104,9 @@ class RunStats:
     #: which it widened it.
     window_shrinks: int = 0
     window_grows: int = 0
+    #: Release floors a ring worker's sweep raised (docs/protocol.md
+    #: §2); the modelled machine's sweep counts none.
+    floors_raised: int = 0
 
     # -- network counters (repro.parallel.dist) ------------------------
     #: Bytes written to TCP sockets (frames, coordinator + workers).
@@ -178,7 +181,8 @@ class RunStats:
                 f"(avg {per:.1f}/envelope) waves={self.token_waves} "
                 f"commits={self.gvt_rounds} "
                 f"window_stalls={self.window_stalls} "
-                f"(-{self.window_shrinks}/+{self.window_grows})")
+                f"(-{self.window_shrinks}/+{self.window_grows}) "
+                f"floors_raised={self.floors_raised}")
 
     def liveness_summary(self) -> str:
         """One-line digest of the liveness/spread instrumentation."""

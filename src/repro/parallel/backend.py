@@ -52,6 +52,7 @@ from ..resilience import (DEFAULT_WALL_S, WallClockWatchdog, build_report,
                           resolve_watchdog)
 from .engine import (Engine, LPRuntime, Processor, ProtocolError,
                      build_engine, proc_has_work, stamp_epoch)
+from .floors import ReleaseFloors
 from .partition import Partition
 
 #: Event executions per act quantum, between flushes.
@@ -104,6 +105,9 @@ class RingSpec:
             raise ValueError("timeout_s must be positive")
         if self.crashes and not self.recovers:
             raise ValueError("a crash schedule requires recovery=True")
+        for _at, victim in self.crashes:
+            if not 0 <= victim < self.processors:
+                raise ValueError(f"no processor {victim}")
 
     @property
     def crashes(self) -> List[Tuple[int, int]]:
@@ -193,8 +197,10 @@ def harvest(machine, results: Dict[int, tuple], error: Optional[tuple],
 
 def fresh_token(wave: int, commit: Optional[VirtualTime],
                 floor: VirtualTime = INFINITY,
-                settled: bool = False, stalled: bool = False) -> dict:
-    """A blank Mattern token for the next wave (see :class:`WorkerCore`)."""
+                settled: bool = False, stalled: bool = False,
+                notes: Optional[dict] = None) -> dict:
+    """A blank Mattern token for the next wave (see :class:`WorkerCore`);
+    ``notes`` are the release-floor notes the completed wave carried."""
     return {"wave": wave, "low": INFINITY, "sent": {}, "recv": {},
             "busy": False, "commit": commit,
             # Stall breaker: "moved" collects whether any worker made
@@ -212,7 +218,12 @@ def fresh_token(wave: int, commit: Optional[VirtualTime],
             # earlier; "vt_min"/"vt_max" accumulate the per-LP clock
             # surface for the Korniss roughness signal.
             "anti_low": INFINITY, "floor": floor, "settled": settled,
-            "vt_min": None, "vt_max": None}
+            "vt_min": None, "vt_max": None,
+            # Release floors (docs/protocol.md §2): worker -> its note
+            # (B of its cut-edge sources, what it owes each remote LP,
+            # its send counts when it took the note).  A worker
+            # overwrites its own entry at each visit.
+            "notes": {} if notes is None else notes}
 
 
 def fold_images(chain: List[dict]) -> dict:
@@ -338,6 +349,7 @@ class WorkerCore:
         self._max_stale_resent = -1
         self.endpoint: Optional[BatchedEndpoint] = (
             BatchedEndpoint(self.plan, index) if self.use_fabric else None)
+        self._setup_floors()
         if index == 0:
             # Initiator state: a sentinel "completed wave -1" primes the
             # ring (busy, nothing sent, nothing committable).
@@ -470,9 +482,16 @@ class WorkerCore:
             for _ in range(QUANTUM):
                 if self._stop_info is not None:
                     return
-                if not proc.act():
-                    break
-                progressed = True
+                if proc.act():
+                    progressed = self._unswept = True
+                    continue
+                # A quantum that ends on a blocked poll sweeps, if
+                # anything moved since the last sweep: a floor that
+                # rose re-arms what it releases.
+                if self._unswept and self._readers_here and proc.blocked \
+                        and self._sweep_floors()[0]:
+                    continue
+                break
             if progressed:
                 self._progressed = True
             self._flush()
@@ -569,6 +588,7 @@ class WorkerCore:
             # transport-level loss cannot freeze the channel's deficit.
             if count > self._recv_from.get(src, 0):
                 self._recv_from[src] = count
+            self._unswept = True
             return self._dispatch_inner(inner)
         if kind == "token":
             token = envelope[1]
@@ -679,6 +699,7 @@ class WorkerCore:
         merge counts, run the retransmit pump."""
         wave = token["wave"]
         commit = token.get("commit")
+        applied = False
         if commit is not None:
             # The commit proves wave-1 was two-cut valid: everything
             # sent before cut wave-2 was received.  Bucket b holds antis
@@ -686,7 +707,7 @@ class WorkerCore:
             # may only leave at the end of visit b, i.e. before cut b+1
             # — so bucket b is provably delivered once b+1 <= wave-2.
             self._prune_anti_buckets(wave - 3)
-            self._apply_commit(commit)
+            applied = self._apply_commit(commit)
         if token.get("settled"):
             # The previous wave's channel counts matched exactly:
             # everything sent before cut wave-1 was received, which
@@ -739,20 +760,27 @@ class WorkerCore:
         # Commit application may have produced antimessages (withheld flush)
         # or released blocked LPs whose sends are already queued.
         self._flush()
+        if self._floors is not None:
+            # Under recovery only a visit that applied a commit takes
+            # a fresh note: the durable image taken right after the
+            # forward holds exactly the state it describes.
+            self._carry_floors(token, applied or not self.recovery)
 
     def _forward(self, token: dict) -> None:
         self._last_token_out = token
         self._send_envelope((self._index + 1) % self.spec.processors,
                             ("token", token))
 
-    def _apply_commit(self, gvt: VirtualTime) -> None:
+    def _apply_commit(self, gvt: VirtualTime) -> bool:
+        """Apply a GVT commit; False if it is not above the last one."""
         if gvt <= self._gvt:
-            return
+            return False
         self._gvt = gvt
         self._proc.commit_gvt(gvt)
         self._move_window(gvt)
         if self.recovery:
             self._ckpt_owed = True
+        return True
 
     # ------------------------------------------------------------------
     # Bounded optimism (docs/protocol.md): the GVT + delta window
@@ -908,7 +936,8 @@ class WorkerCore:
                 if width > self._net.vt_spread_width_max:
                     self._net.vt_spread_width_max = width
         fresh = fresh_token(wave + 1, commit, floor=floor,
-                            settled=settled, stalled=stalled)
+                            settled=settled, stalled=stalled,
+                            notes=dict(token["notes"]))
         self._visit(fresh)
         if self._stop_info is not None:  # pragma: no cover - defensive
             return
@@ -929,6 +958,180 @@ class WorkerCore:
         for peer in range(1, self.spec.processors):
             self._send_envelope(peer, ("stop",) + info)
         self._stop_info = info
+
+    # ------------------------------------------------------------------
+    # Release floors on the ring (docs/protocol.md §2)
+    # ------------------------------------------------------------------
+    def _setup_floors(self) -> None:
+        """This worker's release-floor sweep, when the run has a
+        blockable runtime anywhere (a worker without one of its own
+        still carries ``B`` for its peers)."""
+        self._floors: Optional[ReleaseFloors] = None
+        self._readers_here = False
+        self._unswept = False
+        runtimes = self._runtimes
+        if not any(runtime.blockable for runtime in runtimes.values()):
+            return
+        index, placement, model = self._index, self._placement, self.model
+        local = [placement[lp_id] == index for lp_id in runtimes]
+        readers = [(runtime, self._proc)
+                   if local[lp_id] and runtime.blockable else None
+                   for lp_id, runtime in runtimes.items()]
+        self._floors = ReleaseFloors.worker(model, readers, local)
+        self._readers_here = any(readers)
+        self._local = local
+        #: Remote predecessors of this worker's LPs, by owner, and this
+        #: worker's LPs with a remote successor (what its note carries).
+        self._sources_of: Dict[int, List[int]] = {}
+        for k in sorted({k for lp_id in runtimes if local[lp_id]
+                         for k in model.predecessors(lp_id)
+                         if not local[k]}):
+            self._sources_of.setdefault(placement[k], []).append(k)
+        self._own_sources = [
+            lp_id for lp_id in runtimes if local[lp_id]
+            and any(not local[w] for w in model.successors(lp_id))]
+        #: Peer notes waiting for their send counts to be received, the
+        #: last usable one per peer, and per peer the least noted count
+        #: a note must show (raised by recovery notices).
+        self._notes: Dict[int, tuple] = {}
+        self._usable: Dict[int, tuple] = {}
+        self._fence: Dict[int, float] = {}
+        #: Crash notices of this worker a peer has yet to answer.
+        self._unanswered: Dict[int, int] = {}
+        #: The note this worker carries (``None``: none yet).
+        self._note: Optional[tuple] = None
+
+    def _floor_inputs(self) -> Tuple[list, list, Dict[int, VirtualTime]]:
+        """``(potentials, arrivals, owed)``: the sweep's two inputs,
+        indexed by lp id, and the earliest event this worker owes each
+        remote LP.
+
+        Own LPs get what this worker holds — queue heads, and as
+        arrivals parked negatives, local messages, reorder-parked input
+        and what peers' usable notes owe them.  A remote source gets
+        the ``B`` its owner's usable note carries, never below the
+        committed GVT; GVT alone without one."""
+        local = self._local
+        potential = [INFINITY] * len(local)
+        arriving = list(potential)
+        owed: Dict[int, VirtualTime] = {}
+
+        def arrive(lp_id: int, time: VirtualTime) -> None:
+            if not local[lp_id]:
+                if time < owed.get(lp_id, INFINITY):
+                    owed[lp_id] = time
+            elif time < arriving[lp_id]:
+                arriving[lp_id] = time
+                if time < potential[lp_id]:
+                    potential[lp_id] = time
+
+        proc = self._proc
+        runtimes = proc.runtimes
+        for lp_id in proc.live:
+            runtime = runtimes[lp_id]
+            if runtime.cancelled:
+                runtime.head()  # drops annihilated entries
+            if runtime.queue:
+                time = runtime.queue[0][0][0]
+                if time < potential[lp_id]:
+                    potential[lp_id] = time
+            for negative in runtime.negatives.values():
+                arrive(lp_id, negative.time)
+            for pending in runtime.withheld:
+                arrive(pending.dst, pending.time)
+        for event in proc.local_fifo:
+            arrive(event.dst, event.time)
+        for events in self._outbox.values():
+            for event in events:
+                arrive(event.dst, event.time)
+        if self.endpoint is not None:
+            for event in self.endpoint.pending_events():
+                arrive(event.dst, event.time)
+        index, received = self._index, self._recv_from
+        for peer, note in list(self._notes.items()):
+            if received.get(peer, 0) >= note[2].get(index, 0):
+                self._usable[peer] = note
+                del self._notes[peer]
+        gvt = self._gvt
+        for peer, sources in self._sources_of.items():
+            note = self._usable.get(peer)
+            if note is None:
+                for k in sources:
+                    potential[k] = gvt
+                continue
+            carried, caps = note[0], note[1]
+            for k in sources:
+                bound = carried.get(k, INFINITY)
+                potential[k] = bound if bound > gvt else gvt
+            for lp_id, time in caps.items():
+                if local[lp_id]:
+                    arrive(lp_id, time)
+        return potential, arriving, owed
+
+    def _sweep_floors(self) -> Tuple[bool, Dict[int, VirtualTime]]:
+        """Sweep; re-arm the blocked runtimes whose floor rose.  Returns
+        whether there was one, and what this worker owes remote LPs."""
+        self._unswept = False
+        potential, arriving, owed = self._floor_inputs()
+        raised = self._floors.sweep(potential, arriving)
+        if not raised:
+            return False, owed
+        self._net.floors_raised += len(raised)
+        return self._proc.rearm(raised), owed
+
+    def _carry_floors(self, token: dict, refresh: bool) -> None:
+        """The visit's part: take the peers' notes off the token, sweep,
+        and leave this worker's note on it — a fresh one if
+        ``refresh``, else the last one again."""
+        notes = token["notes"]
+        index, fence = self._index, self._fence
+        for peer, note in notes.items():
+            if peer != index and note is not self._usable.get(peer) \
+                    and note[2].get(index, 0) >= fence.get(peer, 0):
+                self._notes[peer] = note
+        _rearmed, owed = self._sweep_floors()
+        if refresh:
+            bound = self._floors.bound
+            self._note = ({lp_id: bound[lp_id] for lp_id in self._own_sources
+                           if bound[lp_id] < INFINITY},
+                          owed, dict(self._sent_to))
+        if self._note is None:
+            notes.pop(index, None)
+        else:
+            notes[index] = self._note
+
+    def _fence_notes(self, peer: int, answer: bool) -> None:
+        """A recovery notice from ``peer`` came in.  A crash notice drops
+        its notes, and fences out any note it took before the notice —
+        a token may still carry one.  An answer to this worker's own
+        crash notice lifts the fence :meth:`_forget_floors` put up, once
+        every notice ``peer`` owes an answer to is answered."""
+        if answer:
+            left = self._unanswered.get(peer, 0) - 1
+            if left > 0:
+                self._unanswered[peer] = left
+                return
+            self._unanswered.pop(peer, None)
+        else:
+            self._notes.pop(peer, None)
+            self._usable.pop(peer, None)
+        self._fence[peer] = self._recv_from.get(peer, 0)
+
+    def _forget_floors(self) -> None:
+        """A restored incarnation starts with every floor at
+        ``MINUS_INFINITY``, no note of its own, and trusts no peer's
+        note until that peer has answered its crash notice."""
+        proc = self._proc
+        for runtime in proc.runtimes.values():
+            runtime.release_floor = MINUS_INFINITY
+        self._floors.drop()
+        self._note = None
+        self._notes.clear()
+        self._usable.clear()
+        for peer in range(self.spec.processors):
+            if peer != self._index:
+                self._fence[peer] = float("inf")
+                self._unanswered[peer] = self._unanswered.get(peer, 0) + 1
 
     # ------------------------------------------------------------------
     # Crash-recovery
@@ -1015,6 +1218,13 @@ class WorkerCore:
             self._completed_token = dict(
                 fresh_token(self._last_completed_wave, None), busy=True)
 
+    def _restart_from_image(self) -> None:
+        """What a restored incarnation restarts from its image: the
+        execution window, and its release floors."""
+        self._open_window()
+        if self._floors is not None:
+            self._forget_floors()
+
     def _crash(self) -> None:
         """Lose all volatile state, recover from the durable checkpoint,
         reconcile with the world.  Needs no global barrier: the fabric
@@ -1043,7 +1253,7 @@ class WorkerCore:
         recover_processor(proc, self._ckpt, self._gvt, [
             (endpoint.sender_window(dst, sender_marks.get(dst, 0)),
              partial(endpoint.mark_spent_anti, dst))
-            for dst in live_sender], restored=self._open_window)
+            for dst in live_sender], restored=self._restart_from_image)
         endpoint.rewind_receiver(recv_floors)
         endpoint.stats.recoveries += 1
         # Tell every peer: bump your replica epochs (stale conservative
@@ -1178,6 +1388,8 @@ class WorkerCore:
             runtime = self._runtimes.get(lp_id)
             if runtime is not None and runtime.cons_epoch < epoch:
                 runtime.cons_epoch = epoch
+        if self._floors is not None:
+            self._fence_notes(victim, answer=not epochs)
         items = self.endpoint.replay_for(victim, floor)
         if items:
             self._post_batch(victim, items)

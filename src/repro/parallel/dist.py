@@ -93,6 +93,9 @@ from .engine import ProtocolError, resolve_model
 #: Default TCP port for `repro serve`.
 DEFAULT_PORT = 7421
 
+#: How long a worker yields after forwarding the token (seconds).
+TOKEN_HANDOFF_S = 0.0003
+
 #: Stdout announcement a daemon prints once it is listening (the
 #: coordinator parses this to learn an auto-spawned worker's port).
 PORT_BANNER = "REPRO-DIST-WORKER PORT="
@@ -128,6 +131,14 @@ class _DistWorkerCore(WorkerCore):
     # -- transport hooks ------------------------------------------------
     def _send_envelope(self, target: int, envelope: tuple) -> None:
         self._session.send(("relay", target, envelope))
+
+    def _forward(self, token: dict) -> None:
+        super()._forward(token)
+        # The session's loop thread writes the frame, and it needs the
+        # interpreter lock this thread would hold through the image and
+        # the next quantum (up to a 5 ms switch interval): yield it
+        # once, so the peer is not kept waiting for the token.
+        time.sleep(TOKEN_HANDOFF_S)
 
     def _recv_envelope(self, block_s: float):
         try:

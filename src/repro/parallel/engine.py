@@ -159,8 +159,10 @@ class LPRuntime:
         self.blocked_streak = 0
         self.since_switch = 0
         self.last_null_promise: Dict[int, VirtualTime] = {}
-        #: Distance-based lower bound on future arrivals, refreshed by the
-        #: modelled machine's global rounds (its release-floor sweep).
+        #: Distance-based lower bound on future arrivals, raised by the
+        #: release-floor sweep (``parallel.floors``): the modelled
+        #: machine's at each global round, a ring worker's at its token
+        #: visits and blocked quantum ends.
         self.release_floor: VirtualTime = MINUS_INFINITY
         #: Executions since the last state snapshot (interval
         #: checkpointing; see Processor.checkpoint_interval).
@@ -526,6 +528,17 @@ class Processor:
         for lp_id in list(self.blocked):
             self._arm(self.runtimes[lp_id])
 
+    def rearm(self, lp_ids) -> bool:
+        """Re-arm those of ``lp_ids`` that are blocked (their release
+        floor rose); True if there was one."""
+        blocked = self.blocked
+        any_armed = False
+        for lp_id in lp_ids:
+            if lp_id in blocked:
+                self._arm(self.runtimes[lp_id])
+                any_armed = True
+        return any_armed
+
     def has_work_at(self) -> float:
         """Earliest model time at which this processor can act.
 
@@ -875,7 +888,7 @@ class Processor:
 
         The channel part is the min over input channels of the channel's
         promise (GVT for optimistic/stale senders).  The distance-based
-        ``release_floor`` computed by the machine's global rounds is an
+        ``release_floor`` raised by the release-floor sweep is an
         independent valid bound; the tighter (larger) one wins.
         """
         bound = INFINITY

@@ -27,12 +27,9 @@ Global services implemented here:
 
 from __future__ import annotations
 
-import heapq
 import weakref
 from dataclasses import dataclass
-from itertools import chain, compress
-from operator import ne
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.event import Event
 from ..core.model import Model
@@ -46,6 +43,7 @@ from .cost import SHARED_MEMORY, CostModel
 from .engine import (PROTOCOLS, AdaptPolicy, LPRuntime, Processor,
                      ProtocolError, build_engine, proc_has_work,
                      stamp_epoch)
+from .floors import ReleaseFloors
 from .partition import Partition, cut_channels
 
 
@@ -155,27 +153,18 @@ class ParallelMachine:
         self._liveness = RunStats()
         if tracer is not None:
             self.fabric.tracer = tracer
-        # Release-floor sweep tables, fixed for the run and indexed by lp
-        # id: who can ever read a floor (the safety test of a blockable
-        # runtime is the only reader) and its processor, each LP's
-        # predecessors, successors and reaction lookahead.  Without a
-        # reader there is no sweep.
-        model = self.model
-        self._readers: List[Optional[Tuple[LPRuntime, Processor]]] = [
+        # The release-floor sweep (``parallel.floors``) over the whole
+        # graph.  Only the safety test of a blockable runtime reads a
+        # floor; without such a reader there is no sweep.
+        readers: List[Optional[Tuple[LPRuntime, Processor]]] = [
             (runtime, self.procs[self.placement[lp_id]])
             if runtime.blockable else None
             for lp_id, runtime in self._runtimes.items()]
-        if not any(self._readers):
-            self._readers = []
-        lps = model.lps if self._readers else []
-        self._preds = [tuple(model.predecessors(lp.lp_id)) for lp in lps]
-        self._succ = [tuple(model.successors(lp.lp_id)) for lp in lps]
-        self._react = [lp.react_lookahead_phases for lp in lps]
-        #: The last walk of ``compute_gvt`` (potentials, arrivals), and
-        #: what the sweep carries between rounds (potentials, arrivals,
-        #: ``B``, ``A``, parents) — ``None`` means a full round.
+        self._floors = (ReleaseFloors.whole(self.model, readers)
+                        if any(readers) else None)
+        #: The last walk of ``compute_gvt`` (potentials, arrivals), for
+        #: the sweep of the same round.
         self._noted: Optional[Tuple[list, list]] = None
-        self._carried: Optional[Tuple[list, ...]] = None
         self.fabric.bind(self)
 
     def install_fabric(self, fabric) -> None:
@@ -395,124 +384,45 @@ class ParallelMachine:
         error.partial_stats = self._partial_stats()
         raise error
 
+    # The sweep's readers and carried state, as the machine held them
+    # before the sweep moved: tests/test_release_floors.py checks every
+    # round through these two views.
+    @property
+    def _readers(self) -> list:
+        """The runtimes the sweep writes floors into (empty: no sweep)."""
+        return [] if self._floors is None else self._floors.readers
+
+    @property
+    def _carried(self) -> Optional[Tuple[list, ...]]:
+        """What the sweep carries between rounds (``None``: full)."""
+        return None if self._floors is None else self._floors.carried
+
     def _refresh_release_floors(self) -> None:
         """Distance-based release bounds (bounded-lag refinement).
 
         GVT alone releases only events *at* the global minimum, which for
         the VHDL kernel means one delta phase per global round — exactly
         the serialization the paper's conservative configuration avoids.
-        Because every kernel LP reacts to an arrival at least one phase
-        later (``react_lookahead_phases``), the earliest time anything
-        can still *arrive* at LP ``i`` is
-
-            A_i = min over predecessors j of B_j
-            B_j = min(m_j, min over predecessors k of B_k + react_la(j))
-
-        where ``m_j`` is the potential ``compute_gvt`` noted for ``j``
-        (the minimum timestamp queued at / in flight to it).  This is a
-        multi-source shortest-path problem solved by Dijkstra; the
-        bounds remain valid until refreshed (consuming events only
-        raises them).  For LP classes with zero declared lookahead the
-        sweep degenerates to reachability, which is still sound and
-        still better than plain GVT.  Undelivered messages are *future
-        arrivals* at their target and cap its floor directly — the
-        predecessor's output bound cannot stand in for a message already
-        under way.
-
-        Only blockable runtimes ever read a floor (``_safe`` returns
-        before the bound for the rest), so only they are written —
-        under the ``optimistic`` protocol there is nothing to do.
-
-        ``B``, ``A`` and the predecessor each ``A`` came from are carried
-        to the next round, which redoes only what the potentials moved:
-        a risen potential takes the ``B`` it was with it, a lost ``B``
-        the ``A`` that came from it, and a lost ``A`` the ``B`` it gave;
-        lost ``A`` are reseeded from the predecessors, lost ``B`` and
-        those of moved potentials recomputed, Dijkstra runs from the
-        ones that changed, and only readers whose ``A`` or arrivals moved
-        are evaluated again — the same values as a full sweep.  A
-        restore drops the carried state (:meth:`drop_floors`).
+        The sweep (:class:`~.floors.ReleaseFloors`) takes the
+        potentials and arrivals ``compute_gvt`` noted this round — a
+        fresh walk if none was — and writes the floors of blockable
+        runtimes; under the ``optimistic`` protocol there is nothing to
+        do.  A restore drops the carried state (:meth:`drop_floors`).
         """
-        if not self._readers:
+        if self._floors is None:
             return
         noted, self._noted = self._noted, None
         if noted is None:
             self.compute_gvt()
             noted, self._noted = self._noted, None
-        potential, arriving = noted
-        n = len(potential)
-        full = self._carried is None
-        if full:
-            self._carried = ([INFINITY] * n, [INFINITY] * n,
-                             [INFINITY] * n, [INFINITY] * n, [-1] * n)
-        was, was_arriving, bound, arrival, parent = self._carried
-        succ, preds, react = self._succ, self._preds, self._react
-        moved = list(compress(range(n), map(ne, potential, was)))
-        # B and A lost with a risen potential (``cut``: every A that
-        # moved, for the readers).
-        lost = [v for v in moved if bound[v] == was[v] < potential[v]]
-        cut = []
-        for v in lost:  # grows while it is walked
-            bound[v] = INFINITY
-            for w in succ[v]:
-                if parent[w] == v:
-                    parent[w] = -1
-                    arrival[w] = INFINITY
-                    cut.append(w)
-                    if bound[w] is not INFINITY and bound[w] != was[w]:
-                        lost.append(w)  # its B came from that A
-        for w in cut:
-            for k in preds[w]:
-                if bound[k] < arrival[w]:
-                    arrival[w], parent[w] = bound[k], k
-        heap = []
-        for v in chain(lost, moved):
-            best, low, la = potential[v], arrival[v], react[v]
-            if low is not INFINITY:
-                low = (low[0], low[1] + la) if la else low
-                if low < best:
-                    best = low
-            if best != bound[v]:
-                bound[v] = best
-                heap.append((best, v))
-        heapq.heapify(heap)
-        heappop, heappush = heapq.heappop, heapq.heappush
-        while heap:
-            time, v = heappop(heap)
-            if time is not bound[v]:
-                continue  # superseded by a lower one
-            for w in succ[v]:
-                if time < arrival[w]:
-                    arrival[w], parent[w] = time, v
-                    cut.append(w)
-                    la = react[w]
-                    candidate = (time[0], time[1] + la) if la else time
-                    if candidate < bound[w]:
-                        bound[w] = candidate
-                        heappush(heap, (candidate, w))
-        readers = self._readers
-        evaluate: Iterable[int] = range(n) if full else chain(
-            cut, compress(range(n), map(ne, arriving, was_arriving)))
-        for lp_id in evaluate:
-            reader = readers[lp_id]
-            if reader is None:
-                continue
-            runtime, proc = reader
-            floor = arrival[lp_id]
-            if arriving[lp_id] < floor:
-                floor = arriving[lp_id]
-            if floor > runtime.release_floor:
-                runtime.release_floor = tuple.__new__(VirtualTime, floor)
-                # An idle runtime's floor rises too: a write no door
-                # of the engine sees (durable-checkpoint bookkeeping).
-                proc.touched.add(lp_id)
-        self._carried = (potential, arriving, bound, arrival, parent)
+        self._floors.sweep(*noted)
 
     def drop_floors(self) -> None:
         """Forget what the release-floor sweep carries: the next round is
         a full one.  For every restore of a processor image, whose
         floors may lie below what the sweep last wrote."""
-        self._carried = None
+        if self._floors is not None:
+            self._floors.drop()
 
     def _pending_work(self) -> bool:
         """Any unprocessed event within the simulation horizon?"""

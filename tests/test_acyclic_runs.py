@@ -15,6 +15,7 @@ under every protocol, with a fault plan and after ``install_jitter``.
 
 import gc
 import random
+import sys
 import weakref
 from functools import partial
 
@@ -87,6 +88,12 @@ def warm_up():
 
 @pytest.fixture
 def collector_off():
+    # pytest keeps a failed case's exception in ``sys.last_*`` until
+    # the next case's call phase, after this fixture has run: dropped
+    # here, its traceback's cycles are not counted against this case.
+    for name in ("last_type", "last_value", "last_traceback", "last_exc"):
+        if hasattr(sys, name):
+            delattr(sys, name)
     gc.collect()
     gc.disable()
     try:

@@ -258,7 +258,7 @@ def run_on_hub(cells, cycles, protocol):
 
 @pytest.mark.parametrize("protocol", ["conservative", "optimistic"])
 def test_fold_of_every_chain_prefix_is_the_whole_image(protocol):
-    hub = run_on_hub(4, 24 if protocol == "conservative" else 8, protocol)
+    hub = run_on_hub(4, 40 if protocol == "conservative" else 8, protocol)
     for session in hub.values():
         chain_bytes, keyframe, keyframes, deltas = [], 0, 0, 0
         for n, base, blob, whole in session.uploads:

@@ -43,13 +43,26 @@ def model():
 @pytest.mark.parametrize("bad", [
     dict(protocol="dynamic"),
     dict(fault_plan=FaultPlan(seed=1).with_crashes((1, 0)), recovery=False),
-], ids=["dynamic", "crash-without-recovery"])
+    dict(fault_plan=FaultPlan(seed=1).with_crashes((2, 5))),
+    dict(fault_plan=FaultPlan(seed=1).with_crashes((2, -1))),
+], ids=["dynamic", "crash-without-recovery", "crash-victim-too-high",
+        "crash-victim-negative"])
 def test_every_backend_rejects_it_in_the_spec_s_words(model, machine, bad):
     with pytest.raises(ValueError) as at_the_site:
         RingSpec(2, **bad)
     with pytest.raises(ValueError) as from_machine:
         machine(model, 2, **bad)
     assert str(from_machine.value) == str(at_the_site.value)
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_an_absent_crash_victim_is_refused_in_the_model_s_words(model,
+                                                                machine):
+    """The modelled machine's ``kill`` says ``no processor N``; a ring
+    says it too, before any worker starts."""
+    plan = FaultPlan(seed=1).with_crashes((2, 5))
+    with pytest.raises(ValueError, match=r"^no processor 5$"):
+        machine(model, 2, fault_plan=plan)
 
 
 @pytest.mark.parametrize("machine", MACHINES)
