@@ -57,6 +57,14 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _below_one(flag: str, values) -> Optional[int]:
+    """The usage error for a count flag given a value below one."""
+    low = min(values) if isinstance(values, list) else values
+    if low < 1:
+        return _usage_error(f"{flag} must be at least 1, got {low}")
+    return None
+
+
 def _parse_until(text: Optional[str]) -> Optional[int]:
     """'500ns' / '1 us' / '1000' (fs) -> femtoseconds."""
     if text is None:
@@ -187,7 +195,10 @@ def cmd_parallel(args) -> int:
     design = _resolve_design(args)
     plan = None
     if args.fault_plan or args.crash:
-        plan = parse_fault_plan(args.fault_plan or "")
+        try:
+            plan = parse_fault_plan(args.fault_plan or "")
+        except ValueError as failure:
+            return _usage_error(f"--fault-plan: {failure}")
         if args.crash:
             crashes = []
             for spec in args.crash:
@@ -280,6 +291,10 @@ def cmd_check(args) -> int:
                           replay_schedule)
 
     circuit_params = _parse_circuit_params(args.circuit_param)
+    refused = (_below_one("--schedules", args.schedules)
+               or _below_one("-p/--processors", args.processors))
+    if refused:
+        return refused
 
     exec_mode = args.exec or "interp"
 
@@ -365,6 +380,9 @@ def cmd_fuzz(args) -> int:
     """
     from .campaign import Campaign, Corpus, ScenarioSpace
 
+    refused = _below_one("-p/--processors", args.processors)
+    if refused:
+        return refused
     space = ScenarioSpace(seed=args.seed, backends=args.backend,
                           axes=args.axes, circuit=args.circuit,
                           processors=tuple(args.processors))
@@ -473,6 +491,9 @@ def cmd_batch(args) -> int:
     from .harness.check import wave_digest
     from .service import BatchJob, RunService, RunSpec
 
+    refused = _below_one("--jobs", args.jobs)
+    if refused:
+        return refused
     source, cache = _artifact_source(args)
     specs = [_parse_run_spec(text, args.exec) for text in (args.run or [])]
     if not specs:
@@ -536,6 +557,9 @@ def cmd_bench(args) -> int:
         "dct": lambda: build_dct().design,
     }
     build = builders[args.circuit]
+    refused = _below_one("--processors", args.processors)
+    if refused:
+        return refused
     curves = measure_speedups(build, args.protocols, args.processors,
                               max_steps=200_000_000)
     print(speedup_table(curves, f"{args.circuit} speedup"))

@@ -10,7 +10,7 @@ supply only transport and clock:
 * the **worker ring** (:class:`WorkerCore`, here) — one real worker
   per processor on an asynchronous token ring, over three transports:
   in-process queues between OS threads (:mod:`.threads`, the
-  concurrency demonstration), ``multiprocessing`` pipes between worker
+  concurrency demonstration), a mesh of one-way pipes between worker
   processes (:mod:`.procs`, the wall-clock-speedup backend), and
   asyncio/TCP between hosts (:mod:`.dist`).  The ring never constructs
   the modelled machine.
@@ -263,7 +263,7 @@ class WorkerCore:
     ring's per-channel send/receive counts, i.e. everything except the
     token and the stop — travel wrapped as ``("c", src, n, inner)``
     where ``n`` is the sender's cumulative count for that channel.  On
-    a lossless transport (multiprocessing queues) the stamp is
+    a lossless transport (in-process queues, pipes) the stamp is
     redundant: FIFO delivery makes the receiver's max-update identical
     to counting arrivals.  On a lossy transport (a dropped TCP
     connection) it is what keeps the two-cut argument honest: a lost

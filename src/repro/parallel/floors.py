@@ -36,7 +36,11 @@ from itertools import chain, compress
 from operator import ne
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..core.vtime import INFINITY, VirtualTime
+from ..core.vtime import INFINITY, MINUS_INFINITY, VirtualTime
+
+#: The time of a floor that releases nothing: a worker's bound taken
+#: from a GVT not committed yet, ``(-inf, k)``.
+_NEVER = MINUS_INFINITY[0]
 
 
 class ReleaseFloors:
@@ -105,7 +109,8 @@ class ReleaseFloors:
         classes with zero declared lookahead the sweep degenerates to
         reachability, which is still sound.  An arrival caps its
         target's floor directly: the predecessor's output bound cannot
-        stand in for a message already under way.  A floor only rises.
+        stand in for a message already under way.  A floor only rises,
+        and one still at time −∞ is not written: it releases nothing.
         """
         n = len(potential)
         full = self.carried is None
@@ -169,7 +174,7 @@ class ReleaseFloors:
             floor = arrival[lp_id]
             if arriving[lp_id] < floor:
                 floor = arriving[lp_id]
-            if floor > runtime.release_floor:
+            if floor > runtime.release_floor and floor[0] != _NEVER:
                 runtime.release_floor = tuple.__new__(VirtualTime, floor)
                 # An idle runtime's floor rises too: a write no door
                 # of the engine sees (durable-checkpoint bookkeeping).

@@ -13,9 +13,10 @@ the parent-side lifecycle is :meth:`ProcsMachine.run`, every worker
 runs the unmodified :class:`~repro.parallel.backend.WorkerCore` loop
 (token-ring GVT, :class:`~repro.fabric.batched.BatchedEndpoint`, the
 ``GVT + delta`` window, crash recovery), and an envelope reaches a peer
-through a ``queue.SimpleQueue`` instead of a pipe.  Nothing is ever
-pickled, whatever ``REPRO_PROCS_START`` says, so closure bodies and
-generator stimuli run here.
+through a ``queue.SimpleQueue`` instead of a pipe: the backend overrides
+the worker's envelope hooks and where the run's channels come from.
+Nothing is ever pickled, whatever ``REPRO_PROCS_START`` says, so closure
+bodies and generator stimuli run here.
 
 Scope: the static protocols (optimistic / conservative / mixed).
 
@@ -42,12 +43,7 @@ from typing import Callable, Tuple
 
 from ..core.model import Model
 from .backend import BackendOutcome, RingSpec, WorkerCore
-from .procs import ProcsMachine
-
-
-class _Queue(queue.SimpleQueue):
-    def cancel_join_thread(self) -> None:
-        """Nothing to flush: a put is already delivered."""
+from .procs import PARENT_STOP, ProcsMachine
 
 
 class _Thread(threading.Thread):
@@ -61,8 +57,26 @@ class _Thread(threading.Thread):
 class _InProcess:
     """What ``ProcsMachine.run`` needs of a multiprocessing context."""
 
-    Queue = _Queue
     Process = _Thread
+
+
+class _Inboxes:
+    """A threads run's channels: one ``SimpleQueue`` per worker, shared
+    by every thread, and one for the results."""
+
+    def __init__(self, count: int) -> None:
+        self.queues = [queue.SimpleQueue() for _ in range(count)]
+        self.results = queue.SimpleQueue()
+
+    def started(self) -> None:
+        """Nothing to hand over: every thread shares every queue."""
+
+    def stop(self) -> None:
+        for inbox in self.queues:
+            inbox.put(PARENT_STOP)
+
+    def close(self) -> None:
+        """Nothing to close."""
 
 
 class ThreadedMachine(ProcsMachine):
@@ -78,13 +92,35 @@ class ThreadedMachine(ProcsMachine):
     def _context(self) -> _InProcess:
         return _InProcess()
 
-    def _worker_entry(self, index: int) -> Tuple[Callable, tuple]:
+    def _open_channels(self, ctx, count: int) -> _Inboxes:
+        return _Inboxes(count)
+
+    def _worker_entry(self, index: int,
+                      channels: _Inboxes) -> Tuple[Callable, tuple]:
         # A forked worker is a copy of the machine; a thread gets the
         # same: its own ring state (and crash schedule) over the shared
         # processors and queues.
         worker = copy.copy(self)
         worker._crash_schedule = list(self._crash_schedule)
+        worker._queues = channels.queues
+        worker._result_queue = channels.results
         return worker._run_index, (index,)
+
+    # -- transport hooks: the shared queues, nothing pickled -------------
+    def _send_envelope(self, target: int, envelope: tuple) -> None:
+        self._queues[target].put(envelope)
+
+    def _recv_envelope(self, block_s: float):
+        inbound = self._queues[self._index]
+        try:
+            if block_s > 0:
+                return inbound.get(timeout=block_s)
+            return inbound.get_nowait()
+        except queue.Empty:
+            return None
+
+    def _emit_result(self, message: tuple) -> None:
+        self._result_queue.put(message)
 
 
 def run_threaded(model: Model, processors: int, timeout_s: float = 120.0,

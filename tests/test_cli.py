@@ -133,6 +133,32 @@ class TestRingCommandLine:
         assert exit_.value.code == 2
         assert "--until 'abc'" in self.one_line(capsys)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("drop=2", "drop must be a probability"),
+        ("bogus=1", "unknown fault-plan key 'bogus'")])
+    def test_bad_fault_plan(self, spec, message, capsys):
+        assert main(["run", "--circuit", "fsm", "--fault-plan", spec]) == 2
+        assert message in self.one_line(capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fuzz", "-p", "0"], "-p/--processors must be at least 1"),
+        (["fuzz", "-p", "2", "0"], "-p/--processors must be at least 1"),
+        (["check", "--schedules", "0"], "--schedules must be at least 1"),
+        (["check", "--circuit", "fsm", "-p", "0"],
+         "-p/--processors must be at least 1"),
+        (["bench", "fsm", "--processors", "0"],
+         "--processors must be at least 1"),
+        (["batch", "--circuit", "fsm", "--jobs", "0"],
+         "--jobs must be at least 1")])
+    def test_count_below_one(self, argv, message, capsys):
+        """A count of zero is refused, not run (a traceback, or one
+        schedule checked and reported ``OK``)."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: ")
+        assert captured.err.count("\n") == 1 and message in captured.err
+
     def test_run_waves_renders(self, vhd, capsys):
         assert main(["run", vhd, "--top", "tb", "-p", "2",
                      "--waves"]) == 0

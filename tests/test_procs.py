@@ -227,6 +227,28 @@ def test_procs_crash_schedule_requires_recovery():
                      recovery=False)
 
 
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="no /proc to count open descriptors in")
+def test_a_kept_machine_holds_no_descriptor_of_its_runs():
+    """``run()`` closes every pipe and queue it opened, so machines a
+    caller keeps do not keep their runs' descriptors."""
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    def machine():
+        return ProcsMachine(build_fsm(cells=4, cycles=2).design.elaborate(),
+                            2, protocol="conservative")
+
+    run_with_budget(machine().model, 2, "conservative")  # warm-up
+    before = open_fds()
+    kept = []
+    for _ in range(10):
+        kept.append(machine())
+        kept[-1].run(timeout_s=RUN_BUDGET_S)
+    assert open_fds() == before
+
+
 # ---------------------------------------------------------------------------
 # Spawn start method: workers rebuild from the pickled pristine model.
 # ---------------------------------------------------------------------------

@@ -119,14 +119,17 @@ def test_a_carried_bound_waits_for_its_send_count():
     core, ids = worker(1)
     core._visit(fresh_token(0, None,
                             notes={0: note(ids, VirtualTime(50, 0), 3)}))
+    # GVT is still -inf: so is every bound it gives, and a floor at
+    # (-inf, k) releases nothing — it is neither written nor counted.
     assert floor(core, ids, "b") == MINUS_INFINITY
-    raised = core._net.floors_raised
+    assert floor(core, ids, "c") == MINUS_INFINITY
+    assert core._net.floors_raised == 0
     core._recv_from[0] = 3
     assert core._sweep_floors()[0] is False  # nothing blocked to re-arm
     assert floor(core, ids, "b") == VirtualTime(50, 0)
     assert floor(core, ids, "p2") == VirtualTime(50, 1)
     assert floor(core, ids, "c") == VirtualTime(50, 2)
-    assert core._net.floors_raised == raised + 3
+    assert core._net.floors_raised == 3
 
 
 def test_owed_events_cap_the_receiver():
