@@ -73,10 +73,3 @@ def ascii_chart(curves: Mapping[str, SpeedupCurve], title: str,
     legend = "  ".join(f"{glyphs[i]}={p}" for i, p in enumerate(protocols))
     lines.append("        " + legend + "  (&=overlap)")
     return "\n".join(lines)
-
-
-def stats_table(rows: Sequence[Sequence[object]], title: str) -> str:
-    return format_table(
-        ["config", "time", "events", "rollbacks", "antimsgs", "nulls",
-         "recoveries", "switches"],
-        rows, title=title)

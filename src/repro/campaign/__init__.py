@@ -15,7 +15,8 @@ grown:
   duplicate / reorder / jitter / spike, occasionally processor crashes
   with checkpoint recovery);
 * **schedules** — controlled seeded-random interleavings on the
-  modelled machine (the OS picks for threads / procs);
+  modelled machine (threads workers take turns in one thread, in a
+  fixed order; the OS picks for procs);
 * **exec** — process execution mode, interpreted × compiled;
 
 crossed with **backends** {model, threads, procs} × **protocols**

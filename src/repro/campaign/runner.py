@@ -8,8 +8,9 @@ One scenario runs through the strongest check its backend supports:
   are shrunk with the harness's delta-debugging shrinker — the corpus
   stores a *minimal* replayable schedule, not the noisy original;
 * **threads / procs** — a differential run via
-  :func:`repro.harness.check_backend`: the OS picks the interleaving,
-  the committed waves must be byte-identical to the sequential
+  :func:`repro.harness.check_backend`: the backend picks the
+  interleaving (threads workers take turns in a fixed order, the OS
+  picks for procs), the committed waves must be byte-identical to the sequential
   engine's.  No controlled schedule exists, so failures are recorded
   verbatim (the scenario itself — circuit seed, topology, fault
   plan — is the repro recipe).

@@ -126,16 +126,6 @@ class Netlist:
         self.gate("xor", [a, b], y)
         return y
 
-    def nand_(self, a: Wire, b: Wire, y: Optional[Wire] = None) -> Wire:
-        y = y or self.wire()
-        self.gate("nand", [a, b], y)
-        return y
-
-    def nor_(self, a: Wire, b: Wire, y: Optional[Wire] = None) -> Wire:
-        y = y or self.wire()
-        self.gate("nor", [a, b], y)
-        return y
-
     def xnor_(self, a: Wire, b: Wire, y: Optional[Wire] = None) -> Wire:
         y = y or self.wire()
         self.gate("xnor", [a, b], y)
@@ -267,14 +257,5 @@ def bus_value(bus: Sequence[Wire]) -> int:
     value = 0
     for i, wire in enumerate(bus):
         bit = wire.effective
-        value |= (1 if bit.to_bool() else 0) << i
-    return value
-
-
-def bus_finals(result, name: str, width: int) -> int:
-    """Read ``name[0..width-1]`` from a SimulationResult as an int."""
-    value = 0
-    for i in range(width):
-        bit = result.finals[f"{name}[{i}]"]
         value |= (1 if bit.to_bool() else 0) << i
     return value

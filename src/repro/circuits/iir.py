@@ -30,7 +30,7 @@ from ..vhdl.design import Design
 from ..vhdl.process import ClockedBody
 from ..vhdl.values import SL_0, sl
 from .bodies import BusPlayer
-from .gates import Netlist, Wire, bus_value
+from .gates import Netlist, Wire
 
 #: Defaults sized to the paper: 2 sections x 8-bit ≈ 1.7k LPs.
 DEFAULT_SECTIONS = 2
@@ -55,9 +55,6 @@ class IirCircuit:
     @property
     def lp_count(self) -> int:
         return self.design.lp_count
-
-    def output_value(self) -> int:
-        return bus_value(self.output)
 
 
 def build_iir(sections: int = DEFAULT_SECTIONS,

@@ -11,9 +11,10 @@ Usage (also via ``python -m repro``):
 
 The ``simulate`` command runs the sequential reference engine;
 ``parallel`` (alias ``run``) executes a parallel backend — the
-modelled multiprocessor by default, or real OS threads
-(``--backend threads``) / real multiprocessing workers with batched
-IPC and token-ring GVT (``--backend procs``) — under any of the
+modelled multiprocessor by default, or the worker ring with its
+workers taking turns in one thread (``--backend threads``) / real
+multiprocessing workers with batched IPC and token-ring GVT
+(``--backend procs``) — under any of the
 paper's protocol configurations and prints the synchronization
 statistics;
 ``report`` prints the elaborated LP graph inventory; ``bench`` sweeps a
@@ -57,12 +58,24 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _below_one(flag: str, values) -> Optional[int]:
-    """The usage error for a count flag given a value below one."""
+def _below(flag: str, values, least: int = 1) -> Optional[int]:
+    """The usage error for a flag given a value below ``least``
+    (``None``: the flag was not given)."""
     low = min(values) if isinstance(values, list) else values
-    if low < 1:
-        return _usage_error(f"{flag} must be at least 1, got {low}")
+    if low is not None and low < least:
+        return _usage_error(f"{flag} must be at least {least}, got {low}")
     return None
+
+
+def _resolve_protocol(args) -> None:
+    """``--protocol`` defaults to ``dynamic`` on the modelled machine
+    and to the worker ring's own default on threads, procs and dist,
+    which run only the static protocols."""
+    if args.protocol is None:
+        from .parallel.backend import RingSpec
+
+        args.protocol = ("dynamic" if args.backend == "model"
+                         else RingSpec.protocol)
 
 
 def _parse_until(text: Optional[str]) -> Optional[int]:
@@ -192,7 +205,14 @@ def cmd_parallel(args) -> int:
     from .parallel.engine import ProtocolError
     from .vhdl import simulate_parallel
 
-    design = _resolve_design(args)
+    refused = _below("--watchdog", args.watchdog, least=0)
+    if refused:
+        return refused
+    try:
+        design = _resolve_design(args)
+    except ValueError as failure:  # a circuit parameter it cannot take
+        return _usage_error(str(failure))
+    _resolve_protocol(args)
     plan = None
     if args.fault_plan or args.crash:
         try:
@@ -289,12 +309,20 @@ def cmd_check(args) -> int:
     """
     from .harness import (Checker, Schedule, check_backend,
                           replay_schedule)
+    from .harness.check import refuse_params
 
     circuit_params = _parse_circuit_params(args.circuit_param)
-    refused = (_below_one("--schedules", args.schedules)
-               or _below_one("-p/--processors", args.processors))
+    refused = (_below("--schedules", args.schedules)
+               or _below("-p/--processors", args.processors)
+               or _below("--watchdog", args.watchdog, least=0))
     if refused:
         return refused
+    try:
+        for circuit in args.circuit:
+            refuse_params(circuit, circuit_params)
+    except ValueError as failure:
+        return _usage_error(str(failure))
+    _resolve_protocol(args)
 
     exec_mode = args.exec or "interp"
 
@@ -380,7 +408,7 @@ def cmd_fuzz(args) -> int:
     """
     from .campaign import Campaign, Corpus, ScenarioSpace
 
-    refused = _below_one("-p/--processors", args.processors)
+    refused = _below("-p/--processors", args.processors)
     if refused:
         return refused
     space = ScenarioSpace(seed=args.seed, backends=args.backend,
@@ -491,7 +519,7 @@ def cmd_batch(args) -> int:
     from .harness.check import wave_digest
     from .service import BatchJob, RunService, RunSpec
 
-    refused = _below_one("--jobs", args.jobs)
+    refused = _below("--jobs", args.jobs)
     if refused:
         return refused
     source, cache = _artifact_source(args)
@@ -557,7 +585,7 @@ def cmd_bench(args) -> int:
         "dct": lambda: build_dct().design,
     }
     build = builders[args.circuit]
-    refused = _below_one("--processors", args.processors)
+    refused = _below("--processors", args.processors)
     if refused:
         return refused
     curves = measure_speedups(build, args.protocols, args.processors,
@@ -608,13 +636,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="builder override, e.g. gates=12 or "
                                 "delays=0,0,1000000 (repeatable)")
         p_par.add_argument("-p", "--processors", type=int, default=4)
-        p_par.add_argument("--protocol", default="dynamic",
+        p_par.add_argument("--protocol", default=None,
                            choices=["optimistic", "conservative", "mixed",
-                                    "dynamic"])
+                                    "dynamic"],
+                           help="default: dynamic on the model backend, "
+                                "optimistic on threads/procs/dist")
         p_par.add_argument("--backend", default="model",
                            choices=["model", "threads", "procs", "dist"],
                            help="execution backend: the deterministic "
-                                "modelled multiprocessor, OS threads, "
+                                "modelled multiprocessor, the worker "
+                                "ring taking turns in one thread, "
                                 "real multiprocessing workers with "
                                 "batched IPC + token-ring GVT, or "
                                 "distributed TCP workers (same ring "
@@ -698,16 +729,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--circuit-seed", type=int, default=0,
                        help="seed for the random-logic circuit builder")
     p_chk.add_argument("-p", "--processors", type=int, default=2)
-    p_chk.add_argument("--protocol", default="dynamic",
+    p_chk.add_argument("--protocol", default=None,
                        choices=["optimistic", "conservative", "mixed",
-                                "dynamic"])
+                                "dynamic"],
+                       help="default: dynamic on the model backend, "
+                            "optimistic on threads/procs/dist")
     p_chk.add_argument("--backend", default="model",
                        choices=["model", "threads", "procs", "dist"],
                        help="'model' explores controlled schedules; "
                             "'threads'/'procs'/'dist' run the "
-                            "differential oracle against a real "
-                            "parallel run (OS-chosen interleaving; "
-                            "'dist' spans TCP worker processes)")
+                            "differential oracle against a ring "
+                            "run (threads workers take turns in one "
+                            "thread; procs interleave as the OS "
+                            "picks; 'dist' spans TCP worker "
+                            "processes)")
     p_chk.add_argument("--hosts", nargs="+", default=None,
                        metavar="HOST:PORT",
                        help="dist backend: pre-started 'repro serve' "

@@ -48,12 +48,6 @@ PHASE_ASSIGN = 0
 PHASE_DRIVING = 1
 PHASE_EFFECTIVE = 2
 
-_PHASE_NAMES = {
-    PHASE_ASSIGN: "assign/run",
-    PHASE_DRIVING: "driving",
-    PHASE_EFFECTIVE: "effective/update",
-}
-
 
 #: Builds a named tuple from a field tuple at C level, skipping the
 #: Python-level ``__new__`` that a ``NamedTuple`` call goes through.
@@ -74,11 +68,6 @@ class VirtualTime(NamedTuple):
     def phase(self) -> int:
         """Phase of this time within its delta cycle (0, 1 or 2)."""
         return self.lt % PHASES_PER_CYCLE
-
-    @property
-    def phase_name(self) -> str:
-        """Human-readable phase name (for traces and error messages)."""
-        return _PHASE_NAMES[self.phase]
 
     @property
     def delta(self) -> int:

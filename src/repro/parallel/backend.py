@@ -9,10 +9,11 @@ supply only transport and clock:
   co-simulation in model time, the benchmark instrument;
 * the **worker ring** (:class:`WorkerCore`, here) — one real worker
   per processor on an asynchronous token ring, over three transports:
-  in-process queues between OS threads (:mod:`.threads`, the
-  concurrency demonstration), a mesh of one-way pipes between worker
-  processes (:mod:`.procs`, the wall-clock-speedup backend), and
-  asyncio/TCP between hosts (:mod:`.dist`).  The ring never constructs
+  in-process inboxes between workers that take turns in one thread
+  (:mod:`.threads`, the deterministic demonstration), a mesh of
+  one-way pipes between worker processes (:mod:`.procs`, the
+  wall-clock-speedup backend), and asyncio/TCP between hosts
+  (:mod:`.dist`).  The ring never constructs
   the modelled machine.
 
 What lives here once for all three transports:
@@ -21,7 +22,8 @@ What lives here once for all three transports:
   flushes, the pipelined Mattern token ring, the cancellation horizon,
   fabric pump/checkpoint cadence and crash recovery.  The threads,
   procs and dist backends differ *only* in how an envelope physically
-  reaches a peer, so the loop lives here once, parameterized over
+  reaches a peer and in who resumes a worker's turns (the loop yields
+  once per turn), so the loop lives here once, parameterized over
   three transport hooks (:meth:`WorkerCore._send_envelope`,
   :meth:`WorkerCore._recv_envelope`, :meth:`WorkerCore._emit_result`).
 * **The description of a ring run** (:class:`RingSpec`) and what is
@@ -263,7 +265,7 @@ class WorkerCore:
     ring's per-channel send/receive counts, i.e. everything except the
     token and the stop — travel wrapped as ``("c", src, n, inner)``
     where ``n`` is the sender's cumulative count for that channel.  On
-    a lossless transport (in-process queues, pipes) the stamp is
+    a lossless transport (in-process inboxes, pipes) the stamp is
     redundant: FIFO delivery makes the receiver's max-update identical
     to counting arrivals.  On a lossy transport (a dropped TCP
     connection) it is what keeps the two-cut argument honest: a lost
@@ -281,7 +283,6 @@ class WorkerCore:
         self.recovery = spec.recovers
         self.use_fabric = (self.plan is not None
                            and (self.plan.faulty or self.recovery))
-        self._crash_schedule = spec.crashes
         self.watchdog_bound = float(
             resolve_watchdog(spec.watchdog_s, DEFAULT_WALL_S))
         # Every worker's engine, from (model, spec) alone: a worker that
@@ -306,6 +307,7 @@ class WorkerCore:
     def _setup_worker(self, index: int) -> None:
         engine = self.engine
         self._index = index
+        self._crash_schedule = self.spec.crashes
         self._proc: Processor = engine.procs[index]
         self._runtimes: Dict[int, LPRuntime] = engine.runtimes
         self._placement: Dict[int, int] = engine.placement
@@ -363,6 +365,13 @@ class WorkerCore:
                    restore: Optional[tuple] = None) -> None:
         """Be worker ``index`` of the built machine until the ring
         stops (``restore``: see :meth:`_restore_incarnation`)."""
+        for _ in self._turns(index, restore):
+            pass
+
+    def _turns(self, index: int, restore: Optional[tuple] = None):
+        """:meth:`_run_index` one turn at a time: a generator that
+        yields once per pass of the worker loop.  Closing it early ends
+        the worker without a report."""
         self._setup_worker(index)
         try:
             self._install_route()
@@ -371,8 +380,10 @@ class WorkerCore:
                 self._restore_incarnation(image, tail, recv_marks)
             elif self.recovery:
                 self._take_checkpoint()
-            self._worker_loop()
+            yield from self._worker_loop()
             self._report_done()
+        except GeneratorExit:
+            raise
         except BaseException as exc:  # noqa: BLE001 - forwarded upstream
             partial = RunStats()
             try:
@@ -474,7 +485,8 @@ class WorkerCore:
             origin=self._index)
         raise ProtocolError("stall diagnosed: " + reason)
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self):
+        """The worker's turns; yields once per turn, before it idles."""
         deadline = time.monotonic() + self.spec.timeout_s
         proc = self._proc
         while self._stop_info is None:
@@ -509,6 +521,7 @@ class WorkerCore:
                 self._take_checkpoint()
             if self._stop_info is not None:
                 return
+            yield
             if not progressed and self._held_token is None \
                     and self._completed_token is None:
                 # Idle: block briefly on the inbound channel; a batch,

@@ -1,13 +1,13 @@
 """True multiprocess backend: the distributed kernel on worker processes.
 
-The threads backend (:mod:`repro.parallel.threads`, this module's
-lifecycle over in-process queues) proves the protocol is a distributed
-algorithm but cannot show wall-clock speedup (CPython's GIL serializes
-it).  This backend runs one :class:`~repro.parallel.engine.Processor` per
-``multiprocessing`` worker — genuinely isolated address spaces that
-communicate **only** through pickled messages — and is where the
-paper's headline claim (speedup from parallel execution) becomes
-measurable on real hardware (``benchmarks/bench_procs_speedup.py``).
+The threads backend (:mod:`repro.parallel.threads`) proves the protocol
+is a distributed algorithm, but its workers take turns in one thread and
+so cannot show wall-clock speedup.  This backend runs one
+:class:`~repro.parallel.engine.Processor` per ``multiprocessing`` worker
+— genuinely isolated address spaces that communicate **only** through
+pickled messages — and is where the paper's headline claim (speedup
+from parallel execution) becomes measurable on real hardware
+(``benchmarks/bench_procs_speedup.py``).
 
 The worker protocol itself — act quantum, batched flushes, the
 pipelined Mattern token-ring GVT, fabric compatibility, crash
@@ -15,11 +15,7 @@ recovery — lives in :class:`repro.parallel.backend.WorkerCore`, shared
 verbatim with the threads and distributed backends
 (:mod:`repro.parallel.threads`, :mod:`repro.parallel.dist`).  This
 module supplies the transport (a mesh of one-way pipes, one result
-queue) and the parent-side lifecycle; where a run's channels and
-workers come from (:meth:`ProcsMachine._context`,
-:meth:`ProcsMachine._open_channels`) and what a worker runs
-(:meth:`ProcsMachine._worker_entry`) are the hooks the threads backend
-overrides.
+queue) and the parent-side lifecycle, :meth:`ProcsMachine.run`.
 
 Three design decisions carry the backend:
 
@@ -103,7 +99,7 @@ import select
 import time
 from collections import deque
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.model import Model
 from ..core.stats import RunStats
@@ -422,40 +418,27 @@ class ProcsMachine(WorkerCore):
     # ==================================================================
     # Parent side
     # ==================================================================
-    def _context(self):
-        """Where the run's workers come from: anything with
-        ``multiprocessing``'s ``Process(target=, args=, daemon=)``."""
-        return multiprocessing.get_context(self.start_method)
-
-    def _open_channels(self, ctx, count: int):
-        """A run's channels: what the workers talk through, the
-        ``results`` queue the parent reads, and ``started()``,
-        ``stop()`` and ``close()`` for the parent's lifecycle."""
-        return _Pipes(ctx, count)
-
-    def _worker_entry(self, index: int,
-                      channels: _Pipes) -> Tuple[Callable, tuple]:
-        """``(target, args)`` that run worker ``index``."""
-        ends = channels.ends[index]
-        if self._payload is None:
-            return self._serve, (index, ends, channels.results,
-                                 channels.connections())
-        return _spawn_worker, (self._payload, self.spec, index, ends,
-                               channels.results)
-
     def run(self, timeout_s: float = 120.0) -> BackendOutcome:
         self.spec = replace(self.spec, timeout_s=timeout_s)
         start = time.monotonic()
         grace = max(0.5, min(5.0, timeout_s / 10.0))
-        ctx = self._context()
+        ctx = multiprocessing.get_context(self.start_method)
         count = self.spec.processors
-        channels = self._open_channels(ctx, count)
+        channels = _Pipes(ctx, count)
         results: Dict[int, tuple] = {}
         error: Optional[tuple] = None
         try:
             workers = []
             for index in range(count):
-                target, args = self._worker_entry(index, channels)
+                ends = channels.ends[index]
+                if self._payload is None:
+                    target, args = self._serve, (
+                        index, ends, channels.results,
+                        channels.connections())
+                else:
+                    target, args = _spawn_worker, (
+                        self._payload, self.spec, index, ends,
+                        channels.results)
                 worker = ctx.Process(target=target, args=args, daemon=True)
                 worker.start()
                 workers.append(worker)
@@ -487,9 +470,9 @@ class ProcsMachine(WorkerCore):
                 else:
                     error = message
             if len(results) < count:
-                # Error or deadline: the ring will not stop by itself,
-                # and a thread worker cannot be terminated — every
-                # worker is told to stop with the ring's own envelope.
+                # Error or deadline: the ring will not stop by itself;
+                # every worker is told to stop with the ring's own
+                # envelope.
                 channels.stop()
             for worker in workers:
                 worker.join(timeout=max(0.05, deadline - time.monotonic()))

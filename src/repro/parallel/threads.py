@@ -1,30 +1,33 @@
-"""Real-thread backend: the worker ring on OS threads in one process.
+"""In-process backend: the worker ring's workers take turns in one thread.
 
 The modelled machine (machine.py) is how the benchmarks measure
-*speedup* — CPython's GIL makes wall-clock thread speedup unobtainable,
-as documented in DESIGN.md.  This backend exists for a different
-purpose: to demonstrate that the protocol really is a distributed
-algorithm — LPs partitioned over concurrently running workers that
-communicate only through message queues — and that it still commits
-exactly the sequential results.
+*speedup*.  This backend exists for a different purpose: to show that
+the protocol really is a distributed algorithm — LPs partitioned over
+workers that communicate only through messages — and that it still
+commits exactly the sequential results, on the same code the procs and
+dist workers run.
 
-It is the procs backend with a different transport and nothing else:
-the parent-side lifecycle is :meth:`ProcsMachine.run`, every worker
-runs the unmodified :class:`~repro.parallel.backend.WorkerCore` loop
-(token-ring GVT, :class:`~repro.fabric.batched.BatchedEndpoint`, the
-``GVT + delta`` window, crash recovery), and an envelope reaches a peer
-through a ``queue.SimpleQueue`` instead of a pipe: the backend overrides
-the worker's envelope hooks and where the run's channels come from.
-Nothing is ever pickled, whatever ``REPRO_PROCS_START`` says, so closure
-bodies and generator stimuli run here.
+Every worker runs the unmodified
+:class:`~repro.parallel.backend.WorkerCore` loop (token-ring GVT,
+:class:`~repro.fabric.batched.BatchedEndpoint`, the ``GVT + delta``
+window, crash recovery), one turn at a time: ``run()``
+resumes the P workers round-robin, in index order, in the caller's
+thread.  An envelope reaches a peer through that peer's ``deque``; a
+worker never waits for one, because nothing can arrive while it waits —
+its peers run on their own turns.  A run is therefore a pure function
+of the model, the :class:`~repro.parallel.backend.RingSpec` and its
+fault plan: two runs commit the same waves in the same order and count
+the same statistics.  Nothing is ever pickled, whatever
+``REPRO_PROCS_START`` says, so closure bodies and generator stimuli run
+here.
 
 Scope: the static protocols (optimistic / conservative / mixed).
 
 **Shared runtimes.**  A procs worker holds *replicas* of its peers'
-LP runtimes; thread workers share the live ones, so
+LP runtimes; the workers here share the live ones, so
 ``Processor._input_bound`` reads a peer's real ``mode`` and
-``cons_epoch`` while that peer runs.  Sound for the static protocols:
-``mode`` never changes.  ``cons_epoch`` changes only in
+``cons_epoch`` — only between that peer's turns.  Sound for the static
+protocols: ``mode`` never changes.  ``cons_epoch`` changes only in
 ``WorkerCore._crash``, where ``restore_processor`` first writes the
 checkpoint's value — equal to the live one, because every crash
 re-checkpoints at once — and the victim then bumps it; a peer that sees
@@ -37,90 +40,64 @@ replicas (or a mode carried on the wire) first.
 from __future__ import annotations
 
 import copy
-import queue
-import threading
-from typing import Callable, Tuple
+import time
+from collections import deque
+from dataclasses import replace
 
 from ..core.model import Model
-from .backend import BackendOutcome, RingSpec, WorkerCore
-from .procs import PARENT_STOP, ProcsMachine
+from .backend import BackendOutcome, RingSpec, WorkerCore, harvest
 
 
-class _Thread(threading.Thread):
-    #: A thread has no exit status; ``ProcsMachine.run`` only prints it.
-    exitcode = None
-
-    def terminate(self) -> None:
-        """Threads cannot be killed; they leave on the stop envelope."""
-
-
-class _InProcess:
-    """What ``ProcsMachine.run`` needs of a multiprocessing context."""
-
-    Process = _Thread
-
-
-class _Inboxes:
-    """A threads run's channels: one ``SimpleQueue`` per worker, shared
-    by every thread, and one for the results."""
-
-    def __init__(self, count: int) -> None:
-        self.queues = [queue.SimpleQueue() for _ in range(count)]
-        self.results = queue.SimpleQueue()
-
-    def started(self) -> None:
-        """Nothing to hand over: every thread shares every queue."""
-
-    def stop(self) -> None:
-        for inbox in self.queues:
-            inbox.put(PARENT_STOP)
-
-    def close(self) -> None:
-        """Nothing to close."""
-
-
-class ThreadedMachine(ProcsMachine):
-    """Run a Model on real threads; commits identical results."""
+class ThreadedMachine(WorkerCore):
+    """Run a Model's workers by turns in one thread; commits identical
+    results."""
 
     backend_name = "threads"
 
     def __init__(self, model: Model, processors: int, **ring) -> None:
-        # No start method to resolve, no payload to snapshot.
-        WorkerCore.__init__(self, model, RingSpec(
-            processors, timeout_s=120.0, **ring))
+        # ``timeout_s`` is run()'s, not a constructor parameter.
+        super().__init__(model, RingSpec(processors, timeout_s=120.0,
+                                         **ring))
 
-    def _context(self) -> _InProcess:
-        return _InProcess()
+    def run(self, timeout_s: float = 120.0) -> BackendOutcome:
+        self.spec = replace(self.spec, timeout_s=timeout_s)
+        start = time.monotonic()
+        count = self.spec.processors
+        self._inboxes = [deque() for _ in range(count)]
+        self._done = {}
+        self._errors = []
+        # Each worker is a copy of the machine, as a forked one is: its
+        # own ring state over the shared processors and inboxes.
+        turns = {index: copy.copy(self)._turns(index)
+                 for index in range(count)}
+        try:
+            while turns and not self._errors:
+                for index in list(turns):
+                    try:
+                        next(turns[index])
+                    except StopIteration:
+                        del turns[index]
+                    if self._errors:
+                        break
+        finally:
+            for turn in turns.values():
+                turn.close()
+        error = self._errors[0] if self._errors else None
+        return harvest(self, self._done, error, time.monotonic() - start)
 
-    def _open_channels(self, ctx, count: int) -> _Inboxes:
-        return _Inboxes(count)
-
-    def _worker_entry(self, index: int,
-                      channels: _Inboxes) -> Tuple[Callable, tuple]:
-        # A forked worker is a copy of the machine; a thread gets the
-        # same: its own ring state (and crash schedule) over the shared
-        # processors and queues.
-        worker = copy.copy(self)
-        worker._crash_schedule = list(self._crash_schedule)
-        worker._queues = channels.queues
-        worker._result_queue = channels.results
-        return worker._run_index, (index,)
-
-    # -- transport hooks: the shared queues, nothing pickled -------------
+    # -- transport hooks: the shared inboxes, nothing pickled ------------
     def _send_envelope(self, target: int, envelope: tuple) -> None:
-        self._queues[target].put(envelope)
+        self._inboxes[target].append(envelope)
 
     def _recv_envelope(self, block_s: float):
-        inbound = self._queues[self._index]
-        try:
-            if block_s > 0:
-                return inbound.get(timeout=block_s)
-            return inbound.get_nowait()
-        except queue.Empty:
-            return None
+        inbox = self._inboxes[self._index]
+        return inbox.popleft() if inbox else None
 
     def _emit_result(self, message: tuple) -> None:
-        self._result_queue.put(message)
+        if message[0] == "done":
+            self._done[message[1]] = message
+        else:
+            self._errors.append(message)
 
 
 def run_threaded(model: Model, processors: int, timeout_s: float = 120.0,

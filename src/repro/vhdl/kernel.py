@@ -162,8 +162,9 @@ def simulate_parallel(design, processors: int,
     * ``"model"``   — the deterministic modelled multiprocessor; its
       ``parallel_time`` is the modelled makespan, and speedup against a
       1-processor run reproduces the paper's speedup figures;
-    * ``"threads"`` — the worker ring of ``"procs"`` on OS threads in
-      one process (in-process queues, nothing pickled);
+    * ``"threads"`` — the worker loop of ``"procs"``, its workers
+      taking turns in one thread (in-process inboxes, nothing pickled,
+      deterministic);
     * ``"procs"``   — real parallelism on ``multiprocessing`` workers
       with batched IPC and token-ring GVT; the only backend that can
       show wall-clock speedup under CPython's GIL;

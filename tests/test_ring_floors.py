@@ -13,7 +13,7 @@ where a durable image follows, and the fences a recovery notice puts
 up.
 """
 
-import queue
+from collections import deque
 
 import pytest
 
@@ -87,13 +87,13 @@ def chain():
 
 def worker(index, **ring):
     """Worker ``index`` of a two-worker conservative ring on the chain,
-    set up but not started; its queues are plain in-process ones."""
+    set up but not started; its inboxes are plain in-process ones."""
     model, ids, placement = chain()
     if ring.get("recovery"):
         ring.setdefault("fault_plan", FaultPlan())  # the endpoint
     core = ThreadedMachine(model, 2, protocol="conservative",
                            partition=placement, **ring)
-    core._queues = {i: queue.SimpleQueue() for i in range(2)}
+    core._inboxes = [deque(), deque()]
     core._setup_worker(index)
     core._install_route()
     # Nothing queued anywhere: every potential is what the test says.

@@ -1,13 +1,15 @@
-"""Real-thread backend: concurrency demonstration with exact results.
+"""In-process backend: workers take turns in one thread, exactly.
 
-The threads backend is the ``WorkerCore`` ring over in-process queues,
-so beside its own differential runs it joins the shared-core matrix of
+The threads backend is the ``WorkerCore`` ring over in-process inboxes,
+its workers resumed round-robin in the caller's thread, so beside its
+own differential runs it joins the shared-core matrix of
 ``tests/test_procs.py`` (hostile fabric, crash recovery, journal
 replay, the closed-window liveness cases, bounded optimism on the
 gate-level iir): those tests are imported and re-run here with the
 ``machine`` fixture overridden.  What is particular to threads is
 tested below them: no thread outlives ``run()``, nothing is pickled,
-and workers sharing the live LP runtimes stay oracle-identical.
+workers sharing the live LP runtimes stay oracle-identical, and a run
+is a pure function of its inputs.
 
 Timing policy: no magic wall-clock sleeps.  Every run gets one
 *deadline budget*, derived from ``REPRO_TEST_TIMEOUT_S`` (default
@@ -18,8 +20,8 @@ machine stopped instead of a bare timeout.
 """
 
 import os
-import sys
 import threading
+from dataclasses import asdict
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.parallel.threads import ThreadedMachine, run_threaded
 from repro.vhdl import CombinationalBody, Design, SL_0, SL_1, simulate
 
 from tests import test_procs as ring
+from tests.strategies import HOSTILE
 from tests.test_kernel_semantics import pulse_stim
 
 #: One deadline budget for every threaded run in this module,
@@ -120,8 +123,8 @@ test_threads_gate_iir_optimistic_is_bounded = \
 # ---------------------------------------------------------------------------
 def test_no_thread_outlives_run(monkeypatch):
     """Success, a diagnosed stall and a deadline overrun all leave the
-    process with the threads it had: workers cannot be terminated, so
-    the parent stops them with the ring's own envelope."""
+    process with the threads it had: the workers are turns of the
+    caller's thread, and ``run()`` closes those left on its way out."""
     baseline = threading.active_count()
 
     def model():
@@ -168,23 +171,39 @@ def test_nothing_is_pickled_whatever_the_start_method(monkeypatch):
 
 
 def test_shared_runtimes_stay_exact_under_a_hostile_scheduler():
-    """Thread workers read their peers' live ``mode``/``cons_epoch``
-    (procs workers hold replicas).  More workers than cores, a 10 us
-    switch interval, conservative and optimistic LPs side by side and a
-    crash that bumps epochs mid-run: a torn or stale read that let a
-    conservative LP trust a dead promise would commit a wrong wave."""
+    """Workers read their peers' live ``mode``/``cons_epoch`` between
+    the peers' turns (procs workers hold replicas).  Four workers,
+    conservative and optimistic LPs side by side and a crash that bumps
+    epochs mid-run: a stale read that let a conservative LP trust a dead
+    promise would commit a wrong wave."""
     reference = simulate(build_random(42).design)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for seed in (1, 2, 3):
-            circuit = build_random(42)
-            plan = FaultPlan(seed=seed, drop=0.02).with_crashes((3, 2))
-            outcome = run_with_budget(circuit.design.elaborate(), 4,
-                                      "mixed", fault_plan=plan)
-            traces = {s.name: s.trace() for s in circuit.design.signals
-                      if s.traced}
-            assert traces == reference.traces
-            assert outcome.stats.recoveries == 1
-    finally:
-        sys.setswitchinterval(interval)
+    for seed in (1, 2, 3):
+        circuit = build_random(42)
+        plan = FaultPlan(seed=seed, drop=0.02).with_crashes((3, 2))
+        outcome = run_with_budget(circuit.design.elaborate(), 4,
+                                  "mixed", fault_plan=plan)
+        traces = {s.name: s.trace() for s in circuit.design.signals
+                  if s.traced}
+        assert traces == reference.traces
+        assert outcome.stats.recoveries == 1
+
+
+def test_a_run_is_a_pure_function_of_its_inputs():
+    """Workers take turns in index order and never wait on a peer, so
+    under a hostile fabric and a crash two runs of one model and spec
+    count the same statistics, waves and commits, not only the same
+    traces."""
+    def run():
+        circuit = build_random(42)
+        plan = FaultPlan(seed=5, **HOSTILE).with_crashes((3, 2))
+        outcome = run_with_budget(circuit.design.elaborate(), 4,
+                                  "mixed", fault_plan=plan)
+        traces = {s.name: s.trace() for s in circuit.design.signals
+                  if s.traced}
+        return (asdict(outcome.stats), outcome.waves, outcome.gvt_rounds,
+                traces)
+
+    first = run()
+    assert first[0]["recoveries"] == 1
+    assert first[0]["dropped"] > 0
+    assert run() == first
