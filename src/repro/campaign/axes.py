@@ -20,22 +20,13 @@ differential, not exploratory.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from ..circuits.random_logic import sample_topology
+from ..config import BACKEND_PROTOCOLS, RunConfig
 from ..fabric.plan import FaultPlan
 from ..harness.check import circuit_params
-
-#: Which protocols each backend can execute.  The dynamic (adaptive)
-#: configuration exists only on the modelled machine; the real backends
-#: run the static protocols.
-BACKEND_PROTOCOLS: Dict[str, Tuple[str, ...]] = {
-    "model": ("optimistic", "conservative", "mixed", "dynamic"),
-    "threads": ("optimistic", "conservative", "mixed"),
-    "procs": ("optimistic", "conservative", "mixed"),
-    "dist": ("optimistic", "conservative", "mixed"),
-}
 
 #: Backends excluded from the default campaign mix.  The dist backend
 #: spawns TCP worker daemons per scenario — far too slow for tier-1
@@ -46,7 +37,7 @@ OPT_IN_BACKENDS: Tuple[str, ...] = ("dist",)
 #: Toggleable scenario axes (beyond the always-on backend × protocol
 #: grid).  ``--axes`` on the CLI enables a subset.  ``"exec"`` adds
 #: the process-execution-mode axis (interp × compiled, see
-#: :data:`repro.vhdl.kernel.EXEC_MODES`): with it on, every
+#: :data:`repro.config.EXEC_MODES`): with it on, every
 #: ``backend × protocol`` coverage cell is emitted once per mode.
 ALL_AXES: Tuple[str, ...] = ("topology", "faults", "schedules", "exec")
 
@@ -70,33 +61,28 @@ BACKEND_WEIGHTS: Dict[str, float] = {
 #: (which do not advance the step counter) are cut equally fast.
 CAMPAIGN_MAX_STEPS = 60_000
 
+#: A larger circuit gets the same headroom over its own size: its step
+#: cap is at least this many steps per event the sequential oracle
+#: commits (gate-level IIR commits 30 901 events, and one optimistic
+#: scenario of it at 15 % loss executes 223 495 before it completes).
+CAMPAIGN_STEPS_PER_EVENT = 20
+
 #: Wall-clock guard for real-backend scenarios (seconds).
 CAMPAIGN_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """One fully-specified fuzzing scenario (hashable by value)."""
+class Scenario(RunConfig):
+    """One fully-specified fuzzing scenario: a run (hashable by value)
+    plus the seed of its controlled schedule."""
 
     backend: str
     protocol: str
     circuit: str = "random"
-    circuit_seed: int = 0
-    #: Topology overrides as sorted ``(axis, value)`` pairs — a dict is
-    #: unhashable; :meth:`params` rebuilds it for the builders.
-    circuit_params: Tuple[Tuple[str, Any], ...] = ()
-    processors: int = 2
+    timeout_s: float = CAMPAIGN_TIMEOUT_S
     #: Modelled machine only: seed of the controlled random schedule;
     #: ``None`` runs the canonical (all-defaults) interleaving.
     schedule_seed: Optional[int] = None
-    fault_plan: Optional[FaultPlan] = None
-    #: Process execution mode ("interp" or "compiled").
-    exec_mode: str = "interp"
-    max_steps: int = CAMPAIGN_MAX_STEPS
-    timeout_s: float = CAMPAIGN_TIMEOUT_S
-
-    def params(self) -> Dict[str, Any]:
-        return dict(self.circuit_params)
 
     def key(self) -> Tuple:
         """Identity of the scenario for distinct-coverage counting."""
@@ -159,8 +145,11 @@ class ScenarioSpace:
                  backends: Optional[Sequence[str]] = None,
                  axes: Optional[Sequence[str]] = None,
                  circuit: str = "random",
-                 processors: Sequence[int] = (2, 3)) -> None:
+                 processors: Sequence[int] = (2, 3),
+                 until: Optional[int] = None) -> None:
         self.seed = seed
+        #: Every scenario's simulation horizon (not sampled).
+        self.until = until
         self.backends = tuple(backends) if backends else tuple(
             b for b in BACKEND_PROTOCOLS if b not in OPT_IN_BACKENDS)
         for backend in self.backends:
@@ -229,7 +218,10 @@ class ScenarioSpace:
             circuit_seed=rng.randrange(1 << 20),
             circuit_params=_freeze_params(params),
             processors=processors, schedule_seed=schedule_seed,
-            fault_plan=plan, exec_mode=exec_mode)
+            fault_plan=plan, exec_mode=exec_mode, until=self.until,
+            # The step watchdog of a controlled run takes the livelock
+            # guard's bound; a ring keeps its own (seconds).
+            watchdog=CAMPAIGN_MAX_STEPS if backend == "model" else None)
 
     # ------------------------------------------------------------------
     def cells(self) -> Tuple[Tuple[str, str, str], ...]:

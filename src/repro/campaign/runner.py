@@ -32,32 +32,15 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..core.stats import RunStats
 from ..harness.check import Checker, RunReport, check_backend
 from ..harness.schedule import (DefaultScheduler, RandomScheduler,
-                                ReplayScheduler)
-from .axes import Scenario, ScenarioSpace
+                                ReplayScheduler, Schedule)
+from .axes import (CAMPAIGN_MAX_STEPS, CAMPAIGN_STEPS_PER_EVENT, Scenario,
+                   ScenarioSpace)
 from .corpus import Corpus
 from .triage import FailureSignature, classify
 
 #: Probe budget for shrinking one failure (each probe is a full
 #: controlled run; campaign shrinks must not eat the whole campaign).
 SHRINK_BUDGET = 32
-
-
-def _make_checker(scenario: Scenario,
-                  until: Optional[int] = None) -> Checker:
-    return Checker(scenario.circuit,
-                   circuit_seed=scenario.circuit_seed,
-                   processors=scenario.processors,
-                   protocol=scenario.protocol, until=until,
-                   max_steps=scenario.max_steps,
-                   watchdog=scenario.max_steps,
-                   circuit_params=scenario.params(),
-                   fault_plan=scenario.fault_plan,
-                   exec_mode=scenario.exec_mode,
-                   # Fuzzing amortizes elaboration: each scenario's
-                   # circuit is snapshotted once and every run (oracle
-                   # + schedules, or oracle + backend) instantiates a
-                   # fresh runtime from the shared artifact.
-                   reuse_artifact=True)
 
 
 @dataclass
@@ -73,28 +56,27 @@ class ScenarioOutcome:
         return self.report.ok
 
 
-def run_scenario(scenario: Scenario,
-                 until: Optional[int] = None) -> ScenarioOutcome:
+def _checker(scenario: Scenario) -> Checker:
+    # Fuzzing amortizes elaboration: each scenario's circuit is
+    # snapshotted once and every run (oracle + schedules, or oracle +
+    # backend) instantiates a fresh runtime from the shared artifact.
+    checker = Checker(scenario, reuse_artifact=True)
+    checker.max_steps = max(CAMPAIGN_MAX_STEPS, CAMPAIGN_STEPS_PER_EVENT
+                            * checker.oracle().stats.events_committed)
+    return checker
+
+
+def run_scenario(scenario: Scenario) -> ScenarioOutcome:
     """Execute one scenario through its backend's strongest check."""
     started = time.monotonic()
     if scenario.backend == "model":
-        checker = _make_checker(scenario, until=until)
         scheduler = (DefaultScheduler() if scenario.schedule_seed is None
                      else RandomScheduler(scenario.schedule_seed))
         label = ("baseline" if scenario.schedule_seed is None
                  else f"random#{scenario.schedule_seed}")
-        report = checker.run_schedule(scheduler, label)
+        report = _checker(scenario).run_schedule(scheduler, label)
     else:
-        report = check_backend(
-            scenario.circuit, backend=scenario.backend,
-            protocol=scenario.protocol,
-            processors=scenario.processors,
-            circuit_seed=scenario.circuit_seed, until=until,
-            circuit_params=scenario.params(),
-            fault_plan=scenario.fault_plan,
-            exec_mode=scenario.exec_mode,
-            reuse_artifact=True,
-            timeout_s=scenario.timeout_s)
+        report = check_backend(scenario, reuse_artifact=True)
     return ScenarioOutcome(scenario=scenario, report=report,
                            duration_s=time.monotonic() - started)
 
@@ -162,13 +144,11 @@ class Campaign:
     def __init__(self, space: ScenarioSpace, budget_s: float = 60.0,
                  max_scenarios: Optional[int] = None,
                  corpus: Optional[Corpus] = None,
-                 until: Optional[int] = None,
                  on_scenario: Optional[Callable] = None) -> None:
         self.space = space
         self.budget_s = budget_s
         self.max_scenarios = max_scenarios
         self.corpus = corpus
-        self.until = until
         self.on_scenario = on_scenario
 
     # ------------------------------------------------------------------
@@ -186,7 +166,7 @@ class Campaign:
         # reserved for fast failures: a diagnosed livelock runs to the
         # watchdog bound on *every* probe and would eat the whole
         # campaign budget for one artifact.
-        checker = _make_checker(scenario, until=self.until)
+        checker = _checker(scenario)
         if scenario.backend == "model" and decisions \
                 and outcome.duration_s < 1.0:
             decisions = checker.shrink(decisions, budget=SHRINK_BUDGET)
@@ -200,8 +180,8 @@ class Campaign:
                 decisions = list(report.decisions)
         path = self.corpus.record(
             signature,
-            checker.schedule(report, decisions=decisions,
-                             violations=violations),
+            Schedule(scenario, decisions, label=report.label,
+                     violations=violations),
             scenario, trace_fingerprint=fingerprint, shrunk=shrunk)
         summary.new_artifacts.append(path)
 
@@ -214,7 +194,7 @@ class Campaign:
             if self.max_scenarios is not None \
                     and summary.scenarios >= self.max_scenarios:
                 break
-            outcome = run_scenario(scenario, until=self.until)
+            outcome = run_scenario(scenario)
             summary.note(outcome)
             if not outcome.ok:
                 signature = classify(outcome.report)

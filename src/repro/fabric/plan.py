@@ -65,8 +65,11 @@ class FaultPlan:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {p}")
-        if self.max_drops_per_message < 0:
-            raise ValueError("max_drops_per_message must be >= 0")
+        for name in ("jitter", "reorder_magnitude", "spike_magnitude",
+                     "max_drops_per_message"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got "
+                                 f"{getattr(self, name)}")
 
     # ------------------------------------------------------------------
     @property

@@ -21,8 +21,7 @@ from .check import (CIRCUITS, Checker, CheckReport, RunReport,
                     wave_digest)
 from .invariants import VIOLATION_KINDS, check_all
 from .schedule import (DefaultScheduler, RandomScheduler, ReplayScheduler,
-                       Schedule, Scheduler, normalize_params,
-                       swap_schedule)
+                       Schedule, Scheduler, swap_schedule)
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -30,6 +29,6 @@ __all__ = [
     "check_backend", "replay_schedule", "wave_digest",
     "VIOLATION_KINDS", "check_all",
     "DefaultScheduler", "RandomScheduler", "ReplayScheduler", "Schedule",
-    "Scheduler", "normalize_params", "swap_schedule",
+    "Scheduler", "swap_schedule",
     "TraceRecord", "Tracer",
 ]

@@ -47,6 +47,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..config import RunConfig
+from ..fabric.plan import plan_from_dict
+
 
 class Scheduler:
     """Base controlled scheduler: records every decision it makes.
@@ -161,76 +164,52 @@ def swap_schedule(point: int, alternative: int) -> List[int]:
 ARTIFACT_VERSION = 1
 
 
-def normalize_params(params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """Canonicalize circuit-builder params after a JSON round-trip.
-
-    JSON has no tuples, so sequence-valued axes (e.g. the ``delays``
-    palette) come back as lists; the builders and scenario keys want
-    hashable tuples.
-    """
-    if not params:
-        return {}
-    return {key: tuple(value) if isinstance(value, list) else value
-            for key, value in params.items()}
-
-
 @dataclass
 class Schedule:
     """A replayable schedule artifact.
 
-    Everything needed to reproduce one explored interleaving: the
-    circuit identity, machine configuration, the decision sequence, and
+    Everything needed to reproduce one explored interleaving: the run
+    it was recorded on (a modelled-machine :class:`~repro.config.
+    RunConfig` naming a registered circuit), the decision sequence, and
     the committed-wave digest the run produced (so a replay can verify
-    it reproduced the same results bit-for-bit).
+    it reproduced the same results bit-for-bit).  The JSON carries the
+    run's circuit, seed, processors and protocol, and, only when they
+    differ from the defaults (so older artifacts keep loading with the
+    format version unchanged), its circuit parameters, fault plan and
+    exec mode.
     """
 
-    circuit: str
-    circuit_seed: int
-    processors: int
-    protocol: str
+    config: RunConfig
     decisions: List[int] = field(default_factory=list)
     ncands: List[int] = field(default_factory=list)
     label: str = "recorded"
     wave_digest: Optional[str] = None
     violations: List[str] = field(default_factory=list)
-    #: Circuit-builder parameter overrides (the fuzzing campaign's
-    #: topology axes: gates / registers / fanout / delays / ...).
-    #: Optional in the JSON — empty means the builder's defaults, so
-    #: pre-campaign artifacts keep loading and the format version is
-    #: unchanged.
-    circuit_params: Dict[str, Any] = field(default_factory=dict)
-    #: Fault-injection plan of the run in JSON dict form (see
-    #: :meth:`repro.fabric.plan.FaultPlan.to_dict`); ``None`` means a
-    #: fault-free run.  Optional in the JSON, like ``circuit_params``.
-    fault_plan: Optional[Dict[str, Any]] = None
-    #: Process execution mode of the recorded run (``"interp"`` or
-    #: ``"compiled"``, see :data:`repro.vhdl.kernel.EXEC_MODES`).
-    #: Optional in the JSON — serialized only when not ``"interp"``,
-    #: so pre-compiler artifacts keep loading unchanged.
-    exec_mode: str = "interp"
 
     # -- (de)serialization --------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
+        config = self.config
         data = {
             "version": ARTIFACT_VERSION,
-            "circuit": self.circuit,
-            "circuit_seed": self.circuit_seed,
-            "processors": self.processors,
-            "protocol": self.protocol,
+            "circuit": config.circuit,
+            "circuit_seed": config.circuit_seed,
+            "processors": config.processors,
+            "protocol": config.protocol,
             "decisions": self.decisions,
             "ncands": self.ncands,
             "label": self.label,
             "wave_digest": self.wave_digest,
             "violations": self.violations,
         }
-        if self.circuit_params:
+        if config.circuit_params:
             data["circuit_params"] = {
                 key: list(value) if isinstance(value, tuple) else value
-                for key, value in self.circuit_params.items()}
-        if self.fault_plan:
-            data["fault_plan"] = self.fault_plan
-        if self.exec_mode != "interp":
-            data["exec_mode"] = self.exec_mode
+                for key, value in config.circuit_params}
+        plan = config.fault_plan.to_dict() if config.fault_plan else None
+        if plan:
+            data["fault_plan"] = plan
+        if config.exec_mode != "interp":
+            data["exec_mode"] = config.exec_mode
         return data
 
     def save(self, path: str) -> None:
@@ -253,20 +232,22 @@ class Schedule:
             raise ValueError(
                 "recorded with lazy cancellation, which was retired "
                 "(every rollback cancels eagerly); record it again")
-        return cls(
+        plan = data.get("fault_plan")
+        config = RunConfig(
             circuit=data["circuit"],
             circuit_seed=int(data.get("circuit_seed", 0)),
             processors=int(data["processors"]),
             protocol=data["protocol"],
+            circuit_params=data.get("circuit_params", {}),
+            fault_plan=plan_from_dict(plan) if plan else None,
+            exec_mode=data.get("exec_mode", "interp"))
+        return cls(
+            config,
             decisions=[int(d) for d in data.get("decisions", [])],
             ncands=[int(n) for n in data.get("ncands", [])],
             label=data.get("label", "recorded"),
             wave_digest=data.get("wave_digest"),
             violations=list(data.get("violations", [])),
-            circuit_params=normalize_params(
-                data.get("circuit_params", {})),
-            fault_plan=data.get("fault_plan"),
-            exec_mode=data.get("exec_mode", "interp"),
         )
 
     def replayer(self) -> ReplayScheduler:

@@ -42,20 +42,19 @@ import pickle
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
+from ..config import RingSpec
 from ..core.event import Event
 from ..core.stats import RunStats
 from ..core.vtime import INFINITY, MINUS_INFINITY, VirtualTime
 from ..fabric.batched import BatchedEndpoint
-from ..fabric.plan import FaultPlan
 from ..fabric.recovery import checkpoint_processor, recover_processor
 from ..resilience import (DEFAULT_WALL_S, WallClockWatchdog, build_report,
                           resolve_watchdog)
 from .engine import (Engine, LPRuntime, Processor, ProtocolError,
                      build_engine, proc_has_work, stamp_epoch)
 from .floors import ReleaseFloors
-from .partition import Partition
 
 #: Event executions per act quantum, between flushes.
 QUANTUM = 64
@@ -73,55 +72,6 @@ class BackendOutcome:
     waves: int = 0
     #: Wall-clock duration of the run, first worker started to harvest.
     wall_time_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class RingSpec:
-    """What a ring run is, besides the model.
-
-    A forked or thread worker inherits it with the machine; a spawned
-    or remote worker is sent it beside the pristine pickled model
-    (:func:`pristine_payload`) and nothing else.  Validated here, so
-    every way of making one — a machine constructor, ``run()`` setting
-    the deadline — crosses the same checks.
-    """
-
-    processors: int
-    protocol: str = "optimistic"
-    partition: Union[str, Partition, Callable] = "round_robin"
-    until: Optional[int] = None
-    fault_plan: Optional[FaultPlan] = None
-    #: Durable checkpoints; ``None`` = when the plan schedules a crash.
-    recovery: Optional[bool] = None
-    watchdog_s: Optional[float] = None
-    #: The run's deadline; ``run(timeout_s)`` sets it.
-    timeout_s: float = 120.0
-
-    def __post_init__(self) -> None:
-        if self.protocol == "dynamic":
-            raise ValueError(
-                "the worker ring (threads / procs / dist) supports "
-                "static protocols only; use the modelled machine for "
-                "the dynamic configuration")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if self.crashes and not self.recovers:
-            raise ValueError("a crash schedule requires recovery=True")
-        for _at, victim in self.crashes:
-            if not 0 <= victim < self.processors:
-                raise ValueError(f"no processor {victim}")
-
-    @property
-    def crashes(self) -> List[Tuple[int, int]]:
-        """The crash schedule: (completed GVT commits, worker) pairs."""
-        plan = self.fault_plan
-        return sorted(plan.crashes) if plan is not None else []
-
-    @property
-    def recovers(self) -> bool:
-        if self.recovery is None:
-            return bool(self.crashes)
-        return bool(self.recovery)
 
 
 def pristine_payload(model, partition) -> bytes:

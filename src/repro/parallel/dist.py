@@ -12,7 +12,7 @@ token-ring GVT, same :class:`~repro.fabric.batched.BatchedEndpoint`
 retransmission and crash recovery.  Only the transport differs, and
 what a worker is told to run is what a spawned procs worker gets as
 process arguments: the pristine pickled model and the run's
-:class:`~repro.parallel.backend.RingSpec`, here as the ``spec`` frame.
+:class:`~repro.config.RingSpec`, here as the ``spec`` frame.
 
 **Topology.**  Hub and spoke: workers never dial each other.  Every
 envelope a worker addresses to a peer travels as a ``("relay", dst,
@@ -491,10 +491,9 @@ class DistMachine:
                  kills: Optional[List[Tuple[int, int]]] = None,
                  **ring) -> None:
         """``ring``: the fields of
-        :class:`~repro.parallel.backend.RingSpec`, as for
+        :class:`~repro.config.RingSpec`, as for
         :class:`~repro.parallel.procs.ProcsMachine`."""
-        # ``timeout_s`` is run()'s, not a constructor parameter.
-        self.spec = RingSpec(processors, timeout_s=120.0, **ring)
+        self.spec = RingSpec.of(processors, **ring)
         if self.spec.recovery is not None and not self.spec.recovery:
             raise ValueError(
                 "the dist backend cannot run without recovery: a TCP "

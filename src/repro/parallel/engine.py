@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
                     Tuple, Union)
 
+from ..config import PROTOCOLS
 from ..core.event import Event, EventId, EventKind
 from ..core.lp import LogicalProcess
 from ..core.model import Model, SyncMode
@@ -63,7 +64,6 @@ from .cost import SHARED_MEMORY, CostModel
 from .partition import PARTITIONERS, Partition
 
 #: Named protocol configurations (paper Sec. 4).
-PROTOCOLS = ("optimistic", "conservative", "mixed", "dynamic")
 
 
 class ProtocolError(RuntimeError):

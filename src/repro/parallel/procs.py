@@ -79,7 +79,7 @@ and nothing but events, tokens and final states ever crosses a pickle
 boundary.  Under ``spawn``/``forkserver`` each worker instead receives
 its own pipe ends as :class:`multiprocessing.connection.Connection`
 arguments, the *pristine* pickled model and the run's
-:class:`~repro.parallel.backend.RingSpec` — exactly what the dist
+:class:`~repro.config.RingSpec` — exactly what the dist
 backend ships over the wire — and rebuilds its own machine with the
 one ring constructor: same model, same spec, hence the same placement
 and the same seeded queues as every sibling
@@ -398,15 +398,14 @@ class ProcsMachine(WorkerCore):
 
     ``ring`` is the run itself — ``protocol``, ``partition``, ``until``,
     ``fault_plan``, ``recovery``, ``watchdog_s``: the
-    fields of :class:`~repro.parallel.backend.RingSpec`.
+    fields of :class:`~repro.config.RingSpec`.
     """
 
     backend_name = "procs"
 
     def __init__(self, model: Model, processors: int,
                  start_method: Optional[str] = None, **ring) -> None:
-        # ``timeout_s`` is run()'s, not a constructor parameter.
-        spec = RingSpec(processors, timeout_s=120.0, **ring)
+        spec = RingSpec.of(processors, **ring)
         self.start_method = resolve_start_method(start_method)
         model = resolve_model(model)
         #: What a worker that cannot inherit this machine rebuilds it

@@ -15,7 +15,7 @@ resumes the P workers round-robin, in index order, in the caller's
 thread.  An envelope reaches a peer through that peer's ``deque``; a
 worker never waits for one, because nothing can arrive while it waits —
 its peers run on their own turns.  A run is therefore a pure function
-of the model, the :class:`~repro.parallel.backend.RingSpec` and its
+of the model, the :class:`~repro.config.RingSpec` and its
 fault plan: two runs commit the same waves in the same order and count
 the same statistics.  Nothing is ever pickled, whatever
 ``REPRO_PROCS_START`` says, so closure bodies and generator stimuli run
@@ -55,9 +55,7 @@ class ThreadedMachine(WorkerCore):
     backend_name = "threads"
 
     def __init__(self, model: Model, processors: int, **ring) -> None:
-        # ``timeout_s`` is run()'s, not a constructor parameter.
-        super().__init__(model, RingSpec(processors, timeout_s=120.0,
-                                         **ring))
+        super().__init__(model, RingSpec.of(processors, **ring))
 
     def run(self, timeout_s: float = 120.0) -> BackendOutcome:
         self.spec = replace(self.spec, timeout_s=timeout_s)

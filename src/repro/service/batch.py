@@ -26,26 +26,27 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from ..config import RunConfig
 from ..core.stats import RunStats
 from ..vhdl.artifact import DesignArtifact
 from ..vhdl.cache import ElabCache, cached_elaborate
+from ..vhdl.kernel import execute
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    """One parameterized run of a job's design."""
+class RunSpec(RunConfig):
+    """One parameterized run of a job's design: a run plus a label.
+    Unlike a bare :class:`~repro.config.RunConfig` it defaults to one
+    sequential run (``protocol`` and ``processors`` apply to the
+    parallel backends)."""
 
-    label: str = ""
-    backend: str = "seq"  # "seq"|"model"|"threads"|"procs"|"dist"
+    backend: str = "seq"
     protocol: str = "optimistic"
     processors: int = 1
-    until: Optional[int] = None
-    exec_mode: str = "interp"
-    #: Extra machine kwargs (partition, start_method, ...).
-    options: Dict[str, Any] = field(default_factory=dict)
+    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -123,20 +124,6 @@ class BatchResult:
         }
 
 
-def _execute(artifact: DesignArtifact, spec: RunSpec):
-    """One run: fresh runtime from the shared artifact, any engine."""
-    from ..vhdl.kernel import simulate, simulate_parallel
-
-    design = artifact.instantiate()
-    if spec.backend == "seq":
-        return simulate(design, until=spec.until,
-                        exec_mode=spec.exec_mode)
-    return simulate_parallel(design, processors=spec.processors,
-                             until=spec.until, protocol=spec.protocol,
-                             backend=spec.backend,
-                             exec_mode=spec.exec_mode, **spec.options)
-
-
 class RunService:
     """Elaborate each distinct design once; fan N runs onto a pool."""
 
@@ -202,7 +189,7 @@ class RunService:
                                  run_index=run_index, spec=spec,
                                  content_hash=artifact.content_hash)
             try:
-                outcome.result = _execute(artifact, spec)
+                outcome.result = execute(artifact, spec)
             except Exception as failure:  # noqa: BLE001 - per-run report
                 outcome.error = f"{type(failure).__name__}: {failure}"
             outcome.duration_s = time.monotonic() - t0

@@ -5,7 +5,7 @@ from .artifact import (ArtifactError, DesignArtifact, artifact_key,
 from .cache import ElabCache, cached_elaborate
 from .compile import CompiledBody, Frame, lower_design
 from .design import Design
-from .kernel import (EXEC_MODES, SimulationResult, simulate,
+from .kernel import (EXEC_MODES, SimulationResult, execute, simulate,
                      simulate_parallel)
 from .process import (ClockedBody, ClockGeneratorBody, CombinationalBody,
                       GeneratorBody, ProcessBody, ProcessLP,
@@ -16,7 +16,8 @@ from .values import (SL_0, SL_1, SL_DASH, SL_H, SL_L, SL_U, SL_W, SL_X,
                      vector_to_str)
 
 __all__ = [
-    "Design", "SimulationResult", "simulate", "simulate_parallel",
+    "Design", "SimulationResult", "execute", "simulate",
+    "simulate_parallel",
     "ArtifactError", "DesignArtifact", "artifact_key", "build_artifact",
     "ElabCache", "cached_elaborate",
     "CompiledBody", "Frame", "lower_design", "EXEC_MODES",

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from importlib import import_module
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..config import EXEC_MODES, RunConfig
 from ..core.sequential import SequentialSimulator
 from ..core.stats import RunStats
 from ..core.vtime import VirtualTime
@@ -82,19 +83,9 @@ def _claim(design) -> Design:
     return design
 
 
-#: Process execution modes selectable by :func:`simulate` and
-#: :func:`simulate_parallel`:
-#:
-#: * ``"interp"``   — tree-walking interpretation of VHDL process
-#:   bodies (the reference semantics);
-#: * ``"compiled"`` — processes lowered to flat closure programs by
-#:   :mod:`repro.vhdl.compile` (bit-identical results, lower per-event
-#:   cost).
-EXEC_MODES = ("interp", "compiled")
-
-
 def _lower(design: Design, exec_mode: str) -> None:
-    """Apply the selected execution mode to ``design``'s processes."""
+    """Apply the selected execution mode (one of
+    :data:`~repro.config.EXEC_MODES`) to ``design``'s processes."""
     if exec_mode not in EXEC_MODES:
         raise ValueError(f"unknown exec mode {exec_mode!r}; pick from "
                          f"{EXEC_MODES}")
@@ -199,3 +190,19 @@ def simulate_parallel(design, processors: int,
     return _collect(design, outcome.stats,
                     parallel_time=getattr(outcome, "makespan", None),
                     processors=processors)
+
+
+def execute(design, config: RunConfig, **hooks: Any) -> SimulationResult:
+    """Run ``design`` as ``config`` describes, on the sequential engine
+    (backend ``"seq"``) or a parallel one.  ``hooks`` are the modelled
+    machine's harness keywords (``tracer``, ``scheduler``,
+    ``max_steps``).  The engines raise what they cannot run;
+    :meth:`RunConfig.validate` says it before any work."""
+    if config.backend == "seq":
+        return simulate(design, until=config.until,
+                        exec_mode=config.exec_mode)
+    return simulate_parallel(design, config.processors,
+                             until=config.until, protocol=config.protocol,
+                             backend=config.backend,
+                             exec_mode=config.exec_mode,
+                             **config.machine_kwargs(), **hooks)

@@ -27,6 +27,7 @@ import pytest
 from repro.circuits import (build_fsm, build_fsm_from_vhdl,
                             build_random, build_random_behavioral,
                             fsm_vhdl)
+from repro.config import RunConfig
 from repro.harness import check_backend, wave_digest
 from repro.harness.check import Checker, circuit_artifact
 from repro.parallel.engine import PROTOCOLS
@@ -378,11 +379,11 @@ class TestHarnessReuse:
         assert one is two  # params order must not defeat the memo
 
     def test_check_backend_reuse_matches_cold(self):
-        cold = check_backend("fsm", "threads", "optimistic",
-                             circuit_params={"cells": 3, "cycles": 3})
-        warm = check_backend("fsm", "threads", "optimistic",
-                             circuit_params={"cells": 3, "cycles": 3},
-                             reuse_artifact=True)
+        config = RunConfig(backend="threads", protocol="optimistic",
+                           circuit="fsm",
+                           circuit_params={"cells": 3, "cycles": 3})
+        cold = check_backend(config)
+        warm = check_backend(config, reuse_artifact=True)
         assert cold.ok, cold.violations
         assert warm.ok, warm.violations
         assert cold.digest == warm.digest

@@ -22,6 +22,7 @@ from repro.campaign import (ALL_AXES, BACKEND_PROTOCOLS, Campaign,
                             normalize_violation, run_scenario)
 from repro.campaign.axes import _freeze_params
 from repro.campaign.triage import primary_kind, violation_kind
+from repro.config import RunConfig
 from repro.harness import Schedule, Scheduler, replay_schedule
 from tests.strategies import prop_settings, small_seeds, topologies
 
@@ -201,8 +202,9 @@ class TestTriage:
 class TestCorpus:
     def _record_one(self, corpus, kind="commit-order"):
         sig = FailureSignature(kind=kind)
-        schedule = Schedule(circuit="fsm", circuit_seed=1, processors=2,
-                            protocol="dynamic", decisions=[0, 1],
+        schedule = Schedule(RunConfig(circuit="fsm", circuit_seed=1,
+                                      processors=2, protocol="dynamic"),
+                            decisions=[0, 1],
                             ncands=[2, 2],
                             violations=[f"{kind}: LP 1 ..."])
         scenario = Scenario(backend="model", protocol="dynamic",
@@ -219,7 +221,7 @@ class TestCorpus:
         assert len(corpus) == 1
         assert corpus.artifact_paths() == [path]
         # The artifact is a regular Schedule JSON.
-        assert Schedule.load(path).circuit == "fsm"
+        assert Schedule.load(path).config.circuit == "fsm"
 
     def test_index_survives_reload(self, tmp_path):
         self._record_one(Corpus(str(tmp_path)))

@@ -240,7 +240,7 @@ class TestCheckCommand:
 
         from repro.harness import Schedule
         schedule = Schedule.load(artifact)
-        assert schedule.circuit == "fsm"
+        assert schedule.config.circuit == "fsm"
         assert schedule.wave_digest
 
         assert main(["check", "--replay", artifact]) == 0

@@ -30,6 +30,7 @@ from repro.circuits import (build_dct, build_iir, build_random,
                             build_fsm_from_vhdl, build_iir_from_vhdl,
                             build_random_behavioral, iir_vhdl_reference)
 from repro.fabric import FaultPlan
+from repro.config import RunConfig
 from repro.harness import check_backend, wave_digest
 from repro.vhdl import (CompiledBody, Frame, simulate, simulate_parallel,
                         vector_to_int)
@@ -124,9 +125,10 @@ class TestParallelDifferential:
         # The acceptance-criterion run: real multiprocessing workers,
         # optimistic protocol — LP states (compiled frames included)
         # are pickled into checkpoints and restored on rollback.
-        run = check_backend("behav", backend="procs",
-                            protocol="optimistic", processors=2,
-                            exec_mode="compiled")
+        run = check_backend(RunConfig(backend="procs",
+                                      protocol="optimistic", processors=2,
+                                      exec_mode="compiled",
+                                      circuit="behav"))
         assert run.ok, run.violations
 
     @pytest.mark.slow
@@ -134,9 +136,10 @@ class TestParallelDifferential:
     @pytest.mark.parametrize("protocol", STATIC_PROTOCOLS)
     def test_real_backends_full_matrix(self, backend, protocol):
         for circuit in sorted(VHDL_BUILDERS):
-            run = check_backend(circuit, backend=backend,
-                                protocol=protocol, processors=2,
-                                exec_mode="compiled")
+            run = check_backend(RunConfig(backend=backend,
+                                          protocol=protocol, processors=2,
+                                          exec_mode="compiled",
+                                          circuit=circuit))
             assert run.ok, (circuit, run.violations)
 
     @pytest.mark.slow
@@ -144,9 +147,10 @@ class TestParallelDifferential:
         # Kill a worker mid-run: recovery re-loads the checkpointed
         # (pickled) compiled bodies and must still match the oracle.
         plan = FaultPlan(seed=5).with_crashes((8, 1))
-        run = check_backend("behav", backend="procs",
-                            protocol="optimistic", processors=2,
-                            exec_mode="compiled", fault_plan=plan)
+        run = check_backend(RunConfig(backend="procs",
+                                      protocol="optimistic", processors=2,
+                                      exec_mode="compiled", fault_plan=plan,
+                                      circuit="behav"))
         assert run.ok, run.violations
 
 

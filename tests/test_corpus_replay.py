@@ -70,7 +70,7 @@ def test_crash_recovery_artifact_reaches_the_withheld_path(monkeypatch):
     monkeypatch.setattr(Processor, "withhold", counted)
     schedule = Schedule.load(
         os.path.join(ARTIFACT_DIR, "seed-360472-crash-recovery.json"))
-    assert schedule.circuit_seed == 360472
+    assert schedule.config.circuit_seed == 360472
     report = replay_schedule(schedule)
     assert report.ok, report.violations
     assert report.stats.recoveries == 1

@@ -9,6 +9,7 @@ artifact, and reproduce the violation from the artifact alone.
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core.vtime import VirtualTime
 from repro.harness import (Checker, DefaultScheduler, RandomScheduler,
                            ReplayScheduler, Schedule, Scheduler, Tracer,
@@ -68,8 +69,9 @@ class TestSchedulers:
         assert swap_schedule(3, 2) == [0, 0, 0, 2]
 
     def test_schedule_artifact_roundtrip(self, tmp_path):
-        schedule = Schedule(circuit="fsm", circuit_seed=3, processors=2,
-                            protocol="dynamic", decisions=[0, 2, 1],
+        schedule = Schedule(RunConfig(circuit="fsm", circuit_seed=3,
+                                      processors=2, protocol="dynamic"),
+                            decisions=[0, 2, 1],
                             ncands=[1, 3, 2], wave_digest="abc123")
         path = str(tmp_path / "sched.json")
         schedule.save(path)
