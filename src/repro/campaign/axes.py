@@ -79,7 +79,6 @@ class Scenario(RunConfig):
     backend: str
     protocol: str
     circuit: str = "random"
-    timeout_s: float = CAMPAIGN_TIMEOUT_S
     #: Modelled machine only: seed of the controlled random schedule;
     #: ``None`` runs the canonical (all-defaults) interleaving.
     schedule_seed: Optional[int] = None
@@ -220,8 +219,10 @@ class ScenarioSpace:
             processors=processors, schedule_seed=schedule_seed,
             fault_plan=plan, exec_mode=exec_mode, until=self.until,
             # The step watchdog of a controlled run takes the livelock
-            # guard's bound; a ring keeps its own (seconds).
-            watchdog=CAMPAIGN_MAX_STEPS if backend == "model" else None)
+            # guard's bound; a ring keeps its own (seconds) and takes
+            # the campaign's deadline.
+            watchdog=CAMPAIGN_MAX_STEPS if backend == "model" else None,
+            timeout_s=None if backend == "model" else CAMPAIGN_TIMEOUT_S)
 
     # ------------------------------------------------------------------
     def cells(self) -> Tuple[Tuple[str, str, str], ...]:

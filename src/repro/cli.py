@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from importlib import import_module
 from typing import List, Optional
@@ -94,13 +95,43 @@ def _parse_until(text: Optional[str]) -> Optional[int]:
             f"or a femtosecond count") from None
 
 
+def _read_source(path: str) -> str:
+    """The text of a VHDL file; a file that cannot be read is refused."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as failure:
+        reason = getattr(failure, "strerror", None) or failure
+        raise ConfigError(f"cannot read {path}: {reason}") from None
+
+
+@contextmanager
+def _front_end(path: Optional[str]):
+    """Refuse VHDL the front end cannot read — a lexer or parser error,
+    an unknown entity, an elaboration it rejects — with the file's
+    name, instead of a traceback (``path`` ``None``: a built-in
+    circuit, which the front end does not read)."""
+    from .vhdl.frontend import ElaborationError, VhdlRuntimeError
+
+    try:
+        yield
+    except (KeyError, SyntaxError, ElaborationError,
+            VhdlRuntimeError) as failure:
+        if path is None:
+            raise
+        # DesignFile's KeyError names the entity in its one argument.
+        reason = failure.args[0] if isinstance(failure, KeyError) \
+            else failure
+        raise ConfigError(f"{path}: {reason}") from None
+
+
 def _load_design(args):
     from .vhdl.frontend import elaborate
 
-    with open(args.file) as handle:
-        source = handle.read()
+    source = _read_source(args.file)
     traced = True if not args.trace else tuple(args.trace)
-    return elaborate(source, top=args.top, traced=traced)
+    with _front_end(args.file):
+        return elaborate(source, top=args.top, traced=traced)
 
 
 def _parse_circuit_params(items: Optional[List[str]]):
@@ -162,7 +193,7 @@ def _run_config(args, **fields) -> RunConfig:
         until=_parse_until(flags.get("until")),
         circuit_params=_parse_circuit_params(flags.get("circuit_param")),
         exec_mode=flags.get("exec") or "interp")
-    if "timeout" in flags:
+    if flags.get("timeout") is not None:
         given["timeout_s"] = flags["timeout"]
     if "fault_plan" in flags:
         given["fault_plan"] = _fault_plan(args)
@@ -438,8 +469,7 @@ def _artifact_source(args):
     if args.circuit is not None:
         config = _run_config(args)
         return (lambda: fresh_design(config)), None
-    with open(args.file) as handle:
-        source = handle.read()
+    source = _read_source(args.file)
     cache = None if args.no_cache else ElabCache(args.cache_dir)
     return VhdlJob(source=source, top=args.top), cache
 
@@ -450,7 +480,8 @@ def cmd_elab(args) -> int:
 
     source, cache = _artifact_source(args)
     service = RunService(cache=cache, max_workers=1)
-    artifact, how = service.resolve(source)
+    with _front_end(args.file):
+        artifact, how = service.resolve(source)
     sizes = artifact.size_report()
     print(f"artifact {artifact.name}: {artifact.content_hash}")
     print(f"  resolved      : {how}"
@@ -479,7 +510,8 @@ def cmd_batch(args) -> int:
         specs = [RunSpec(backend="seq", exec_mode=args.exec)]
     specs = [spec for spec in specs for _ in range(args.repeat)]
     service = RunService(cache=cache, max_workers=args.jobs)
-    batch = service.run_batch([BatchJob(design=source, runs=specs)])
+    with _front_end(args.file):
+        batch = service.run_batch([BatchJob(design=source, runs=specs)])
     digests = set()
     for outcome in batch.outcomes:
         spec = outcome.spec
@@ -617,9 +649,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "spawn; under spawn workers rebuild "
                                 "their machines from the pickled "
                                 "pristine model)")
-        p_par.add_argument("--timeout", type=float, default=120.0,
+        p_par.add_argument("--timeout", type=float, default=None,
                            help="wall-clock budget in seconds "
-                                "(threads/procs/dist backends)")
+                                "(threads/procs/dist backends; "
+                                "default 120)")
         p_par.add_argument("--watchdog", type=float, default=None,
                            metavar="BOUND",
                            help="liveness watchdog bound: machine steps "
@@ -833,8 +866,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.handler(args)
     except ConfigError as failure:
-        # A flag's value or a run no backend can run, refused before
-        # any work: one line, argparse's exit status for bad usage.
+        # A flag's value, a design the front end cannot read, or a run
+        # no backend can run: one line, argparse's exit status for bad
+        # usage.
         print(f"repro: {failure}", file=sys.stderr)
         return 2
 

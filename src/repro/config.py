@@ -138,7 +138,9 @@ class RunConfig:
     until: Optional[int] = None
     fault_plan: Optional[Any] = None
     watchdog: Optional[float] = None
-    timeout_s: float = RingSpec.timeout_s
+    #: A ring run's wall deadline in seconds; ``None`` is the ring's
+    #: own.  The modelled machine and the sequential engine have none.
+    timeout_s: Optional[float] = None
     start_method: Optional[str] = None
     hosts: Tuple[str, ...] = ()
     circuit: Optional[str] = None
@@ -173,7 +175,8 @@ class RunConfig:
             if self.watchdog is not None:
                 kwargs["watchdog"] = int(self.watchdog)
             return kwargs
-        kwargs["timeout_s"] = self.timeout_s
+        if self.timeout_s is not None:
+            kwargs["timeout_s"] = self.timeout_s
         if self.watchdog is not None:
             kwargs["watchdog_s"] = self.watchdog
         if self.start_method is not None:
@@ -198,9 +201,14 @@ class RunConfig:
         _at_least("-p/--processors", self.processors, 1)
         _at_least("--until", self.until, 0)
         _at_least("--watchdog", self.watchdog, 0)
-        if self.timeout_s <= 0:
-            raise ConfigError(f"--timeout must be positive, got "
-                              f"{self.timeout_s:g}")
+        if self.timeout_s is not None:
+            if self.timeout_s <= 0:
+                raise ConfigError(f"--timeout must be positive, got "
+                                  f"{self.timeout_s:g}")
+            if self.backend not in RingSpec.BACKENDS:
+                raise ConfigError(
+                    f"--timeout applies to the "
+                    f"{' / '.join(RingSpec.BACKENDS)} backends only")
         if self.start_method is not None and self.backend != "procs":
             raise ConfigError("--start-method applies to the procs "
                               "backend only")

@@ -40,13 +40,15 @@ of the interpreter's nested (unpicklable) closures.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .process import ProcessBody, ProcessLP, Wait
 from .values import SL_Z, sl, slv
 from .frontend import ast
 from .frontend.interp import (
-    _BUILTINS, Env, InterpretedBody, VhdlRuntimeError, VType,
+    _BUILTINS, _HINTED_OPS, _INT_ARITHMETIC, _INT_ORDERINGS, Env,
+    InterpretedBody, VhdlRuntimeError, VType,
     _apply_builtin, _as_vector, _eval_binary, _eval_const, _eval_unary,
     _expr_signal_names, _slice_positions, _target_parts, _truthy,
     _values_equal, coerce_value, collect_signal_drives,
@@ -58,36 +60,13 @@ __all__ = ["CompiledBody", "Frame", "lower_design"]
 #: Sentinel: "this sub-expression is not a compile-time constant".
 _NOT_CONST = object()
 
-#: Operators whose left operand receives the ``expected`` type hint
-#: (mirrors the interpreter's ``evaluate`` for Binary nodes).
-_EXPECTED_OPS = ("and", "or", "xor", "nand", "nor", "xnor", "&")
-
-
-def _rem_int(li: int, ri: int) -> int:
-    value = abs(li) % abs(ri)
-    return -value if li < 0 else value
-
-
 #: Monomorphic fast paths for ``int op int``, taken only when both
 #: operands are exactly ``int`` (``bool`` falls back — the interpreter
 #: treats it as a logic operand first).  Each entry computes exactly
 #: what ``_eval_binary`` computes for two plain integers, including the
 #: same ``ZeroDivisionError`` on a zero divisor.
-_INT_BINOPS = {
-    "+": lambda li, ri: li + ri,
-    "-": lambda li, ri: li - ri,
-    "*": lambda li, ri: li * ri,
-    "/": lambda li, ri: li // ri,
-    "mod": lambda li, ri: li % ri,
-    "rem": _rem_int,
-    "**": lambda li, ri: li ** ri,
-    "=": lambda li, ri: li == ri,
-    "/=": lambda li, ri: li != ri,
-    "<": lambda li, ri: li < ri,
-    ">": lambda li, ri: li > ri,
-    "<=": lambda li, ri: li <= ri,
-    ">=": lambda li, ri: li >= ri,
-}
+_INT_BINOPS = {**_INT_ARITHMETIC, "=": operator.eq, "/=": operator.ne,
+               **_INT_ORDERINGS}
 
 
 class Frame:
@@ -863,7 +842,7 @@ class _Compiler:
         if isinstance(expr, ast.Binary):
             op = expr.op
             lfn, lc = self._expr(expr.left,
-                                 expected if op in _EXPECTED_OPS else None)
+                                 expected if op in _HINTED_OPS else None)
             rfn, rc = self._expr(expr.right, None)
             fast = _INT_BINOPS.get(op)
             if fast is not None:

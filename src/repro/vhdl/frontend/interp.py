@@ -22,15 +22,20 @@ stays put and ``resume`` continues from it.  When the top-level body
 ends, the process loops (VHDL processes are infinite loops); a process
 with a sensitivity list instead performs the implicit
 ``wait on <sensitivity>``.
+
+Each statement and expression is dispatched through a table keyed by
+its exact node class (``_EXEC``, ``_EVAL``), and each binary operator
+through one keyed by the operator (``_BINARY``).
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...core.vtime import NS
 from ..process import ProcessBody, ProcessLP, Wait
-from ..values import SL_0, SL_U, StdLogic, sl, slv, vector_to_int
+from ..values import SL_0, SL_U, SL_Z, StdLogic, sl, slv, vector_to_int
 from . import ast
 
 
@@ -323,78 +328,76 @@ class InterpretedBody(ProcessBody):
 
     # ------------------------------------------------------------------
     def _exec(self, stmt: ast.Stmt, api: ProcessLP) -> Optional[Wait]:
-        if isinstance(stmt, ast.SignalAssign):
-            self._do_signal_assign(stmt, api)
-            return None
-        if isinstance(stmt, ast.VarAssign):
-            self._do_var_assign(stmt, api)
-            return None
-        if isinstance(stmt, ast.IfStmt):
-            for condition, body in stmt.arms:
-                if _truthy(self._eval(condition, api)):
+        try:
+            handler = _EXEC[type(stmt)]
+        except KeyError:
+            raise VhdlRuntimeError(
+                f"unsupported statement {type(stmt)}") from None
+        return handler(self, stmt, api)
+
+    def _do_if(self, stmt: ast.IfStmt, api: ProcessLP) -> None:
+        for condition, body in stmt.arms:
+            if _truthy(self._eval(condition, api)):
+                self.frames.append(["seq", body, 0])
+                return
+        if stmt.orelse:
+            self.frames.append(["seq", stmt.orelse, 0])
+
+    def _do_case(self, stmt: ast.CaseStmt, api: ProcessLP) -> None:
+        selector = self._eval(stmt.selector, api)
+        for choices, body in stmt.arms:
+            if not choices:  # when others
+                self.frames.append(["seq", body, 0])
+                return
+            for choice in choices:
+                if _values_equal(selector, self._eval(choice, api)):
                     self.frames.append(["seq", body, 0])
-                    return None
-            if stmt.orelse:
-                self.frames.append(["seq", stmt.orelse, 0])
-            return None
-        if isinstance(stmt, ast.CaseStmt):
-            selector = self._eval(stmt.selector, api)
-            for choices, body in stmt.arms:
-                if not choices:  # when others
-                    self.frames.append(["seq", body, 0])
-                    return None
-                for choice in choices:
-                    if _values_equal(selector, self._eval(choice, api)):
-                        self.frames.append(["seq", body, 0])
-                        return None
-            return None
-        if isinstance(stmt, ast.ForStmt):
-            low = int(self._eval(stmt.low, api))
-            high = int(self._eval(stmt.high, api))
-            step = -1 if stmt.downto else 1
-            if (step > 0 and low > high) or (step < 0 and low < high):
-                return None  # empty range
-            shadow = (stmt.var in self.vars, self.vars.get(stmt.var))
-            self.vars[stmt.var] = low
-            self.frames.append(["for", stmt, low, high, step, shadow])
+                    return
+
+    def _do_for(self, stmt: ast.ForStmt, api: ProcessLP) -> None:
+        low = int(self._eval(stmt.low, api))
+        high = int(self._eval(stmt.high, api))
+        step = -1 if stmt.downto else 1
+        if (step > 0 and low > high) or (step < 0 and low < high):
+            return  # empty range
+        shadow = (stmt.var in self.vars, self.vars.get(stmt.var))
+        self.vars[stmt.var] = low
+        self.frames.append(["for", stmt, low, high, step, shadow])
+        self.frames.append(["seq", stmt.body, 0])
+
+    def _do_while(self, stmt: ast.WhileStmt, api: ProcessLP) -> None:
+        self.frames.append(["while", stmt])
+        if _truthy(self._eval(stmt.condition, api)):
             self.frames.append(["seq", stmt.body, 0])
-            return None
-        if isinstance(stmt, ast.WhileStmt):
-            self.frames.append(["while", stmt])
-            if _truthy(self._eval(stmt.condition, api)):
-                self.frames.append(["seq", stmt.body, 0])
-            else:
-                self.frames.pop()
-            return None
-        if isinstance(stmt, ast.WaitStmt):
-            return self._do_wait(stmt, api)
-        if isinstance(stmt, ast.NullStmt):
-            return None
-        if isinstance(stmt, ast.ReportStmt):
-            message = self._eval(stmt.message, api)
-            self.reports.append((stmt.severity or "note", str(message)))
-            return None
-        if isinstance(stmt, ast.AssertStmt):
-            if not _truthy(self._eval(stmt.condition, api)):
-                message = ("assertion failed" if stmt.message is None
-                           else str(self._eval(stmt.message, api)))
-                severity = stmt.severity or "error"
-                self.reports.append((severity, message))
-                if severity in ("failure", "error"):
-                    raise VhdlRuntimeError(
-                        f"assertion ({severity}): {message}")
-            return None
-        if isinstance(stmt, ast.ExitStmt):
-            if stmt.condition is None or \
-                    _truthy(self._eval(stmt.condition, api)):
-                self._unwind_loop(api, drop_loop=True)
-            return None
-        if isinstance(stmt, ast.NextStmt):
-            if stmt.condition is None or \
-                    _truthy(self._eval(stmt.condition, api)):
-                self._unwind_loop(api, drop_loop=False)
-            return None
-        raise VhdlRuntimeError(f"unsupported statement {type(stmt)}")
+        else:
+            self.frames.pop()
+
+    def _do_null(self, stmt: ast.NullStmt, api: ProcessLP) -> None:
+        return None
+
+    def _do_report(self, stmt: ast.ReportStmt, api: ProcessLP) -> None:
+        message = self._eval(stmt.message, api)
+        self.reports.append((stmt.severity or "note", str(message)))
+
+    def _do_assert(self, stmt: ast.AssertStmt, api: ProcessLP) -> None:
+        if not _truthy(self._eval(stmt.condition, api)):
+            message = ("assertion failed" if stmt.message is None
+                       else str(self._eval(stmt.message, api)))
+            severity = stmt.severity or "error"
+            self.reports.append((severity, message))
+            if severity in ("failure", "error"):
+                raise VhdlRuntimeError(
+                    f"assertion ({severity}): {message}")
+
+    def _do_exit(self, stmt: ast.ExitStmt, api: ProcessLP) -> None:
+        if stmt.condition is None or \
+                _truthy(self._eval(stmt.condition, api)):
+            self._unwind_loop(api, drop_loop=True)
+
+    def _do_next(self, stmt: ast.NextStmt, api: ProcessLP) -> None:
+        if stmt.condition is None or \
+                _truthy(self._eval(stmt.condition, api)):
+            self._unwind_loop(api, drop_loop=False)
 
     def _unwind_loop(self, api: ProcessLP, drop_loop: bool) -> None:
         frames = self.frames
@@ -460,7 +463,6 @@ class InterpretedBody(ProcessBody):
         base = self.driving.get(name)
         if base is None:
             if ref.shared:
-                from ..values import SL_Z
                 base = (SL_Z,) * ref.vtype.width
             else:
                 base = api.read(ref.lp_id)
@@ -517,6 +519,24 @@ class InterpretedBody(ProcessBody):
 
     def _coerce(self, value: Any, vtype: VType) -> Any:
         return coerce_value(value, vtype)
+
+
+#: One executor per statement node type, keyed by the exact type: it
+#: returns the ``Wait`` that suspends the body, or ``None``.
+_EXEC: Dict[type, Callable[..., Optional[Wait]]] = {
+    ast.SignalAssign: InterpretedBody._do_signal_assign,
+    ast.VarAssign: InterpretedBody._do_var_assign,
+    ast.IfStmt: InterpretedBody._do_if,
+    ast.CaseStmt: InterpretedBody._do_case,
+    ast.ForStmt: InterpretedBody._do_for,
+    ast.WhileStmt: InterpretedBody._do_while,
+    ast.WaitStmt: InterpretedBody._do_wait,
+    ast.NullStmt: InterpretedBody._do_null,
+    ast.ReportStmt: InterpretedBody._do_report,
+    ast.AssertStmt: InterpretedBody._do_assert,
+    ast.ExitStmt: InterpretedBody._do_exit,
+    ast.NextStmt: InterpretedBody._do_next,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -738,59 +758,77 @@ def _walk_drives(body, names: set) -> None:
 # ---------------------------------------------------------------------------
 def evaluate(expr: ast.Expr, ctx, api: Optional[ProcessLP],
              expected: Optional[VType]) -> Any:
-    if isinstance(expr, ast.CharLiteral):
-        return sl(expr.value)
-    if isinstance(expr, ast.StringLiteral):
-        # Bit-string literal when every character is a std_logic value;
-        # otherwise a plain string (report messages etc.).
-        if expr.value and all(c.upper() in "UX01ZWLH-"
-                              for c in expr.value):
-            return slv(expr.value)
-        return expr.value
-    if isinstance(expr, ast.IntLiteral):
-        return expr.value
-    if isinstance(expr, ast.TimeLiteral):
-        return expr.femtoseconds
-    if isinstance(expr, ast.Name):
-        return _eval_name(expr.ident, ctx, api)
-    if isinstance(expr, ast.Aggregate):
-        if expected is None or expected.kind != "vector":
-            if expr.others is not None and not expr.positional:
-                raise VhdlRuntimeError(
-                    "(others => ...) needs a known target width")
-            return tuple(sl(evaluate(e, ctx, api, None))
-                         for e in expr.positional)
-        width = expected.width
-        bits = [sl(evaluate(e, ctx, api, None)) for e in expr.positional]
-        if expr.others is not None:
-            fill = sl(evaluate(expr.others, ctx, api, None))
-            bits = bits + [fill] * (width - len(bits))
-        if len(bits) != width:
+    try:
+        handler = _EVAL[type(expr)]
+    except KeyError:
+        raise VhdlRuntimeError(f"cannot evaluate {expr!r}") from None
+    return handler(expr, ctx, api, expected)
+
+
+def _eval_char(expr: ast.CharLiteral, ctx, api, expected) -> Any:
+    return sl(expr.value)
+
+
+def _eval_string(expr: ast.StringLiteral, ctx, api, expected) -> Any:
+    # Bit-string literal when every character is a std_logic value;
+    # otherwise a plain string (report messages etc.).
+    if expr.value and all(c.upper() in "UX01ZWLH-" for c in expr.value):
+        return slv(expr.value)
+    return expr.value
+
+
+def _eval_int(expr: ast.IntLiteral, ctx, api, expected) -> Any:
+    return expr.value
+
+
+def _eval_time(expr: ast.TimeLiteral, ctx, api, expected) -> Any:
+    return expr.femtoseconds
+
+
+def _eval_name_node(expr: ast.Name, ctx, api, expected) -> Any:
+    return _eval_name(expr.ident, ctx, api)
+
+
+def _eval_aggregate(expr: ast.Aggregate, ctx, api, expected) -> Any:
+    if expected is None or expected.kind != "vector":
+        if expr.others is not None and not expr.positional:
             raise VhdlRuntimeError(
-                f"aggregate width {len(bits)} vs target {width}")
-        return tuple(bits)
-    if isinstance(expr, ast.Indexed):
-        return _eval_indexed(expr, ctx, api)
-    if isinstance(expr, ast.Sliced):
-        base, vtype = _eval_vector_base(expr.base, ctx, api)
-        positions = _slice_positions(
-            vtype, int(evaluate(expr.left, ctx, api, None)),
-            int(evaluate(expr.right, ctx, api, None)))
-        return tuple(base[p] for p in positions)
-    if isinstance(expr, ast.Attribute):
-        return _eval_attribute(expr, ctx, api)
-    if isinstance(expr, ast.Unary):
-        return _eval_unary(expr.op,
-                           evaluate(expr.operand, ctx, api, expected))
-    if isinstance(expr, ast.Binary):
-        left = evaluate(expr.left, ctx, api, expected
-                        if expr.op in ("and", "or", "xor", "nand", "nor",
-                                       "xnor", "&") else None)
-        right = evaluate(expr.right, ctx, api, None)
-        return _eval_binary(expr.op, left, right)
-    if isinstance(expr, ast.Call):
-        return _eval_call(expr, ctx, api)
-    raise VhdlRuntimeError(f"cannot evaluate {expr!r}")
+                "(others => ...) needs a known target width")
+        return tuple(sl(evaluate(e, ctx, api, None))
+                     for e in expr.positional)
+    width = expected.width
+    bits = [sl(evaluate(e, ctx, api, None)) for e in expr.positional]
+    if expr.others is not None:
+        fill = sl(evaluate(expr.others, ctx, api, None))
+        bits = bits + [fill] * (width - len(bits))
+    if len(bits) != width:
+        raise VhdlRuntimeError(
+            f"aggregate width {len(bits)} vs target {width}")
+    return tuple(bits)
+
+
+def _eval_sliced(expr: ast.Sliced, ctx, api, expected) -> Any:
+    base, vtype = _eval_vector_base(expr.base, ctx, api)
+    positions = _slice_positions(
+        vtype, int(evaluate(expr.left, ctx, api, None)),
+        int(evaluate(expr.right, ctx, api, None)))
+    return tuple(base[p] for p in positions)
+
+
+def _eval_unary_node(expr: ast.Unary, ctx, api, expected) -> Any:
+    return _eval_unary(expr.op, evaluate(expr.operand, ctx, api, expected))
+
+
+#: Operators whose left operand receives the ``expected`` type hint.
+_HINTED_OPS = frozenset(("and", "or", "xor", "nand", "nor", "xnor", "&"))
+
+
+def _eval_binary_node(expr: ast.Binary, ctx, api, expected) -> Any:
+    op = expr.op
+    left = evaluate(expr.left, ctx, api,
+                    expected if op in _HINTED_OPS else None)
+    right = evaluate(expr.right, ctx, api, None)
+    return _eval_binary(op, left, right)
 
 
 def _eval_name(name: str, ctx, api) -> Any:
@@ -829,7 +867,7 @@ def _eval_vector_base(expr: ast.Expr, ctx, api):
     return value, VType("vector", len(value) - 1, 0, True)
 
 
-def _eval_indexed(expr: ast.Indexed, ctx, api) -> Any:
+def _eval_indexed(expr: ast.Indexed, ctx, api, expected) -> Any:
     if isinstance(expr.base, ast.Name):
         name = expr.base.ident
         if name in _BUILTINS:
@@ -845,7 +883,7 @@ def _eval_indexed(expr: ast.Indexed, ctx, api) -> Any:
     return base[vtype.position(index)]
 
 
-def _eval_attribute(expr: ast.Attribute, ctx, api) -> Any:
+def _eval_attribute(expr: ast.Attribute, ctx, api, expected) -> Any:
     if not isinstance(expr.base, ast.Name):
         raise VhdlRuntimeError("attributes only on simple names")
     name = expr.base.ident
@@ -874,52 +912,77 @@ def _eval_unary(op: str, value: Any) -> Any:
     raise VhdlRuntimeError(f"bad unary {op} on {value!r}")
 
 
-def _logic_binop(op: str, a: StdLogic, b: StdLogic) -> StdLogic:
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "nand":
-        return ~(a & b)
-    if op == "nor":
-        return ~(a | b)
-    if op == "xnor":
-        return ~(a ^ b)
-    raise VhdlRuntimeError(f"bad logic operator {op}")
+#: The nine std_logic values in code order.
+_NINE = tuple(StdLogic(code) for code in range(9))
+
+#: The six logic operators: (on two booleans, on two std_logic values).
+_LOGIC = {"and": (lambda a, b: a and b, operator.and_),
+          "or": (lambda a, b: a or b, operator.or_),
+          "xor": (operator.ne, operator.xor),
+          "nand": (lambda a, b: not (a and b), lambda a, b: ~(a & b)),
+          "nor": (lambda a, b: not (a or b), lambda a, b: ~(a | b)),
+          "xnor": (operator.eq, lambda a, b: ~(a ^ b))}
 
 
-def _eval_binary(op: str, left: Any, right: Any) -> Any:
-    if op in ("and", "or", "xor", "nand", "nor", "xnor"):
+def _logic_operator(op: str, on_bools: Callable,
+                    on_logic: Callable) -> Callable:
+    """``left op right`` for a logic operator: booleans when either side
+    is one, else std_logic or equal-width vectors, through a table of
+    ``on_logic`` over every pair of values."""
+    table = tuple(tuple(on_logic(a, b) for b in _NINE) for a in _NINE)
+
+    def apply(left: Any, right: Any) -> Any:
         if isinstance(left, bool) or isinstance(right, bool):
-            lb, rb = _truthy(left), _truthy(right)
-            return {"and": lb and rb, "or": lb or rb,
-                    "xor": lb != rb, "nand": not (lb and rb),
-                    "nor": not (lb or rb), "xnor": lb == rb}[op]
+            return on_bools(_truthy(left), _truthy(right))
         if isinstance(left, StdLogic) and isinstance(right, StdLogic):
-            return _logic_binop(op, left, right)
+            return table[left.code][right.code]
         if isinstance(left, tuple) and isinstance(right, tuple):
             if len(left) != len(right):
                 raise VhdlRuntimeError("vector width mismatch")
-            return tuple(_logic_binop(op, a, b)
-                         for a, b in zip(left, right))
+            return tuple(table[a.code][b.code] for a, b in zip(left, right))
         raise VhdlRuntimeError(f"bad operands for {op}")
-    if op == "&":
-        lvec = left if isinstance(left, tuple) else (sl(left),)
-        rvec = right if isinstance(right, tuple) else (sl(right),)
-        return lvec + rvec
-    if op in ("=", "/="):
-        equal = _values_equal(left, right)
-        return equal if op == "=" else not equal
-    if op in ("<", ">", "<=", ">="):
+    return apply
+
+
+def _concatenate(left: Any, right: Any) -> Any:
+    lvec = left if isinstance(left, tuple) else (sl(left),)
+    rvec = right if isinstance(right, tuple) else (sl(right),)
+    return lvec + rvec
+
+
+def _not_equal(left: Any, right: Any) -> bool:
+    return not _values_equal(left, right)
+
+
+def _ordering(compare: Callable) -> Callable:
+    def apply(left: Any, right: Any) -> bool:
         li = left if isinstance(left, int) else vector_to_int(left)
         ri = right if isinstance(right, int) else vector_to_int(right)
-        return {"<": li < ri, ">": li > ri,
-                "<=": li <= ri, ">=": li >= ri}[op]
-    if op in ("+", "-", "*", "/", "mod", "rem", "**"):
-        # Integer arithmetic; unsigned-vector operands wrap to their
-        # width (the common numeric_std counter idiom).
+        return compare(li, ri)
+    return apply
+
+
+def _rem_int(li: int, ri: int) -> int:
+    """VHDL ``rem``: truncates toward zero (unlike ``mod``)."""
+    value = abs(li) % abs(ri)
+    return -value if li < 0 else value
+
+
+#: The relational and arithmetic operators on two integers.
+_INT_ORDERINGS = {"<": operator.lt, ">": operator.gt,
+                  "<=": operator.le, ">=": operator.ge}
+_INT_ARITHMETIC = {"+": operator.add, "-": operator.sub,
+                   "*": operator.mul, "/": operator.floordiv,
+                   "mod": operator.mod, "rem": _rem_int,
+                   "**": operator.pow}
+
+
+def _arithmetic(compute: Callable) -> Callable:
+    """Integer arithmetic; an unsigned-vector operand wraps the result
+    to its width (the common numeric_std counter idiom)."""
+    def apply(left: Any, right: Any) -> Any:
+        if type(left) is int and type(right) is int:
+            return compute(left, right)
         width = None
         if isinstance(left, tuple):
             width = len(left)
@@ -927,34 +990,44 @@ def _eval_binary(op: str, left: Any, right: Any) -> Any:
             width = len(right)
         li = left if isinstance(left, int) else vector_to_int(left)
         ri = right if isinstance(right, int) else vector_to_int(right)
-        if op == "+":
-            value = li + ri
-        elif op == "-":
-            value = li - ri
-        elif op == "*":
-            value = li * ri
-        elif op == "/":
-            value = li // ri
-        elif op == "mod":
-            value = li % ri
-        elif op == "rem":
-            # VHDL rem truncates toward zero (unlike mod).
-            value = abs(li) % abs(ri)
-            if li < 0:
-                value = -value
-        else:
-            value = li ** ri
+        value = compute(li, ri)
         if width is not None:
             return slv(value % (1 << width), width=width)
         return value
-    if op in ("sll", "srl"):
-        vec = left if isinstance(left, tuple) else (sl(left),)
-        amount = int(right)
-        zero = (SL_0,) * min(amount, len(vec))
-        if op == "sll":
-            return vec[amount:] + zero
-        return zero + vec[:len(vec) - amount]
-    raise VhdlRuntimeError(f"unsupported operator {op}")
+    return apply
+
+
+def _shift_left(left: Any, right: Any) -> Any:
+    vec = left if isinstance(left, tuple) else (sl(left),)
+    amount = int(right)
+    return vec[amount:] + (SL_0,) * min(amount, len(vec))
+
+
+def _shift_right(left: Any, right: Any) -> Any:
+    vec = left if isinstance(left, tuple) else (sl(left),)
+    amount = int(right)
+    return (SL_0,) * min(amount, len(vec)) + vec[:len(vec) - amount]
+
+
+#: ``left op right`` on evaluated operands, by operator.
+_BINARY: Dict[str, Callable[[Any, Any], Any]] = {
+    **{op: _logic_operator(op, *ways) for op, ways in _LOGIC.items()},
+    "&": _concatenate,
+    "=": _values_equal,
+    "/=": _not_equal,
+    **{op: _ordering(compare) for op, compare in _INT_ORDERINGS.items()},
+    **{op: _arithmetic(compute) for op, compute in _INT_ARITHMETIC.items()},
+    "sll": _shift_left,
+    "srl": _shift_right,
+}
+
+
+def _eval_binary(op: str, left: Any, right: Any) -> Any:
+    try:
+        apply = _BINARY[op]
+    except KeyError:
+        raise VhdlRuntimeError(f"unsupported operator {op}") from None
+    return apply(left, right)
 
 
 _BUILTINS = {"rising_edge", "falling_edge", "to_integer", "to_unsigned",
@@ -962,7 +1035,7 @@ _BUILTINS = {"rising_edge", "falling_edge", "to_integer", "to_unsigned",
              "resize", "to_x01"}
 
 
-def _eval_call(expr: ast.Call, ctx, api) -> Any:
+def _eval_call(expr: ast.Call, ctx, api, expected) -> Any:
     args = [evaluate(a, ctx, api, None) for a in expr.args]
     return _apply_builtin(expr.func, args, ctx, api,
                           expr.args[0] if expr.args else None)
@@ -998,3 +1071,20 @@ def _apply_builtin(func: str, args: List[Any], ctx, api,
             return vec[len(vec) - width:]
         return (SL_0,) * (width - len(vec)) + tuple(vec)
     raise VhdlRuntimeError(f"unknown function {func!r}")
+
+
+#: One evaluator per expression node type, keyed by the exact type.
+_EVAL: Dict[type, Callable[..., Any]] = {
+    ast.CharLiteral: _eval_char,
+    ast.StringLiteral: _eval_string,
+    ast.IntLiteral: _eval_int,
+    ast.TimeLiteral: _eval_time,
+    ast.Name: _eval_name_node,
+    ast.Aggregate: _eval_aggregate,
+    ast.Indexed: _eval_indexed,
+    ast.Sliced: _eval_sliced,
+    ast.Attribute: _eval_attribute,
+    ast.Unary: _eval_unary_node,
+    ast.Binary: _eval_binary_node,
+    ast.Call: _eval_call,
+}

@@ -38,7 +38,7 @@ from ..core.event import Event, EventKind
 from ..core.lp import LogicalProcess
 from ..core.record import Record
 from ..core.vtime import PHASE_ASSIGN, PHASE_DRIVING, VirtualTime
-from .values import StdLogic, resolve
+from .values import StdLogic, resolve_column, resolve_vectors
 
 
 class Assignment(Record):
@@ -149,10 +149,9 @@ def resolve_values(values: Sequence[Any],
         return values[0]
     first = values[0]
     if isinstance(first, StdLogic):
-        return resolve(values)
+        return resolve_column(values)
     if isinstance(first, tuple):
-        width = len(first)
-        return tuple(resolve([v[i] for v in values]) for i in range(width))
+        return resolve_vectors(values)
     raise TypeError(
         f"signal with {len(values)} drivers of unresolvable type "
         f"{type(first).__name__}; provide a resolution function")
@@ -233,9 +232,12 @@ class SignalLP(LogicalProcess):
 
     def _on_drive(self) -> None:
         """Driving phase: mature transactions due now."""
+        now = self.now.pt
         any_active = False
         for driver in self.drivers.values():
-            if driver.mature(self.now.pt):
+            waveform = driver.waveform
+            if waveform and waveform[0].pt <= now:
+                driver.mature(now)
                 any_active = True
         if not any_active:
             return  # duplicate drive event; nothing due at this time

@@ -223,6 +223,28 @@ def resolve(values: Iterable[StdLogic]) -> StdLogic:
     return result if not first else SL_Z
 
 
+def resolve_column(column: Sequence[StdLogic]) -> StdLogic:
+    """:func:`resolve` of two or more drivers, folding through the table
+    only the values that are driven.
+
+    'Z' is the table's identity for every value except '-', which it
+    turns into 'X'.  A column with at most one value other than 'Z'
+    therefore resolves to that value ('X' for '-', 'Z' for none), and
+    only the driven values of a column with two or more are folded.
+    """
+    if column.count(SL_Z) >= len(column) - 1:
+        for value in column:
+            if value is not SL_Z:
+                return SL_X if value is SL_DASH else value
+        return SL_Z
+    return resolve([value for value in column if value is not SL_Z])
+
+
+def resolve_vectors(driving: Sequence[Vector]) -> Vector:
+    """Resolve two or more driving vectors column by column."""
+    return tuple(map(resolve_column, zip(*driving)))
+
+
 # ---------------------------------------------------------------------------
 # Vectors
 # ---------------------------------------------------------------------------

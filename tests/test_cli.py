@@ -208,11 +208,66 @@ class TestRingCommandLine:
         assert captured.err.startswith("repro: ")
         assert captured.err.count("\n") == 1 and message in captured.err
 
+    def test_timeout_on_the_model(self, capsys):
+        """The modelled machine has no wall deadline: a ``--timeout``
+        given to it is refused, not dropped; a ring takes it."""
+        assert main(["run", "--circuit", "fsm", "--timeout", "5"]) == 2
+        assert "--timeout applies to the threads / procs / dist " \
+               "backends only" in self.one_line(capsys)
+        assert main(["run", "--circuit", "fsm", "-p", "2",
+                     "--backend", "threads", "--timeout", "5"]) == 0
+
     def test_run_waves_renders(self, vhd, capsys):
         assert main(["run", vhd, "--top", "tb", "-p", "2",
                      "--waves"]) == 0
         out = capsys.readouterr().out
         assert "clk :" in out and "ns/column" in out
+
+
+class TestUnreadableDesign:
+    """A VHDL file the front end cannot read is one ``repro:`` line and
+    exit status 2 in every command that reads one, not a traceback."""
+
+    #: case -> (file text or None for no file, --top, what the line says)
+    INPUTS = {"does-not-parse": ("garbage\n", "tb",
+                                 "line 1: expected entity or architecture"),
+              "unknown-top": (SOURCE, "x", "no entity 'x'"),
+              "unknown-component": (
+                  SOURCE.replace("begin\n  clocking",
+                                 "begin\n  u1 : missing port map (a => clk);"
+                                 "\n  clocking"),
+                  "tb", "instance u1: no entity named 'missing'"),
+              "unsupported-type": (SOURCE.replace("std_logic :=", "real :="),
+                                   "tb", "unsupported type 'real'"),
+              "missing-file": (None, "tb",
+                               "No such file or directory")}
+
+    @pytest.mark.parametrize("case", sorted(INPUTS))
+    @pytest.mark.parametrize("command",
+                             ["simulate", "elab", "run", "report", "batch"])
+    def test_one_line(self, command, case, tmp_path, capsys):
+        text, top, message = self.INPUTS[case]
+        path = tmp_path / "design.vhd"
+        if text is not None:
+            path.write_text(text)
+        argv = [command, str(path), "--top", top]
+        if command in ("elab", "batch"):
+            argv.append("--no-cache")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: ")
+        assert captured.err.count("\n") == 1
+        assert str(path) in captured.err and message in captured.err
+
+    def test_the_service_keeps_raising(self):
+        from repro.service import RunService, VhdlJob
+        from repro.vhdl.frontend import ParseError
+
+        with pytest.raises(ParseError):
+            RunService().resolve(VhdlJob(source="garbage", top="tb"))
+        with pytest.raises(KeyError, match="no entity 'x'"):
+            RunService().resolve(VhdlJob(source=SOURCE, top="x"))
 
 
 class TestCheckCommand:

@@ -95,6 +95,8 @@ FINDINGS = {
     "fuzz-max-scenarios-zero": ["fuzz", "--max-scenarios", "0"],
     "procs-hosts-dropped": ["run", "--circuit", "fsm", "--backend",
                             "procs", "--hosts", "a:1"],
+    "model-timeout-dropped": ["run", "--circuit", "fsm",
+                              "--timeout", "5"],
 }
 
 
