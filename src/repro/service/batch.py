@@ -14,12 +14,13 @@ of a few distinct designs.  The service is a small job queue that
 * aggregates per-run statistics into fleet totals with the existing
   :meth:`~repro.core.stats.RunStats.merge` algebra.
 
-Threads, not a process pool, drive the fan-out deliberately: the heavy
-parallelism lives *inside* the procs backend (whose workers are real
-processes and must not be daemonic grandchildren of a process pool),
-and sequential/model runs release the GIL often enough at this
-granularity that batch throughput still scales with overlap between
-elaboration-free runs.
+The fan-out is a thread pool, so it overlaps only runs that wait: a
+procs or dist run waits on its worker processes or daemons.  Sequential,
+model and threads runs compute in this process and hold the GIL, so
+they do not overlap (eight model runs of fsm(12, 8) took about as long
+on four threads as on one).  The fuzzing campaign, whose scenarios
+share nothing, fans out onto worker processes instead
+(:mod:`repro.campaign.runner`).
 """
 
 from __future__ import annotations

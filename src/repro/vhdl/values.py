@@ -250,6 +250,12 @@ def resolve_vectors(driving: Sequence[Vector]) -> Vector:
 # ---------------------------------------------------------------------------
 Vector = Tuple[StdLogic, ...]
 
+#: The bit an int's 0 or 1 becomes in :func:`slv`.
+_BITS = (SL_0, SL_1)
+#: What :func:`vector_to_int` reads for each code: the TO_X01 value of
+#: '0' 'L' and '1' 'H', ``None`` for a bit with no boolean value.
+_BIT_VALUE = (None, None, 0, 1, None, None, 0, 1, None)
+
 
 def slv(bits: Union[str, int, Sequence], width: int = None) -> Vector:
     """Build a std_logic_vector.
@@ -264,7 +270,8 @@ def slv(bits: Union[str, int, Sequence], width: int = None) -> Vector:
             raise ValueError("integer vectors need an explicit width")
         if bits < 0:
             bits &= (1 << width) - 1
-        return tuple(sl((bits >> (width - 1 - i)) & 1) for i in range(width))
+        return tuple([_BITS[(bits >> shift) & 1]
+                      for shift in range(width - 1, -1, -1)])
     return tuple(sl(b) for b in bits)
 
 
@@ -275,8 +282,11 @@ def vector_to_int(vec: Vector, signed: bool = False) -> int:
     """
     value = 0
     for bit in vec:
-        value = (value << 1) | (1 if bit.to_bool() else 0)
-    if signed and vec and vec[0].to_bool():
+        digit = _BIT_VALUE[bit.code]
+        if digit is None:
+            bit.to_bool()  # raises, naming the bit
+        value = (value << 1) | digit
+    if signed and vec and _BIT_VALUE[vec[0].code]:
         value -= 1 << len(vec)
     return value
 

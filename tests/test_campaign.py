@@ -11,6 +11,10 @@ violation.
 import dataclasses
 import hashlib
 import json
+import os
+import re
+import signal
+import time
 import types
 
 import pytest
@@ -20,10 +24,12 @@ from repro.campaign import (ALL_AXES, BACKEND_PROTOCOLS, Campaign,
                             Corpus, FailureSignature, OPT_IN_BACKENDS,
                             Scenario, ScenarioSpace, classify,
                             normalize_violation, run_scenario)
+from repro.campaign import runner
 from repro.campaign.axes import _freeze_params
 from repro.campaign.triage import primary_kind, violation_kind
 from repro.config import RunConfig
 from repro.harness import Schedule, Scheduler, replay_schedule
+from repro.harness.check import RunReport
 from tests.strategies import prop_settings, small_seeds, topologies
 
 
@@ -254,6 +260,13 @@ class TestCampaign:
         assert summary.stats.events_committed > 0
         assert sum(summary.coverage.values()) == 6
         assert "all clean" in summary.describe()
+        # The first line says how the campaign ran.
+        assert summary.workers == min(runner._usable_cores(), 6)
+        where = ("in process" if summary.workers == 1
+                 else f"on {summary.workers} worker processes")
+        assert re.match(rf"campaign: 6 scenarios \(6 distinct\) in "
+                        rf"[\d.]+s {where} \([\d.]+ scenarios/s\), "
+                        rf"all clean$", summary.describe().splitlines()[0])
 
     def test_run_scenario_executes_the_canonical_schedule(self):
         scenario = Scenario(backend="model", protocol="dynamic",
@@ -308,13 +321,14 @@ class TestCampaign:
         assert len(seen) == 3
 
 
-class TestInjectedBugCampaign:
-    @pytest.fixture()
-    def broken_tie_key(self, monkeypatch):
-        """Re-introduce the PR-2 ordering bug: ties collapse to pt."""
-        monkeypatch.setattr(Scheduler, "tie_key",
-                            lambda self, time: time[0])
+@pytest.fixture()
+def broken_tie_key(monkeypatch):
+    """Re-introduce the PR-2 ordering bug: ties collapse to pt."""
+    monkeypatch.setattr(Scheduler, "tie_key",
+                        lambda self, time: time[0])
 
+
+class TestInjectedBugCampaign:
     def test_campaign_finds_shrinks_and_dedups_the_bug(
             self, broken_tie_key, tmp_path):
         # Schedule exploration on the modelled machine is what can
@@ -358,3 +372,205 @@ class TestInjectedBugCampaign:
         assert not summary.ok
         assert summary.new_artifacts == []
         assert len(Corpus(corpus_dir)) == 1
+
+
+# ---------------------------------------------------------------------------
+# The fan-out: scenarios on worker processes, outcomes in order
+# ---------------------------------------------------------------------------
+def descendants():
+    """Pids below this process (zombies included), read from /proc."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as handle:
+                    stat = handle.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue  # gone while we looked
+            parents[int(entry)] = int(stat[1])
+    me = os.getpid()
+
+    def below(pid):
+        for _ in range(64):
+            pid = parents.get(pid)
+            if pid is None:
+                return False
+            if pid == me:
+                return True
+        return False
+
+    return {pid for pid in parents if below(pid)}
+
+
+def use(monkeypatch, mode):
+    """Run campaigns in this process (``"serial"``, as on a one-core
+    host) or on two forked workers (``"pooled"``), whatever the host
+    has.  Forked workers inherit what a test patched."""
+    monkeypatch.setattr(runner, "_usable_cores",
+                        lambda: 1 if mode == "serial" else 2)
+    monkeypatch.delenv("REPRO_PROCS_START", raising=False)
+
+
+@pytest.fixture()
+def pooled(monkeypatch):
+    use(monkeypatch, "pooled")
+
+
+class ScenarioBoom(Exception):
+    """What the fake scenarios below raise."""
+
+
+#: The key of the scenario the fakes below single out; set before the
+#: campaign forks its workers, which inherit it.
+TARGET = None
+
+
+def fake_outcome(scenario):
+    report = RunReport(label="fake", signature=(), decisions=[],
+                       ncands=[], violations=[],
+                       digest=str(scenario.circuit_seed))
+    return runner.ScenarioOutcome(scenario=scenario, report=report)
+
+
+def sleeping(scenario):
+    if scenario.key() == TARGET:
+        time.sleep(30.0)
+    return fake_outcome(scenario)
+
+
+def raising(scenario):
+    if scenario.key() == TARGET:
+        raise ScenarioBoom(scenario.describe())
+    return fake_outcome(scenario)
+
+
+def dying(scenario):
+    if scenario.key() == TARGET:
+        os._exit(3)
+    return fake_outcome(scenario)
+
+
+def target(monkeypatch, space, index, fake):
+    """Single out the ``index``-th scenario of ``space`` for ``fake``,
+    which stands in for ``run_scenario``."""
+    key = take(space.generate(), index + 1)[index].key()
+    monkeypatch.setitem(globals(), "TARGET", key)
+    monkeypatch.setattr(runner, "run_scenario", fake)
+
+
+def summary_and_sequence(space, **kwargs):
+    seen = []
+    summary = Campaign(space, budget_s=120.0, on_scenario=lambda o, _s:
+                       seen.append((o.scenario.key(), o.report.digest)),
+                       **kwargs).run()
+    return summary, seen
+
+
+def same_fields(summary):
+    return (summary.scenarios, summary.failures,
+            dataclasses.asdict(summary.stats), summary.coverage,
+            summary.distinct, summary.signatures)
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("backend, seed, scenarios",
+                             [("model", 7, 10), ("threads", 3, 8)])
+    def test_pooled_equals_serial(self, monkeypatch, backend, seed,
+                                  scenarios):
+        runs = {}
+        for mode in ("serial", "pooled"):
+            use(monkeypatch, mode)
+            runs[mode] = summary_and_sequence(
+                ScenarioSpace(seed=seed, backends=[backend]),
+                max_scenarios=scenarios)
+        (serial, serial_seen), (pooled, pooled_seen) = \
+            runs["serial"], runs["pooled"]
+        assert (serial.workers, pooled.workers) == (1, 2)
+        assert serial.ok and pooled.ok
+        assert same_fields(pooled) == same_fields(serial)
+        assert len(pooled_seen) == scenarios
+        assert pooled_seen == serial_seen
+
+    def test_pooled_equals_serial_on_the_injected_bug(
+            self, broken_tie_key, monkeypatch, tmp_path):
+        runs = {}
+        for mode in ("serial", "pooled"):
+            use(monkeypatch, mode)
+            corpus = Corpus(str(tmp_path / mode))
+            space = ScenarioSpace(seed=7, backends=["model"],
+                                  axes=("topology", "schedules"))
+            summary, seen = summary_and_sequence(
+                space, max_scenarios=12, corpus=corpus)
+            assert len(summary.signatures) == 1
+            assert len(corpus) == 1
+            runs[mode] = same_fields(summary), seen
+        assert runs["pooled"] == runs["serial"]
+
+    def test_no_process_outlives_a_campaign(self, pooled):
+        before = descendants()
+        summary = Campaign(ScenarioSpace(seed=3, backends=["procs"]),
+                           budget_s=120.0, max_scenarios=2).run()
+        assert summary.ok, summary.describe()
+        assert summary.workers == 2
+        assert descendants() <= before
+
+    @pytest.mark.parametrize("mode", ["serial", "pooled"])
+    def test_a_scenario_exception_reaches_the_caller(self, monkeypatch,
+                                                     mode):
+        use(monkeypatch, mode)
+        space = ScenarioSpace(seed=7, backends=["model"])
+        target(monkeypatch, space, 2, raising)
+        seen = []
+        before = descendants()
+        with pytest.raises(ScenarioBoom) as raised:
+            Campaign(space, max_scenarios=8,
+                     on_scenario=lambda o, _s: seen.append(o)).run()
+        assert descendants() <= before
+        # The scenarios before it were taken, in order.
+        assert [o.scenario for o in seen] == take(space.generate(), 2)
+        if mode == "pooled":  # the worker's traceback rides along
+            assert "in raising" in "\n".join(raised.value.__notes__)
+
+    def test_an_on_scenario_exception_leaves_no_worker(self, pooled):
+        def stop(_outcome, _summary):
+            raise ScenarioBoom("stop")
+
+        before = descendants()
+        with pytest.raises(ScenarioBoom, match="stop"):
+            Campaign(ScenarioSpace(seed=7, backends=["model"]),
+                     max_scenarios=8, on_scenario=stop).run()
+        assert descendants() <= before
+
+    def test_a_dead_worker_is_reported(self, pooled, monkeypatch):
+        space = ScenarioSpace(seed=7, backends=["model"])
+        target(monkeypatch, space, 1, dying)
+        before = descendants()
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            Campaign(space, max_scenarios=8).run()
+        assert descendants() <= before
+
+    @pytest.mark.parametrize("stop", ["on_scenario", "alarm"])
+    def test_teardown_does_not_wait_for_running_scenarios(
+            self, pooled, monkeypatch, stop):
+        # Scenario 1 sleeps 30 s; the campaign is stopped while it runs.
+        space = ScenarioSpace(seed=7, backends=["model"])
+        target(monkeypatch, space, 1, sleeping)
+
+        def boom(*_args):
+            raise ScenarioBoom(stop)
+
+        previous = signal.signal(signal.SIGALRM, boom)
+        before = descendants()
+        started = time.monotonic()
+        try:
+            if stop == "alarm":
+                signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(ScenarioBoom, match=stop):
+                Campaign(space, max_scenarios=8,
+                         on_scenario=boom if stop == "on_scenario"
+                         else None).run()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 2.0
+        assert descendants() <= before

@@ -170,3 +170,57 @@ class TestVectors:
     @given(st.integers(0, 2**16 - 1))
     def test_int_round_trip(self, n):
         assert vector_to_int(slv(n, width=16)) == n
+
+
+def slv_by_bit(bits, width):
+    """The per-bit definition of ``slv(int, width)``."""
+    if bits < 0:
+        bits &= (1 << width) - 1
+    return tuple(sl((bits >> (width - 1 - i)) & 1) for i in range(width))
+
+
+def vector_to_int_by_bit(vec, signed):
+    """The per-bit definition of ``vector_to_int``."""
+    value = 0
+    for bit in vec:
+        value = (value << 1) | (1 if bit.to_bool() else 0)
+    if signed and vec and vec[0].to_bool():
+        value -= 1 << len(vec)
+    return value
+
+
+def result_or_error(function, *args):
+    try:
+        return function(*args)
+    except ValueError as error:
+        return ("ValueError", str(error))
+
+
+class TestVectorTables:
+    """``slv`` and ``vector_to_int`` read tables; they must agree with
+    the per-bit definitions, errors included."""
+
+    @given(st.integers(1, 64), st.integers(-2**70, 2**70))
+    def test_slv_from_int_matches_the_bits(self, width, value):
+        vec = slv(value, width)
+        expected = slv_by_bit(value, width)
+        assert vec == expected
+        assert all(a is b for a, b in zip(vec, expected))
+
+    @given(st.lists(st.sampled_from([SL_0, SL_1, SL_L, SL_H]),
+                    min_size=1, max_size=64), st.booleans())
+    def test_vector_to_int_reads_weak_levels(self, vec, signed):
+        vec = tuple(vec)
+        assert vector_to_int(vec, signed) \
+            == vector_to_int_by_bit(vec, signed)
+
+    @given(st.lists(values, min_size=0, max_size=64), st.booleans())
+    def test_vector_to_int_fails_like_the_bits(self, vec, signed):
+        vec = tuple(vec)
+        assert result_or_error(vector_to_int, vec, signed) \
+            == result_or_error(vector_to_int_by_bit, vec, signed)
+
+    @pytest.mark.parametrize("meta", [SL_X, SL_Z, SL_U, SL_DASH, SL_W])
+    def test_a_meta_bit_names_itself(self, meta):
+        with pytest.raises(ValueError, match=f"std_logic '{meta.char}'"):
+            vector_to_int((SL_1, meta, SL_0))
